@@ -127,9 +127,6 @@ class Instance:
         """Endpoint pairs of one class, sorted lexicographically."""
         return self.classes[colour].sorted_pairs()
 
-    def has_edge(self, colour: int, a_index: int, b_index: int) -> bool:
-        return Edge.of(a_index, b_index) in self.classes[colour].edges
-
 
 @dataclass(frozen=True)
 class RainbowMatching:
@@ -302,82 +299,6 @@ def neighbourhood_along(r: RainbowMatching, x: Iterable[Vertex]) -> frozenset[Ve
         if ce.b in query:
             out.add(ce.a)
     return frozenset(out)
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """A subset of one side given explicitly or as the complement of a finite set.
-
-    Complement form supports operands like "A minus {x1, x2}" and "all of B"
-    without enumerating the universe.
-    """
-
-    side: Side
-    indices: frozenset[int]
-    complement: bool = False
-
-    @classmethod
-    def of(cls, vertices: Iterable[Vertex]) -> "VertexSet":
-        vs = list(vertices)
-        if not vs:
-            raise ValueError("cannot infer side of an empty explicit set; use of_side")
-        side = vs[0].side
-        if any(v.side is not side for v in vs):
-            raise ValueError("mixed sides in vertex set")
-        return cls(side, frozenset(v.index for v in vs))
-
-    @classmethod
-    def of_side(cls, side: Side, indices: Iterable[int] = ()) -> "VertexSet":
-        return cls(side, frozenset(indices))
-
-    @classmethod
-    def full(cls, side: Side) -> "VertexSet":
-        return cls(side, frozenset(), complement=True)
-
-    @classmethod
-    def excluding(cls, side: Side, vertices: Iterable[Vertex]) -> "VertexSet":
-        """The whole side minus the given vertices."""
-        idx = frozenset(v.index for v in vertices)
-        return cls(side, idx, complement=True)
-
-    def contains_index(self, index: int) -> bool:
-        if self.complement:
-            return index not in self.indices
-        return index in self.indices
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v.side is self.side and self.contains_index(v.index)
-
-
-def _coerce_operand(operand, side: Side) -> VertexSet:
-    if isinstance(operand, VertexSet):
-        if operand.side is not side:
-            raise ValueError(f"operand side {operand.side} does not match expected {side}")
-        return operand
-    vs = list(operand)
-    if not vs:
-        return VertexSet.of_side(side)
-    out = VertexSet.of(vs)
-    if out.side is not side:
-        raise ValueError(f"operand side {out.side} does not match expected {side}")
-    return out
-
-
-def class_edges_between(inst: Instance, colour: int, s, t) -> frozenset[Edge]:
-    """Edges of one class with A-endpoint in s and B-endpoint in t.
-
-    s and t may be explicit vertex collections or VertexSet operands, including
-    complements ("A minus a finite set", full sides).
-    """
-    if not 0 <= colour < inst.n_colours:
-        raise ValueError(f"colour {colour} out of range [0, {inst.n_colours})")
-    s_set = _coerce_operand(s, Side.A)
-    t_set = _coerce_operand(t, Side.B)
-    return frozenset(
-        e
-        for e in inst.classes[colour].edges
-        if s_set.contains_index(e.a.index) and t_set.contains_index(e.b.index)
-    )
 
 
 def swap_colours(inst: Instance, c1: int, c2: int) -> Instance:

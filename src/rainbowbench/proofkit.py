@@ -39,6 +39,7 @@ from .core import (
     ColouredEdge,
     Instance,
     RainbowMatching,
+    Side,
     Vertex,
     instance_from_json,
     instance_to_json,
@@ -173,10 +174,6 @@ class SwitchState:
         """y_i, the shared B-endpoint of e_i and g_i (1-based)."""
         return self.e_seq[i - 1].b
 
-    def z_of(self, i: int) -> Vertex:
-        """z_i, the A-endpoint of g_i (1-based)."""
-        return self.g_seq[i - 1].a
-
     def zs(self, upto: int) -> frozenset[Vertex]:
         """{z_1 .. z_upto}."""
         return frozenset(self.g_seq[i].a for i in range(upto))
@@ -229,6 +226,9 @@ def state_violations(st: SwitchState) -> list[str]:
         out.append(f"pi must map 0..k with pi(0)=0, got {st.pi}")
     if len(set(st.pi)) != len(st.pi):
         out.append(f"pi is not injective: {st.pi}")
+    n = st.inst.n_colours
+    if any(not 0 <= c < n for c in st.pi) or any(not 0 <= c < n for c in st.r.colours()):
+        out.append(f"pi or r uses a colour outside the instance's 0..{n - 1}")
     X, Y = st.saturated()
     if len(set(st.e_seq)) != k:
         out.append("e_i are not pairwise distinct")
@@ -277,15 +277,6 @@ class PropertyReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-def _class_has_edge_between(
-    inst: Instance, colour: int, a_index: int, forbidden_b: frozenset[Vertex]
-) -> bool:
-    forbidden = {v.index for v in forbidden_b}
-    return any(
-        a == a_index and b not in forbidden for a, b in inst.class_pairs(colour)
-    )
 
 
 def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyReport:
@@ -352,7 +343,7 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
         xi = st.x_of(i)
         for ce in st.r.sorted_edges():
             if ce.a in Xi and ce.b in Yi:
-                if not _class_has_edge_between(inst, ce.colour, xi.index, Y):
+                if _find_partner_edge(st, xi, ce.colour, Y) is None:
                     p5_ok, p5_w = (
                         False,
                         f"class {ce.colour} meets r in X_{i} x Y_{i} but has no edge "
@@ -571,31 +562,37 @@ def claim3_switch(
 # --- pool constructions ----------------------------------------------------------
 
 
-def _n_pool_all(st: SwitchState) -> list[Vertex]:
-    """All qualifying fresh B-vertices for the current k, sorted by index."""
-    inst, k = st.inst, st.k
-    X, Y = st.saturated()
-    if k == 0:
-        excluded_a = {v.index for v in X}
-        banned_b: set[int] = set()
-    else:
-        excluded_a = {v.index for v in X | st.zs(k)}
-        banned_b = {v.index for v in st.y_sets[k - 1]}
-        banned_b.update(st.y_of(i).index for i in range(1, k + 1))
-    y_indices = {v.index for v in Y}
-    out = set()
-    for a, b in inst.class_pairs(st.pi[k]):
-        if a not in excluded_a and b in y_indices and b not in banned_b:
-            out.add(b)
-    return [vb(b) for b in sorted(out)]
+def _pool_formula(st: SwitchState) -> Fraction:
+    return (Fraction(1, 2) + st.eps.value) * st.inst.n_colours + 1 - 2 * st.k
 
 
 def _n_required(st: SwitchState, mode: Mode) -> int:
-    if mode is Mode.RELAXED:
-        return 1
-    n = st.inst.n_colours
-    value = (Fraction(1, 2) + st.eps.value) * n + 1 - 2 * st.k
-    return max(1, math.ceil(value))
+    return 1 if mode is Mode.RELAXED else max(1, math.ceil(_pool_formula(st)))
+
+
+def _fresh_pool(st: SwitchState, mode: Mode) -> frozenset[Vertex]:
+    """The fresh pool N_k of the current state, for every k.
+
+    Saturated B-vertices outside Y_k and the used y_i with a class-pi(k)
+    partner outside X and z_1..z_k. Strict mode keeps the _n_required
+    smallest B-indices.
+    """
+    inst, k = st.inst, st.k
+    X, Y = st.saturated()
+    excluded_a = {v.index for v in X | st.zs(k)}
+    banned_b = {v.index for v in st.y_sets[k - 1]} if k >= 1 else set()
+    banned_b.update(st.y_of(i).index for i in range(1, k + 1))
+    y_indices = {v.index for v in Y}
+    pool = sorted(
+        {
+            b
+            for a, b in inst.class_pairs(st.pi[k])
+            if a not in excluded_a and b in y_indices and b not in banned_b
+        }
+    )
+    if mode is Mode.STRICT:
+        pool = pool[: _n_required(st, mode)]
+    return frozenset(vb(b) for b in pool)
 
 
 def construct_N0(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex]:
@@ -606,10 +603,7 @@ def construct_N0(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex
     """
     if st.k != 0:
         raise ValueError(f"construct_N0 needs k = 0, got k = {st.k}")
-    pool = _n_pool_all(st)
-    if mode is Mode.STRICT:
-        pool = pool[: _n_required(st, mode)]
-    return frozenset(pool)
+    return _fresh_pool(st, mode)
 
 
 def construct_Nk(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex]:
@@ -621,10 +615,53 @@ def construct_Nk(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex
     """
     if st.k < 1:
         raise ValueError(f"construct_Nk needs k >= 1, got k = {st.k}")
-    pool = _n_pool_all(st)
-    if mode is Mode.STRICT:
-        pool = pool[: _n_required(st, mode)]
-    return frozenset(pool)
+    return _fresh_pool(st, mode)
+
+
+def _cover_threshold(st: SwitchState, mode: Mode) -> int:
+    if mode is Mode.RELAXED:
+        return 1
+    return max(1, math.ceil(s_k(st.k + 1, st.eps, st.inst.n_colours)))
+
+
+def _pigeonhole_ranking(
+    st: SwitchState,
+    x_prime: frozenset[Vertex],
+    y_prime: frozenset[Vertex],
+    mode: Mode,
+) -> Iterator[tuple[Vertex, frozenset[Vertex], frozenset[Vertex]]]:
+    """(x*, X_next, Y_next) for every x* in x_prime whose cover reaches the mode threshold.
+
+    x* covers each other r-edge inside x_prime x y_prime whose class has an
+    edge from x* into the unsaturated part of B. Largest cover first, ties by
+    smallest A-index; X_next and Y_next are the A- and B-endpoints of the
+    covered r-edges (strict mode: the threshold-many smallest A-indices), so
+    Y_next is the r-neighbourhood of X_next.
+    """
+    _, Y = st.saturated()
+    y_idx = {v.index for v in Y}
+    box = [ce for ce in st.r.sorted_edges() if ce.a in x_prime and ce.b in y_prime]
+    # A-endpoints of class-j edges escaping into B \ Y, per relevant colour
+    escape: dict[int, set[int]] = {}
+    for ce in box:
+        if ce.colour not in escape:
+            escape[ce.colour] = {
+                a
+                for a, b in st.inst.class_pairs(ce.colour)
+                if b not in y_idx and va(a) in x_prime
+            }
+    threshold = _cover_threshold(st, mode)
+    scored: list[tuple[int, int, Vertex, list[ColouredEdge]]] = []
+    for x_star in x_prime:
+        covered = [ce for ce in box if ce.a != x_star and x_star.index in escape[ce.colour]]
+        if len(covered) >= threshold:
+            scored.append((-len(covered), x_star.index, x_star, covered))
+    scored.sort(key=lambda t: (t[0], t[1]))
+    for _, _, x_star, covered in scored:
+        covered.sort(key=lambda ce: ce.a.index)
+        if mode is Mode.STRICT:
+            covered = covered[:threshold]
+        yield x_star, frozenset(ce.a for ce in covered), frozenset(ce.b for ce in covered)
 
 
 def pigeonhole_select(
@@ -642,46 +679,10 @@ def pigeonhole_select(
     indices) and Y_next its r-neighbourhood. Raises PigeonholeFailure when no
     vertex reaches the mode threshold.
     """
-    inst = st.inst
-    _, Y = st.saturated()
-    y_idx = {v.index for v in Y}
-    box = [ce for ce in st.r.sorted_edges() if ce.a in x_prime and ce.b in y_prime]
-    # A-endpoints of class-j edges escaping into B \ Y, per relevant colour
-    escape: dict[int, set[int]] = {}
-    for ce in box:
-        j = ce.colour
-        if j not in escape:
-            escape[j] = {
-                a
-                for a, b in inst.class_pairs(j)
-                if b not in y_idx and va(a) in x_prime
-            }
-    threshold = 1 if mode is Mode.RELAXED else max(
-        1, math.ceil(s_k(st.k + 1, st.eps, inst.n_colours))
-    )
-    best: tuple[int, int] | None = None  # (-covered, index)
-    best_cover: list[Vertex] = []
-    best_x: Vertex | None = None
-    for x_star in sorted(x_prime, key=lambda v: v.index):
-        covered = [
-            ce.a for ce in box if ce.a != x_star and x_star.index in escape[ce.colour]
-        ]
-        key = (-len(covered), x_star.index)
-        if best is None or key < best:
-            best = key
-            best_cover = covered
-            best_x = x_star
-    if best_x is None or len(best_cover) < threshold:
-        have = len(best_cover)
-        raise PigeonholeFailure(
-            f"no vertex covers {threshold} pool members (best covers {have})"
-        )
-    x_next_set = sorted(best_cover, key=lambda v: v.index)
-    if mode is Mode.STRICT:
-        x_next_set = x_next_set[:threshold]
-    X_next = frozenset(x_next_set)
-    Y_next = neighbourhood_along(st.r, X_next)
-    return best_x, X_next, Y_next
+    for selection in _pigeonhole_ranking(st, x_prime, y_prime, mode):
+        return selection
+    threshold = _cover_threshold(st, mode)
+    raise PigeonholeFailure(f"no vertex covers {threshold} pool members")
 
 
 # --- the extension step ----------------------------------------------------------
@@ -700,57 +701,43 @@ class Augmented:
 StepOutcome = Extended | Augmented
 
 
-def _r_edge_at_b(st: SwitchState, b: Vertex) -> ColouredEdge | None:
+def _r_edge_at(st: SwitchState, v: Vertex) -> ColouredEdge | None:
+    """The r-edge at v, if r saturates it."""
     for ce in st.r.edges:
-        if ce.b == b:
-            return ce
-    return None
-
-
-def _r_edge_at_a(st: SwitchState, a: Vertex) -> ColouredEdge | None:
-    for ce in st.r.edges:
-        if ce.a == a:
+        if v in (ce.a, ce.b):
             return ce
     return None
 
 
 def _find_partner_edge(
-    st: SwitchState, w: Vertex, colour: int, excluded_a: frozenset[Vertex]
+    st: SwitchState, v: Vertex, colour: int, banned: frozenset[Vertex]
 ) -> ColouredEdge | None:
-    """Smallest-index class edge into w starting outside the excluded A-vertices."""
-    banned = {v.index for v in excluded_a}
+    """Smallest class edge at v whose other endpoint avoids the banned vertices."""
+    banned_idx = {u.index for u in banned}
+    at_a = v.side is Side.A
     for a, b in st.inst.class_pairs(colour):
-        if b == w.index and a not in banned:
-            return ColouredEdge.of(colour, a, w.index)
+        here, there = (a, b) if at_a else (b, a)
+        if here == v.index and there not in banned_idx:
+            return ColouredEdge.of(colour, a, b)
     return None
 
 
-def _zw_for(st: SwitchState, w: Vertex, n_pool: frozenset[Vertex], prefer_pool: bool) -> ColouredEdge | None:
-    """The two-case partner rule for a pool vertex w.
+def _zw_for(st: SwitchState, w: Vertex, n_pool: frozenset[Vertex]) -> ColouredEdge | None:
+    """The partner edge into a pool vertex w, by the two-case rule.
 
-    Fresh-pool case: partner through class pi(k) avoiding X and z_1..z_k.
-    Increment case (k >= 1, w in Y_k): take the smallest i with w in Y_i and
-    partner through class pi(i-1) avoiding X and z_1..z_{i-1}. prefer_pool
-    controls which case is tried first when both could apply.
+    Fresh-pool case (w in N_k): through class pi(k), from outside X and
+    z_1..z_k. Increment case (w in Y_k): for the smallest i with w in Y_i,
+    through class pi(i-1), from outside X and z_1..z_{i-1}. N_k avoids Y_k,
+    so at most one case applies.
     """
     X, _ = st.saturated()
     k = st.k
-
-    def pool_case() -> ColouredEdge | None:
-        if w not in n_pool:
-            return None
+    if w in n_pool:
         return _find_partner_edge(st, w, st.pi[k], X | st.zs(k))
-
-    def increment_case() -> ColouredEdge | None:
-        if k < 1 or w not in st.y_sets[k - 1]:
-            return None
-        for i in range(1, k + 1):
-            if w in st.y_sets[i - 1]:
-                return _find_partner_edge(st, w, st.pi[i - 1], X | st.zs(i - 1))
+    if k < 1 or w not in st.y_sets[k - 1]:
         return None
-
-    first, second = (pool_case, increment_case) if prefer_pool else (increment_case, pool_case)
-    return first() or second()
+    i = next(i for i in range(1, k + 1) if w in st.y_sets[i - 1])
+    return _find_partner_edge(st, w, st.pi[i - 1], X | st.zs(i - 1))
 
 
 def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
@@ -777,23 +764,13 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
         if a in x_idx or a in z_idx or b not in yk_idx:
             continue
         g = ColouredEdge.of(colour_k, a, b)
-        e = _r_edge_at_b(st, g.b)
+        e = _r_edge_at(st, g.b)
         if e is None or e.a not in xk or e.colour in st.pi:
             continue  # hand-built states may lack the paired structure; not a witness
-        e_bar = _find_partner_edge_from_a(st, st.x_of(k), e.colour, Y)
+        e_bar = _find_partner_edge(st, st.x_of(k), e.colour, Y)
         if e_bar is None:
             continue
         return claim2_switch(st, g, e, e_bar)
-    return None
-
-
-def _find_partner_edge_from_a(
-    st: SwitchState, x: Vertex, colour: int, forbidden_b: frozenset[Vertex]
-) -> ColouredEdge | None:
-    banned = {v.index for v in forbidden_b}
-    for a, b in st.inst.class_pairs(colour):
-        if a == x.index and b not in banned:
-            return ColouredEdge.of(colour, a, b)
     return None
 
 
@@ -811,7 +788,7 @@ def _claim3_augment(
             continue
         if f.colour in st.pi:
             continue  # cannot happen when P3 holds; skip defensively
-        zw = _zw_for(st, f.b, n_pool, prefer_pool=False)
+        zw = _zw_for(st, f.b, n_pool)
         if zw is None:
             continue
         banned_a = {v.index for v in X | st.zs(st.k)} | {zw.a.index}
@@ -821,94 +798,63 @@ def _claim3_augment(
     return None
 
 
-def _extension_candidates(
-    st: SwitchState,
-    n_pool: frozenset[Vertex],
-    x_prime: frozenset[Vertex],
-    y_prime: frozenset[Vertex],
-    mode: Mode,
-    branch_all: bool,
-) -> Iterator[SwitchState]:
-    """Extended states for each viable pigeonhole choice, best candidate first.
+def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOutcome]:
+    """The outcomes of one engine step, best first.
 
-    extend_state consumes only the first; the augmentation search may branch
-    over all of them.
-    """
-    inst = st.inst
-    _, Y = st.saturated()
-    y_idx = {v.index for v in Y}
-    box = [ce for ce in st.r.sorted_edges() if ce.a in x_prime and ce.b in y_prime]
-    escape: dict[int, set[int]] = {}
-    for ce in box:
-        if ce.colour not in escape:
-            escape[ce.colour] = {
-                a
-                for a, b in inst.class_pairs(ce.colour)
-                if b not in y_idx and va(a) in x_prime
-            }
-    threshold = 1 if mode is Mode.RELAXED else max(
-        1, math.ceil(s_k(st.k + 1, st.eps, inst.n_colours))
-    )
-    scored: list[tuple[int, int, Vertex, list[ColouredEdge]]] = []
-    for x_star in sorted(x_prime, key=lambda v: v.index):
-        covered = [ce for ce in box if ce.a != x_star and x_star.index in escape[ce.colour]]
-        if len(covered) >= threshold:
-            scored.append((-len(covered), x_star.index, x_star, covered))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    for _, _, x_star, covered in scored:
-        e_next = _r_edge_at_a(st, x_star)
-        if e_next is None or e_next.colour in st.pi:
-            continue
-        g_next = _zw_for(st, e_next.b, n_pool, prefer_pool=True)
-        if g_next is None:
-            continue
-        x_next_set = sorted((ce.a for ce in covered), key=lambda v: v.index)
-        if mode is Mode.STRICT:
-            x_next_set = x_next_set[:threshold]
-        X_next = frozenset(x_next_set)
-        Y_next = neighbourhood_along(st.r, X_next)
-        yield replace(
-            st,
-            k=st.k + 1,
-            e_seq=st.e_seq + (e_next,),
-            g_seq=st.g_seq + (g_next,),
-            x_sets=st.x_sets + (X_next,),
-            y_sets=st.y_sets + (Y_next,),
-            pi=st.pi + (e_next.colour,),
-        )
-        if not branch_all:
-            return
-
-
-def extend_state(st: SwitchState, mode: Mode = Mode.RELAXED) -> StepOutcome:
-    """One step of the engine: augment via a claim switch, or extend to k + 1.
-
-    Witness search order is claim1_switch, claim2_switch, then claim3_switch,
-    with lexicographic edge order inside each. Without a witness the state is
-    extended through the pool construction and pigeonhole selection. Raises
-    ThresholdInfeasible when the pool is smaller than the mode threshold and
-    PigeonholeFailure when no selection vertex qualifies; both are expected
-    for strict mode at desk-scale n.
+    Yields one Augmented when a claim switch applies: witness search order is
+    claim1_switch, claim2_switch, then claim3_switch, with lexicographic edge
+    order inside each. Otherwise yields one Extended (k + 1) per viable
+    pigeonhole choice, in ranking order, each built only when requested; it
+    yields nothing when no choice is viable. Raises ThresholdInfeasible when
+    the fresh pool is smaller than the mode threshold, which is expected for
+    strict mode at desk-scale n.
     """
     augmented = _claim12_augment(st)
     if augmented is not None:
-        return Augmented(augmented)
-    pool_all = _n_pool_all(st)
+        yield Augmented(augmented)
+        return
+    n_pool = _fresh_pool(st, mode)
     required = _n_required(st, mode)
-    if len(pool_all) < required:
-        value = (Fraction(1, 2) + st.eps.value) * st.inst.n_colours + 1 - 2 * st.k
+    if len(n_pool) < required:
         raise ThresholdInfeasible(
-            f"pool size (1/2 + eps)*n + 1 - 2k = {value}", required, len(pool_all)
+            f"pool size (1/2 + eps)*n + 1 - 2k = {_pool_formula(st)}", required, len(n_pool)
         )
-    n_pool = frozenset(pool_all if mode is Mode.RELAXED else pool_all[:required])
     y_k = st.y_sets[st.k - 1] if st.k >= 1 else frozenset()
     y_prime = y_k | n_pool
     x_prime = neighbourhood_along(st.r, y_prime)
     augmented = _claim3_augment(st, n_pool, x_prime, y_prime)
     if augmented is not None:
-        return Augmented(augmented)
-    for candidate in _extension_candidates(st, n_pool, x_prime, y_prime, mode, branch_all=False):
-        return Extended(candidate)
+        yield Augmented(augmented)
+        return
+    for x_star, X_next, Y_next in _pigeonhole_ranking(st, x_prime, y_prime, mode):
+        e_next = _r_edge_at(st, x_star)
+        if e_next is None or e_next.colour in st.pi:
+            continue
+        g_next = _zw_for(st, e_next.b, n_pool)
+        if g_next is None:
+            continue
+        yield Extended(
+            replace(
+                st,
+                k=st.k + 1,
+                e_seq=st.e_seq + (e_next,),
+                g_seq=st.g_seq + (g_next,),
+                x_sets=st.x_sets + (X_next,),
+                y_sets=st.y_sets + (Y_next,),
+                pi=st.pi + (e_next.colour,),
+            )
+        )
+
+
+def extend_state(st: SwitchState, mode: Mode = Mode.RELAXED) -> StepOutcome:
+    """One step of the engine: the first outcome of step_outcomes.
+
+    Raises ThresholdInfeasible when the pool is smaller than the mode
+    threshold and PigeonholeFailure when no selection vertex qualifies; both
+    are expected for strict mode at desk-scale n.
+    """
+    for outcome in step_outcomes(st, mode):
+        return outcome
     raise PigeonholeFailure("no extension candidate at the current state")
 
 
@@ -1012,51 +958,87 @@ def trace_to_json(trace: Trace) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def verify_trace_json(text: str) -> list[str]:
-    """Independently re-check every snapshot of a serialized trace.
+def _step_from_payload(inst: Instance, step) -> StepOutcome:
+    if not isinstance(step, dict):
+        raise TypeError(f"expected an object, got {type(step).__name__}")
+    kind = step.get("kind")
+    if kind == "extended":
+        return Extended(_state_from_payload(inst, step["state"]))
+    if kind == "augmented":
+        return Augmented(matching_from_json(json.dumps(step["matching"])))
+    raise ValueError(f"unknown kind {kind!r}")
 
-    Returns failure strings naming the step index and the violated property
-    (or the matching defect); empty means the trace verifies.
+
+def _chain_breaks(base: SwitchState, prev: SwitchState, st: SwitchState) -> list[str]:
+    """How st fails to be one extension of prev within the run rooted at base."""
+    out = []
+    if st.k != prev.k + 1:
+        out.append(f"k = {st.k}, expected {prev.k + 1}")
+    for name in ("e_seq", "g_seq", "x_sets", "y_sets", "pi"):
+        now, before = getattr(st, name), getattr(prev, name)
+        if len(now) != len(before) + 1 or now[:-1] != before:
+            out.append(f"{name} does not extend the previous state's by one entry")
+    for name in ("r", "eps", "t"):
+        if getattr(st, name) != getattr(base, name):
+            out.append(f"{name} differs from the base state's")
+    return out
+
+
+def verify_trace_json(text: str) -> list[str]:
+    """Independently re-check a serialized trace as one chain of engine steps.
+
+    The base must be a k = 0 state. Each extended step must continue the
+    previous state (k rises by one; e_seq, g_seq, x_sets, y_sets and pi each
+    gain one entry; r, eps and t stay the base's) and satisfy P1-P7. An
+    augmented step must end the trace with a valid rainbow matching one larger
+    than the base's r. Returns failure strings naming the step index and the
+    violated property, link or matching defect; empty means the trace
+    verifies. Raises ValueError on malformed JSON, including structurally
+    invalid states.
     """
     try:
         payload = json.loads(text)
         mode = Mode(payload["mode"])
         inst = instance_from_json(json.dumps(payload["instance"]))
         base = _state_from_payload(inst, payload["base_state"])
+        base_report = verify_properties(base, mode)
         steps = payload["steps"]
+        if not isinstance(steps, list):
+            raise TypeError(f"steps must be a list, got {type(steps).__name__}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trace JSON: {exc}") from exc
-    failures: list[str] = []
-    base_report = verify_properties(base, mode)
-    for name in base_report.failed():
-        failures.append(f"base state: {name} fails ({base_report[name].witness})")
+    failures = [
+        f"base state: {name} fails ({base_report[name].witness})" for name in base_report.failed()
+    ]
+    if base.k != 0:
+        failures.append(f"base state: k = {base.k}, expected 0")
+    prev: SwitchState | Augmented = base
     for idx, step in enumerate(steps):
-        kind = step.get("kind")
-        if kind == "extended":
-            st = _state_from_payload(inst, step["state"])
-            try:
-                report = verify_properties(st, mode)
-            except ValueError as exc:
-                failures.append(f"step {idx}: invalid state ({exc})")
-                continue
-            for name in report.failed():
-                failures.append(f"step {idx}: {name} fails ({report[name].witness})")
-        elif kind == "augmented":
-            matching = matching_from_json(json.dumps(step["matching"]))
-            if not is_rainbow(matching):
-                failures.append(f"step {idx}: augmented matching is not rainbow")
-            elif len(matching) != len(base.r) + 1:
-                failures.append(
-                    f"step {idx}: augmented matching has size {len(matching)}, "
-                    f"expected {len(base.r) + 1}"
-                )
-            else:
-                for ce in matching.edges:
-                    if ce.edge not in inst.class_edges(ce.colour):
-                        failures.append(
-                            f"step {idx}: augmented edge {ce!r} not in its class"
-                        )
-                        break
+        try:
+            out = _step_from_payload(inst, step)
+            report = verify_properties(out.state, mode) if isinstance(out, Extended) else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed trace JSON: step {idx}: {exc}") from exc
+        if isinstance(prev, Augmented):
+            failures.append(f"step {idx}: follows an augmentation, which ends a run")
+            continue
+        if isinstance(out, Extended):
+            links = _chain_breaks(base, prev, out.state)
+            failures += [f"step {idx}: chain broken: {link}" for link in links]
+            failures += [f"step {idx}: {n} fails ({report[n].witness})" for n in report.failed()]
+            prev = out.state
+            continue
+        prev = out
+        if not is_rainbow(out.matching):
+            failures.append(f"step {idx}: augmented matching is not rainbow")
+        elif len(out.matching) != len(base.r) + 1:
+            failures.append(
+                f"step {idx}: augmented matching has size {len(out.matching)}, "
+                f"expected {len(base.r) + 1}"
+            )
         else:
-            failures.append(f"step {idx}: unknown kind {kind!r}")
+            for ce in out.matching.edges:
+                if not (0 <= ce.colour < inst.n_colours and ce.edge in inst.class_edges(ce.colour)):
+                    failures.append(f"step {idx}: augmented edge {ce!r} not in its class")
+                    break
     return failures

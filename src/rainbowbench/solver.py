@@ -10,22 +10,18 @@ from .core import (
     ColouredEdge,
     Instance,
     RainbowMatching,
-    neighbourhood_along,
+    neighbourhood_along,  # unused here, but perfbench's tracer patches solver.neighbourhood_along
     swap_colours,
     swap_matching_colours,
 )
 from .oracle import SearchBudget, max_rainbow
 from .proofkit import (
+    Augmented,
     Epsilon,
-    Mode,
-    PigeonholeFailure,
     SwitchState,
     ThresholdInfeasible,
-    _claim12_augment,
-    _claim3_augment,
-    _extension_candidates,
-    _n_pool_all,
     initial_state,
+    step_outcomes,
 )
 
 MAX_AUGMENT_DEPTH = 8
@@ -70,10 +66,10 @@ class _BudgetExhausted(Exception):
 class _AugmentSearch:
     """Bounded-depth exploration over relaxed switch states.
 
-    One node = one visited state. Unlike the single-path extension step, the
-    search branches over every viable pigeonhole choice at each state, with
-    iterative deepening on the sequence length. The time budget is checked
-    every 256 nodes.
+    One node = one visited state. Unlike extend_state, which takes only the
+    first outcome of step_outcomes, the search branches over every Extended
+    outcome, with iterative deepening on the sequence length. The time budget
+    is checked every 256 nodes.
     """
 
     def __init__(self, budget: SearchBudget) -> None:
@@ -93,26 +89,19 @@ class _AugmentSearch:
 
     def dfs(self, st: SwitchState, depth: int) -> RainbowMatching | None:
         self._tick()
-        found = _claim12_augment(st)
-        if found is not None:
-            return found
-        n_pool = frozenset(_n_pool_all(st))
-        if not n_pool:
+        try:
+            for outcome in step_outcomes(st):
+                if isinstance(outcome, Augmented):
+                    return outcome.matching
+                if depth == 0:
+                    return None
+                found = self.dfs(outcome.state, depth - 1)
+                if found is not None:
+                    return found
+        except ThresholdInfeasible:
+            # raised by this node's step before its first outcome (children catch
+            # their own): an empty fresh pool is a dead end here only
             return None
-        y_k = st.y_sets[st.k - 1] if st.k >= 1 else frozenset()
-        y_prime = y_k | n_pool
-        x_prime = neighbourhood_along(st.r, y_prime)
-        found = _claim3_augment(st, n_pool, x_prime, y_prime)
-        if found is not None:
-            return found
-        if depth == 0:
-            return None
-        for child in _extension_candidates(
-            st, n_pool, x_prime, y_prime, Mode.RELAXED, branch_all=True
-        ):
-            found = self.dfs(child, depth - 1)
-            if found is not None:
-                return found
         return None
 
 
@@ -121,11 +110,13 @@ def augment(
 ) -> RainbowMatching | None:
     """Search for a rainbow matching of size |r| + 1 via switch exchanges.
 
-    Each unused colour in turn is relabelled to colour 0 and the relaxed-mode
-    state space rooted at r is explored with iterative deepening on the
-    sequence length, up to min(n - 1, 8). Exploration order is deterministic;
-    the node budget counts visited states. None means not found within budget,
-    never a proof of optimality.
+    Each unused colour in turn is relabelled to colour 0, and the relaxed-mode
+    state space rooted at r is explored by a depth-bounded search over
+    step_outcomes. Iterative deepening raises the bound from 1 to
+    min(n - 1, 8), trying every unused colour at each bound. Exploration
+    order is deterministic; the node budget counts visited states over the
+    whole call, revisits under a larger bound included. None means not found
+    within budget, never a proof of optimality.
     """
     if not 0 <= len(r) < inst.n_colours:
         return None
@@ -137,10 +128,7 @@ def augment(
             for c0 in unused:
                 inst0 = swap_colours(inst, 0, c0)
                 r0 = swap_matching_colours(r, 0, c0)
-                try:
-                    found = search.dfs(initial_state(inst0, r0, Epsilon.parse("1")), depth)
-                except (ThresholdInfeasible, PigeonholeFailure):
-                    continue
+                found = search.dfs(initial_state(inst0, r0, Epsilon.parse("1")), depth)
                 if found is not None:
                     return swap_matching_colours(found, 0, c0)
     except _BudgetExhausted:

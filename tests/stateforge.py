@@ -175,6 +175,22 @@ class StateForge:
                 self.add_edge(c, c_star, self.fresh_b())
         return c_star
 
+    def add_escapes(self, count: int) -> None:
+        """Up to count extra escape edges (a_c, fresh) in the class of another box colour.
+
+        Call after plant_extension: each edge lets a_c cover one more pool
+        member, so several vertices reach the pigeonhole threshold and the
+        extension step has more than one viable choice. Conflicting pairs are
+        skipped.
+        """
+        box = sorted(self.y_sets[self.k - 1] if self.k >= 1 else set()) + sorted(self.pool_edge)
+        for _ in range(count if len(box) >= 2 else 0):
+            c, colour = self.rng.sample(box, 2)
+            try:
+                self.add_edge(colour, c, self.fresh_b())
+            except ValueError:
+                continue
+
     def add_distractors(self, count: int) -> None:
         """Inert extra edges: saturated-to-saturated pairs in arbitrary classes.
 

@@ -148,6 +148,25 @@ class TestVerifyTrace:
         assert "P2" in result.output
         assert "step 0" in result.output
 
+    def test_malformed_step_exits_two(self, tmp_path):
+        for step in ({"kind": "extended"}, {"kind": "augmented"}, "extended"):
+            payload = json.loads(self._trace_text())
+            payload["steps"].append(step)
+            path = tmp_path / "trace.json"
+            path.write_text(json.dumps(payload))
+            result = run("verify-trace", "--in", str(path))
+            assert result.exit_code == 2, step
+            assert "step 1" in result.output
+
+    def test_step_repeating_the_base_exits_one(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        payload["steps"] = [{"kind": "extended", "state": payload["base_state"]}]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 1
+        assert "step 0: chain broken" in result.output
+
     def test_empty_trace_exits_zero(self, tmp_path):
         payload = json.loads(self._trace_text())
         payload["steps"] = []

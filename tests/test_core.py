@@ -10,8 +10,6 @@ from rainbowbench.core import (
     RainbowMatching,
     Side,
     Vertex,
-    VertexSet,
-    class_edges_between,
     free_colour_zero,
     instance_from_json,
     instance_to_json,
@@ -112,31 +110,6 @@ class TestNeighbourhoodAlong:
     def test_b_side_query_gives_partners(self):
         r = make_matching([(0, 0, 5)])
         assert neighbourhood_along(r, {vb(5)}) == {va(0)}
-
-
-class TestClassEdgesBetween:
-    def test_membership_filter(self):
-        inst = make_instance([[(0, 0), (1, 1)]])
-        assert class_edges_between(inst, 0, {va(1)}, {vb(1)}) == {Edge.of(1, 1)}
-
-    def test_empty_operand(self):
-        inst = make_instance([[(0, 0), (1, 1)]])
-        assert class_edges_between(inst, 0, [], {vb(1)}) == frozenset()
-
-    def test_complement_operand(self):
-        inst = make_instance([[(0, 0), (1, 1), (2, 2)]])
-        got = class_edges_between(
-            inst, 0, VertexSet.excluding(Side.A, [va(0)]), VertexSet.full(Side.B)
-        )
-        assert got == {Edge.of(1, 1), Edge.of(2, 2)}
-
-    def test_full_sides_return_whole_class(self):
-        inst = make_instance([[(0, 1), (2, 3)], [(4, 4)]])
-        for colour in range(2):
-            got = class_edges_between(
-                inst, colour, VertexSet.full(Side.A), VertexSet.full(Side.B)
-            )
-            assert got == inst.class_edges(colour)
 
 
 @st.composite

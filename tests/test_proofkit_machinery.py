@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from stateforge import StateForge, random_forge
 from rainbowbench.core import (
     ColouredEdge,
+    free_colour_zero,
     is_rainbow,
     make_instance,
     make_matching,
@@ -33,10 +35,13 @@ from rainbowbench.proofkit import (
     run_switch_trace,
     smallest_t,
     state_violations,
+    step_outcomes,
     trace_to_json,
     verify_properties,
     verify_trace_json,
 )
+from rainbowbench.gen import gen_random_instance
+from rainbowbench.solver import greedy_rainbow
 
 EPS1 = Epsilon.parse("1")
 
@@ -448,6 +453,80 @@ class TestExtendState:
                 assert out.state.pi[:-1] == st.pi
 
 
+def branching_states(seed: int, count: int):
+    """Forged states whose extension step has several viable pigeonhole choices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        forge = random_forge(rng, k_range=(0, 3))
+        forge.plant_extension()
+        forge.add_escapes(rng.randint(0, 4))
+        forge.add_distractors(rng.randint(0, 4))
+        yield forge.freeze()
+
+
+SEQUENCES = ("e_seq", "g_seq", "x_sets", "y_sets", "pi")
+
+
+class TestStepOutcomes:
+    def test_every_extended_outcome_preserves_properties(self):
+        branched = 0
+        for st in branching_states(880, 300):
+            children = [out.state for out in step_outcomes(st)]
+            branched += len(children) >= 2
+            for child in children:
+                assert verify_properties(child).all_ok, verify_properties(child).failed()
+                assert child.k == st.k + 1
+                for name in SEQUENCES:
+                    assert getattr(child, name)[:-1] == getattr(st, name)
+                assert (child.r, child.eps, child.t) == (st.r, st.eps, st.t)
+        assert branched >= 200  # the augment search really has siblings to visit
+
+    def test_children_are_distinct_and_ranked_by_cover(self):
+        for st in branching_states(881, 100):
+            children = [out.state for out in step_outcomes(st)]
+            assert len({child.e_seq[-1] for child in children}) == len(children)
+            covers = [len(child.x_sets[-1]) for child in children]
+            assert covers == sorted(covers, reverse=True)
+
+    def test_augmentation_is_the_only_outcome(self):
+        rng = random.Random(882)
+        for _ in range(100):
+            forge = random_forge(rng)
+            forge.plant_claim1()
+            forge.plant_extension()
+            outs = list(step_outcomes(forge.freeze()))
+            assert len(outs) == 1 and isinstance(outs[0], Augmented)
+
+    def test_extend_state_is_the_first_outcome(self):
+        rng = random.Random(883)
+        seen = set()
+        for _ in range(400):
+            forge = random_forge(rng, k_range=(0, 3), min_pool=rng.randint(0, 1))
+            planter = rng.choice(
+                (forge.plant_extension, forge.plant_claim1, forge.add_pool_witness, None)
+            )
+            if planter is not None:
+                planter()
+            forge.add_escapes(rng.randint(0, 2))
+            st = forge.freeze()
+            for mode in Mode:
+                try:
+                    first = next(step_outcomes(st, mode), None)
+                except ThresholdInfeasible:
+                    with pytest.raises(ThresholdInfeasible):
+                        extend_state(st, mode)
+                    seen.add("threshold")
+                    continue
+                if first is None:
+                    with pytest.raises(PigeonholeFailure):
+                        extend_state(st, mode)
+                    seen.add("pigeonhole")
+                else:
+                    assert extend_state(st, mode) == first
+                    seen.add(type(first).__name__)
+        assert seen == {"threshold", "pigeonhole", "Augmented", "Extended"}
+
+
 class TestTraces:
     def test_trace_verifies(self):
         rng = random.Random(50)
@@ -461,8 +540,6 @@ class TestTraces:
         assert verify_trace_json(trace_to_json(trace)) == []
 
     def test_tampered_trace_names_property_and_step(self):
-        import json
-
         rng = random.Random(51)
         forge = StateForge(rng, 6, 0, [])
         forge.add_pool_witness()
@@ -498,6 +575,115 @@ class TestTraces:
         inst = make_instance([[(0, 0)], [(1, 1)]])
         with pytest.raises(ValueError):
             initial_state(inst, make_matching([(0, 0, 0)]), EPS1)
+
+
+def two_step_trace() -> dict:
+    """A serialized engine run with two extended steps (k = 1, 2) and no augmentation."""
+    inst = gen_random_instance(5, 6, a_size=6, b_size=6, seed=6)
+    inst0, r0, _ = free_colour_zero(inst, greedy_rainbow(inst, 0))
+    trace = run_switch_trace(inst0, r0, EPS1)
+    assert [type(out) for out in trace.steps] == [Extended, Extended]
+    return json.loads(trace_to_json(trace))
+
+
+def augmented_trace() -> dict:
+    inst = make_instance([[(4, 1), (9, 9)], [(1, 1)], [(2, 2)], [(3, 3)]], a_size=12, b_size=12)
+    trace = run_switch_trace(inst, make_matching([(c, c, c) for c in range(1, 4)]), EPS1)
+    return json.loads(trace_to_json(trace))
+
+
+def verify(payload: dict) -> list[str]:
+    return verify_trace_json(json.dumps(payload))
+
+
+class TestTraceChain:
+    def test_two_step_run_verifies(self):
+        assert verify(two_step_trace()) == []
+
+    def test_step_equal_to_the_base_is_rejected(self):
+        payload = two_step_trace()
+        payload["steps"] = [{"kind": "extended", "state": payload["base_state"]}]
+        assert "step 0: chain broken: k = 0, expected 1" in verify(payload)
+
+    def test_repeated_step_is_rejected(self):
+        payload = two_step_trace()
+        payload["steps"] = [payload["steps"][0]] * 2
+        failures = verify(payload)
+        assert "step 1: chain broken: k = 1, expected 2" in failures
+        assert not any(f.startswith("step 0") for f in failures)
+
+    def test_skipped_step_is_rejected(self):
+        payload = two_step_trace()
+        del payload["steps"][0]
+        assert "step 0: chain broken: k = 2, expected 1" in verify(payload)
+
+    def test_step_must_extend_the_previous_pools(self):
+        payload = two_step_trace()
+        state = payload["steps"][1]["state"]
+        state["x_sets"][0] = state["y_sets"][0] = []
+        failures = verify(payload)
+        assert "step 1: chain broken: x_sets does not extend the previous state's by one entry" in failures
+        assert "step 1: chain broken: y_sets does not extend the previous state's by one entry" in failures
+
+    def test_eps_must_stay_the_base_value(self):
+        payload = two_step_trace()
+        payload["steps"][0]["state"]["eps"] = "1/2"
+        assert "step 0: chain broken: eps differs from the base state's" in verify(payload)
+
+    def test_base_must_be_a_k0_state(self):
+        payload = two_step_trace()
+        payload["base_state"] = payload["steps"][0]["state"]
+        del payload["steps"][0]
+        assert verify(payload) == ["base state: k = 1, expected 0"]
+
+    def test_step_after_an_augmentation_is_rejected(self):
+        payload = augmented_trace()
+        assert [step["kind"] for step in payload["steps"]] == ["augmented"]
+        payload["steps"] *= 2
+        assert verify(payload) == ["step 1: follows an augmentation, which ends a run"]
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"kind": "extended"},
+            {"kind": "augmented"},
+            "extended",
+            {"kind": "bogus"},
+            {"kind": "extended", "state": {"k": 1}},
+            {"kind": "augmented", "matching": [[0, 1]]},
+        ],
+        ids=[
+            "extended-without-state",
+            "augmented-without-matching",
+            "non-object-step",
+            "unknown-kind",
+            "partial-state",
+            "short-matching-row",
+        ],
+    )
+    def test_malformed_step_raises_value_error(self, step):
+        payload = two_step_trace()
+        payload["steps"].append(step)
+        with pytest.raises(ValueError, match="step 2"):
+            verify(payload)
+
+    def test_structurally_invalid_step_raises_value_error(self):
+        payload = two_step_trace()
+        payload["steps"][1]["state"]["k"] = 3
+        with pytest.raises(ValueError, match="step 1: structurally invalid state"):
+            verify(payload)
+
+    def test_colour_outside_the_instance_raises_value_error(self):
+        payload = two_step_trace()
+        payload["steps"][0]["state"]["pi"][1] = 99
+        with pytest.raises(ValueError, match="step 0: .*colour outside the instance"):
+            verify(payload)
+
+    def test_steps_must_be_a_list(self):
+        payload = two_step_trace()
+        payload["steps"] = {"kind": "extended"}
+        with pytest.raises(ValueError, match="steps must be a list"):
+            verify(payload)
 
 
 class TestStateImmutability:

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from rainbowbench.core import is_rainbow, make_instance
+from rainbowbench.core import is_rainbow, make_instance, matching_to_json
 from rainbowbench.gen import gen_drisko, gen_random_instance
 from rainbowbench.oracle import SearchBudget, max_rainbow
 from rainbowbench.solver import augment, greedy_rainbow, solve
@@ -162,3 +163,22 @@ class TestSolve:
     def test_target_above_n_colours_rejected(self):
         with pytest.raises(ValueError):
             solve(make_instance([[(0, 0)]]), target=2, budget=BUDGET)
+
+    def test_tight_universe_results_are_pinned(self):
+        # sha256 over (method, augment_steps, canonical matching JSON) of 50
+        # tight-universe solves, where greedy, augment and the oracle each
+        # settle a share; recorded before augment became a search over
+        # proofkit.step_outcomes, so any change in which matching is found fails
+        digest = hashlib.sha256()
+        methods = set()
+        for seed in range(50):
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            res = solve(inst, target=8, budget=BUDGET)
+            methods.add(res.method)
+            digest.update(
+                f"{res.method}|{res.augment_steps}|{matching_to_json(res.matching)}".encode()
+            )
+        assert methods == {"greedy", "augmented", "oracle"}
+        assert digest.hexdigest() == (
+            "ec54e08304711bdb5a20f0c6585cc1d9c710985a84fec39f2d91ba8ab65895a5"
+        )
