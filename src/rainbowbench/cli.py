@@ -117,11 +117,13 @@ def gen_random_cmd(
 @main.command("solve")
 @click.option("--in", "in_path", required=True, help="Instance JSON file (- for stdin).")
 @click.option("--target", type=int, required=True, help="Rainbow matching size to reach.")
-@click.option("--budget-nodes", type=int, default=100000, show_default=True)
-@click.option("--budget-seconds", type=float, default=None)
+@click.option("--budget-nodes", type=click.IntRange(min=1), default=100000, show_default=True)
+@click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--oracle-fallback/--no-oracle-fallback", default=False, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True, help="Oracle workers.")
+@click.option(
+    "--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Oracle workers."
+)
 @click.pass_context
 def solve_cmd(
     ctx: click.Context,

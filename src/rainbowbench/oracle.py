@@ -54,12 +54,6 @@ class SearchBudget:
     def nodes(cls, max_nodes: int) -> "SearchBudget":
         return cls(max_nodes=max_nodes)
 
-    def doubled(self) -> "SearchBudget":
-        return SearchBudget(
-            None if self.max_nodes is None else self.max_nodes * 2,
-            None if self.max_time is None else self.max_time * 2,
-        )
-
 
 @dataclass(frozen=True)
 class SearchReport:

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .core import (
@@ -48,6 +49,7 @@ from .core import (
     neighbourhood_along,
     saturated_sets,
     va,
+    validate_instance,
     vb,
 )
 
@@ -164,6 +166,11 @@ class SwitchState:
     # -- derived views ------------------------------------------------------
 
     def saturated(self) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
+        return self._saturated
+
+    @cached_property
+    def _saturated(self) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
+        # computed once per state; frozen dataclasses still allow this write
         return saturated_sets(self.r)
 
     def x_of(self, i: int) -> Vertex:
@@ -990,16 +997,20 @@ def verify_trace_json(text: str) -> list[str]:
     The base must be a k = 0 state. Each extended step must continue the
     previous state (k rises by one; e_seq, g_seq, x_sets, y_sets and pi each
     gain one entry; r, eps and t stay the base's) and satisfy P1-P7. An
-    augmented step must end the trace with a valid rainbow matching one larger
-    than the base's r. Returns failure strings naming the step index and the
-    violated property, link or matching defect; empty means the trace
-    verifies. Raises ValueError on malformed JSON, including structurally
-    invalid states.
+    augmented step must end the trace with the matching extend_state derives
+    from the previous state, a valid rainbow matching one larger than the
+    base's r. Returns failure strings naming the step index and the violated
+    property, link or matching defect; empty means the trace verifies. Raises
+    ValueError on malformed JSON, including an invalid instance and
+    structurally invalid states.
     """
     try:
         payload = json.loads(text)
         mode = Mode(payload["mode"])
         inst = instance_from_json(json.dumps(payload["instance"]))
+        violations = validate_instance(inst)
+        if violations:
+            raise ValueError("invalid instance: " + "; ".join(str(v) for v in violations))
         base = _state_from_payload(inst, payload["base_state"])
         base_report = verify_properties(base, mode)
         steps = payload["steps"]
@@ -1028,6 +1039,12 @@ def verify_trace_json(text: str) -> list[str]:
             failures += [f"step {idx}: {n} fails ({report[n].witness})" for n in report.failed()]
             prev = out.state
             continue
+        try:
+            if extend_state(prev, mode) != out:
+                failures.append(f"step {idx}: augmented matching differs from the engine's step")
+        except (ThresholdInfeasible, PigeonholeFailure, ChainError, SwitchIntegrityError,
+                ValueError) as exc:
+            failures.append(f"step {idx}: the engine cannot step from the previous state ({exc})")
         prev = out
         if not is_rainbow(out.matching):
             failures.append(f"step {idx}: augmented matching is not rainbow")

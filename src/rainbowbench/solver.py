@@ -64,12 +64,12 @@ class _BudgetExhausted(Exception):
 
 
 class _AugmentSearch:
-    """Bounded-depth exploration over relaxed switch states.
+    """Depth-capped DFS over relaxed switch states.
 
     One node = one visited state. Unlike extend_state, which takes only the
     first outcome of step_outcomes, the search branches over every Extended
-    outcome, with iterative deepening on the sequence length. The time budget
-    is checked every 256 nodes.
+    outcome. Sibling outcomes extend by distinct r-edges, so no state is
+    reached twice. The time budget is checked every 256 nodes.
     """
 
     def __init__(self, budget: SearchBudget) -> None:
@@ -110,13 +110,12 @@ def augment(
 ) -> RainbowMatching | None:
     """Search for a rainbow matching of size |r| + 1 via switch exchanges.
 
-    Each unused colour in turn is relabelled to colour 0, and the relaxed-mode
-    state space rooted at r is explored by a depth-bounded search over
-    step_outcomes. Iterative deepening raises the bound from 1 to
-    min(n - 1, 8), trying every unused colour at each bound. Exploration
-    order is deterministic; the node budget counts visited states over the
-    whole call, revisits under a larger bound included. None means not found
-    within budget, never a proof of optimality.
+    Each unused colour in ascending order is relabelled to colour 0, and the
+    relaxed-mode state space rooted at r is searched once, depth first, with
+    sequences capped at min(n - 1, 8) steps. Exploration order is
+    deterministic; the node budget counts the distinct states visited over the
+    whole call. None means not found within budget, never a proof of
+    optimality.
     """
     if not 0 <= len(r) < inst.n_colours:
         return None
@@ -124,13 +123,12 @@ def augment(
     max_depth = min(inst.n_colours - 1, MAX_AUGMENT_DEPTH)
     search = _AugmentSearch(budget)
     try:
-        for depth in range(1, max_depth + 1):
-            for c0 in unused:
-                inst0 = swap_colours(inst, 0, c0)
-                r0 = swap_matching_colours(r, 0, c0)
-                found = search.dfs(initial_state(inst0, r0, Epsilon.parse("1")), depth)
-                if found is not None:
-                    return swap_matching_colours(found, 0, c0)
+        for c0 in unused:
+            inst0 = swap_colours(inst, 0, c0)
+            r0 = swap_matching_colours(r, 0, c0)
+            found = search.dfs(initial_state(inst0, r0, Epsilon.parse("1")), max_depth)
+            if found is not None:
+                return swap_matching_colours(found, 0, c0)
     except _BudgetExhausted:
         return None
     return None
@@ -146,8 +144,8 @@ def solve(
 ) -> SolveResult:
     """Greedy start, repeated augmentation, then optional exact-oracle fallback.
 
-    Augmentation escalates on stalls: one retry with a doubled budget, then the
-    oracle (when enabled) with the original budget. certified_optimal is set
+    Augmentation runs until it stalls or reaches the target; a stall goes to
+    the oracle (when enabled) with the same budget. certified_optimal is set
     only when the oracle exhausted its search space. The result never falls
     below the greedy matching.
     """
@@ -156,22 +154,13 @@ def solve(
     r = greedy_rainbow(inst, seed)
     method = "greedy"
     steps = 0
-    attempt_budget = budget
-    failures = 0
     while len(r) < target:
-        improved = augment(inst, r, attempt_budget)
-        if improved is not None:
-            r = improved
-            method = "augmented"
-            steps += 1
-            failures = 0
-            attempt_budget = budget
-            continue
-        failures += 1
-        if failures == 1 and budget.max_nodes is not None:
-            attempt_budget = budget.doubled()
-            continue
-        break
+        improved = augment(inst, r, budget)
+        if improved is None:
+            break
+        r = improved
+        method = "augmented"
+        steps += 1
     if len(r) >= target or not oracle_fallback:
         return SolveResult(r, method, steps, False)
     report = max_rainbow(inst, budget, workers=workers)

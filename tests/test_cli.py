@@ -1,6 +1,7 @@
 import json
 import random
 
+import pytest
 from click.testing import CliRunner
 
 from stateforge import StateForge
@@ -50,6 +51,18 @@ class TestSolve:
         payload = json.loads(result.output)
         assert payload["size"] == 2
         assert payload["certified_optimal"] is True
+
+    @pytest.mark.parametrize(
+        "option",
+        [("--budget-nodes", "0"), ("--budget-seconds", "-1"), ("--workers", "-3")],
+        ids=["budget-nodes", "budget-seconds", "workers"],
+    )
+    def test_out_of_range_option_exits_two(self, tmp_path, option):
+        path = tmp_path / "inst.json"
+        run("gen", "drisko", "--n", "3", "-o", str(path))
+        result = run("solve", "--in", str(path), "--target", "2", *option)
+        assert result.exit_code == 2
+        assert option[0] in result.output
 
     def test_drisko3_target2_exits_zero(self, tmp_path):
         path = tmp_path / "inst.json"
@@ -166,6 +179,15 @@ class TestVerifyTrace:
         result = run("verify-trace", "--in", str(path))
         assert result.exit_code == 1
         assert "step 0: chain broken" in result.output
+
+    def test_invalid_instance_exits_two(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        payload["instance"]["classes"][1].append([20, 20])
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "invalid instance" in result.output
 
     def test_empty_trace_exits_zero(self, tmp_path):
         payload = json.loads(self._trace_text())

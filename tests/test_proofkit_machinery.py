@@ -8,9 +8,11 @@ from stateforge import StateForge, random_forge
 from rainbowbench.core import (
     ColouredEdge,
     free_colour_zero,
+    instance_from_json,
     is_rainbow,
     make_instance,
     make_matching,
+    saturated_sets,
     va,
     vb,
 )
@@ -40,7 +42,9 @@ from rainbowbench.proofkit import (
     verify_properties,
     verify_trace_json,
 )
+from rainbowbench import proofkit
 from rainbowbench.gen import gen_random_instance
+from rainbowbench.oracle import max_rainbow
 from rainbowbench.solver import greedy_rainbow
 
 EPS1 = Epsilon.parse("1")
@@ -642,6 +646,40 @@ class TestTraceChain:
         payload["steps"] *= 2
         assert verify(payload) == ["step 1: follows an augmentation, which ends a run"]
 
+    def test_augmented_matching_must_be_the_engines_step(self):
+        # a valid rainbow matching one larger than r is not enough: the
+        # engine's claim switch from the base puts colour 0 on a9b9, not a10b10
+        inst = make_instance(
+            [[(4, 1), (9, 9), (10, 10)], [(1, 1)], [(2, 2)], [(3, 3)]], a_size=12, b_size=12
+        )
+        trace = run_switch_trace(inst, make_matching([(c, c, c) for c in range(1, 4)]), EPS1)
+        payload = json.loads(trace_to_json(trace))
+        assert verify(payload) == []
+        rows = payload["steps"][-1]["matching"]
+        rows[rows.index([0, 9, 9])] = [0, 10, 10]
+        assert verify(payload) == ["step 0: augmented matching differs from the engine's step"]
+
+    def test_augmentation_after_a_dead_end_is_rejected(self):
+        # the run stopped at k = 2 because the fresh pool is empty; a valid
+        # optimum appended as its augmentation is still not an engine step
+        payload = two_step_trace()
+        best = max_rainbow(instance_from_json(json.dumps(payload["instance"]))).best
+        assert len(best) == len(payload["base_state"]["r"]) + 1
+        payload["steps"].append(
+            {"kind": "augmented", "matching": [list(ce.triple) for ce in best.sorted_edges()]}
+        )
+        assert verify(payload) == [
+            "step 2: the engine cannot step from the previous state "
+            "(pool size (1/2 + eps)*n + 1 - 2k = 9/2: need 1, have 0)"
+        ]
+
+    def test_invalid_instance_raises_value_error(self):
+        payload = augmented_trace()
+        payload["instance"]["classes"][1].append([1, 5])  # colour 1 no longer a matching
+        payload["instance"]["classes"][2].append([20, 20])  # outside the 12 x 12 universe
+        with pytest.raises(ValueError, match="invalid instance: colour 1 is not a matching"):
+            verify(payload)
+
     @pytest.mark.parametrize(
         "step",
         [
@@ -695,6 +733,19 @@ class TestStateImmutability:
         before = (st.e_seq, st.g_seq, st.x_sets, st.y_sets, st.pi, st.r)
         claim2_switch(st, g, e, e_bar)
         assert (st.e_seq, st.g_seq, st.x_sets, st.y_sets, st.pi, st.r) == before
+
+    def test_saturation_is_computed_once_per_state(self, monkeypatch):
+        real = saturated_sets
+        calls = []
+        monkeypatch.setattr(proofkit, "saturated_sets", lambda r: calls.append(r) or real(r))
+        states = [random_forge(random.Random(seed)).freeze() for seed in range(20)]
+        for st in states:
+            verify_properties(st)
+            try:
+                next(step_outcomes(st), None)
+            except ThresholdInfeasible:
+                pass
+        assert len(calls) == len(states)
 
     def test_smallest_t_stored(self):
         rng = random.Random(61)

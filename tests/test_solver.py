@@ -6,6 +6,7 @@ import pytest
 from rainbowbench.core import is_rainbow, make_instance, matching_to_json
 from rainbowbench.gen import gen_drisko, gen_random_instance
 from rainbowbench.oracle import SearchBudget, max_rainbow
+from rainbowbench import solver
 from rainbowbench.solver import augment, greedy_rainbow, solve
 
 BUDGET = SearchBudget.nodes(100_000)
@@ -111,6 +112,33 @@ class TestAugment:
                     resolved += 1
         assert resolved >= 0.95 * gaps
 
+    def test_failing_search_builds_one_state_per_unused_colour(self, monkeypatch):
+        # one depth-capped DFS per unused colour, so one root state each
+        inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=1)
+        r = greedy_rainbow(inst)
+        assert len(r) < inst.n_colours
+        roots = []
+        real = solver.initial_state
+        monkeypatch.setattr(solver, "initial_state", lambda *a: roots.append(a) or real(*a))
+        assert augment(inst, r, SearchBudget.unlimited()) is None
+        assert len(roots) == inst.n_colours - len(r)
+
+    def test_found_or_not_found_is_pinned(self):
+        # sha256 over (seed, size of the augmented matching or "-") for 200
+        # tight-universe greedy starts, recorded under iterative deepening;
+        # any order of search over the same capped state space must agree
+        digest = hashlib.sha256()
+        found = 0
+        for seed in range(200):
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            out = augment(inst, greedy_rainbow(inst), SearchBudget.unlimited())
+            found += out is not None
+            digest.update(f"{seed}|{'-' if out is None else len(out)};".encode())
+        assert found == 65
+        assert digest.hexdigest() == (
+            "5323599552857f8043d106ea04a907a75a92444e55fa9961b4c87d23ad755eb4"
+        )
+
     def test_full_matching_cannot_grow(self):
         inst = make_instance([[(0, 0)], [(1, 1)]])
         from rainbowbench.core import make_matching
@@ -154,6 +182,13 @@ class TestSolve:
             inst = gen_random_instance(n, m, seed=rng.getrandbits(48))
             res = solve(inst, target=n, budget=SearchBudget.nodes(20_000))
             assert len(res.matching) == n
+
+    def test_stall_costs_one_augment_call(self, monkeypatch):
+        calls = []
+        real = solver.augment
+        monkeypatch.setattr(solver, "augment", lambda *a: calls.append(a) or real(*a))
+        res = solve(gen_drisko(3), target=3, budget=BUDGET)
+        assert len(calls) == res.augment_steps + 1
 
     def test_certified_only_by_oracle(self):
         inst = gen_random_instance(3, 5, seed=0)
