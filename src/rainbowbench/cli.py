@@ -116,7 +116,9 @@ def gen_random_cmd(
 
 @main.command("solve")
 @click.option("--in", "in_path", required=True, help="Instance JSON file (- for stdin).")
-@click.option("--target", type=int, required=True, help="Rainbow matching size to reach.")
+@click.option(
+    "--target", type=click.IntRange(min=1), required=True, help="Rainbow matching size to reach."
+)
 @click.option("--budget-nodes", type=click.IntRange(min=1), default=100000, show_default=True)
 @click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -193,7 +195,7 @@ def experiment_group() -> None:
 @click.option("--n", "n", type=int, required=True)
 @click.option("--m", "m", type=int, required=True)
 @click.option("--mode", type=click.Choice(["exhaustive", "randomized"]), required=True)
-@click.option("--trials", type=int, default=0, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
@@ -212,7 +214,7 @@ def experiment_f_cmd(n, m, mode, trials, seed, fmt, out, witness_dir) -> None:
 @click.option("--ell", type=int, required=True)
 @click.option("--m", "m", type=int, required=True)
 @click.option("--mode", type=click.Choice(["exhaustive", "randomized"]), required=True)
-@click.option("--trials", type=int, default=0, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")

@@ -39,8 +39,9 @@ CSV_COLUMNS = (
 class SearchBudget:
     """Node and wall-clock limits; None means unbounded.
 
-    The node budget is checked at every search node, the time budget every
-    1024 nodes, so node counts are reproducible for a fixed budget.
+    The node budget is checked at every search node, so node counts are
+    reproducible for a fixed budget. The time budget is checked every 1024
+    nodes by max_rainbow (per worker) and every 256 nodes by solver.augment.
     """
 
     max_nodes: int | None = None
@@ -64,7 +65,7 @@ class SearchReport:
 
 
 class _Searcher:
-    """Sequential branch-and-bound state; one instance per (sub)search."""
+    """Branch-and-bound state of one worker's search."""
 
     __slots__ = (
         "pairs",
@@ -98,7 +99,7 @@ class _Searcher:
         self.best_size = -1
         self.best_sel: list[tuple[int, int, int]] = []
         self.best_task = -1
-        self.task = 0
+        self.task = -1
 
     def dfs(
         self,
@@ -106,7 +107,14 @@ class _Searcher:
         a_mask: int,
         b_mask: int,
         chosen: list[tuple[int, int, int]],
+        share: tuple[int, int] | None = None,
     ) -> None:
+        """Search below one node; share = (worker, workers) marks the root.
+
+        A node's moves are the branch colour's edges, then "skip". At the root
+        this worker takes only the moves i with i % workers == worker, and i
+        becomes the task that the best selection found below it is tagged with.
+        """
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
             self.stopped = True
             return
@@ -134,63 +142,34 @@ class _Searcher:
             return
         _, branch_c, cands = min(viable, key=lambda t: (t[0], t[1]))
         rest = [c for _, c, _ in viable if c != branch_c]
-        for a, b in cands:
+        worker, workers = share or (0, 1)
+        for i in range(worker, len(cands) + 1, workers):
+            if share is not None:
+                self.task = i
+            if i == len(cands):
+                self.dfs(rest, a_mask, b_mask, chosen)
+                return
+            a, b = cands[i]
             chosen.append((branch_c, a, b))
             self.dfs(rest, a_mask | (1 << a), b_mask | (1 << b), chosen)
             chosen.pop()
             if self.stopped:
                 return
-        self.dfs(rest, a_mask, b_mask, chosen)
 
 
-def _root_moves(
-    pairs: list[list[tuple[int, int]]],
-) -> tuple[int, list[tuple[int, int] | None], list[int]] | None:
-    """Root branching colour, its moves (edges then skip), and the remaining colours."""
-    viable = [(len(pairs[c]), c) for c in range(len(pairs)) if pairs[c]]
-    if not viable:
-        return None
-    _, branch_c = min(viable)
-    rest = [c for _, c in viable if c != branch_c]
-    moves: list[tuple[int, int] | None] = list(pairs[branch_c])
-    moves.append(None)
-    return branch_c, moves, rest
-
-
-def _run_tasks(
+def _search(
     pairs: list[list[tuple[int, int]]],
     a_size: int,
     b_size: int,
     max_nodes: int | None,
     max_time: float | None,
-    branch_c: int,
-    tasks: list[tuple[int, tuple[int, int] | None]],
+    share: tuple[int, int],
 ) -> tuple[int, int, list[tuple[int, int, int]], int, bool]:
-    """Run a set of root moves sequentially, carrying the best bound across them.
-
-    Returns (best_size, best_task_index, best_selection, nodes, stopped).
-    """
+    """One worker's search from the root: (best_size, best_task, best_sel, nodes, stopped)."""
     deadline = None if max_time is None else time.perf_counter() + max_time
     s = _Searcher(pairs, a_size, b_size, max_nodes, deadline)
-    for task_idx, move in tasks:
-        if s.stopped:
-            break
-        s.task = task_idx
-        if move is None:
-            s.dfs([c for c in range(len(pairs)) if pairs[c] and c != branch_c], 0, 0, [])
-        else:
-            a, b = move
-            s.dfs(
-                [c for c in range(len(pairs)) if pairs[c] and c != branch_c],
-                1 << a,
-                1 << b,
-                [(branch_c, a, b)],
-            )
+    s.dfs([c for c in range(len(pairs)) if pairs[c]], 0, 0, [], share)
     return s.best_size, s.best_task, s.best_sel, s.nodes, s.stopped
-
-
-def _worker_entry(payload):
-    return _run_tasks(*payload)
 
 
 def max_rainbow(
@@ -200,44 +179,33 @@ def max_rainbow(
 ) -> SearchReport:
     """Exact maximum rainbow matching search.
 
-    Deterministic for a fixed instance at workers=1; for any worker count the
-    reported optimum size (and the reported matching) is identical, while node
-    counts are a function of the worker count. With workers > 1 the root branch
-    set is partitioned round-robin across processes and each worker receives
-    the full budget; optimal is true only when every partition was exhausted.
+    Worker w of W searches the root moves i with i % W == w, with the full
+    budget each; workers=1 is worker 0 of 1, the plain sequential search, and
+    runs in this process. At most one process is started per root move. The
+    reported optimum and matching do not depend on the worker count: the best
+    selection with the lowest root move wins, which is the one a sequential
+    search finds first. Node counts depend on the worker count; optimal is
+    true only when every worker exhausted its share.
     """
     start = time.perf_counter()
     pairs = [inst.class_pairs(c) for c in range(inst.n_colours)]
-    root = _root_moves(pairs)
-    if workers <= 1 or root is None:
-        deadline = None if budget.max_time is None else start + budget.max_time
-        s = _Searcher(pairs, inst.a_size, inst.b_size, budget.max_nodes, deadline)
-        s.dfs([c for c in range(len(pairs)) if pairs[c]], 0, 0, [])
-        best = make_matching(s.best_sel) if s.best_sel else RainbowMatching.empty()
-        return SearchReport(best, not s.stopped, s.nodes, time.perf_counter() - start)
-    branch_c, moves, _ = root
-    indexed = list(enumerate(moves))
-
-    buckets: list[list[tuple[int, tuple[int, int] | None]]] = [
-        [] for _ in range(min(workers, len(indexed)))
+    root_moves = 1 + min((len(p) for p in pairs if p), default=0)
+    workers = max(1, min(workers, root_moves))
+    args = [
+        (pairs, inst.a_size, inst.b_size, budget.max_nodes, budget.max_time, (w, workers))
+        for w in range(workers)
     ]
-    for i, task in enumerate(indexed):
-        buckets[i % len(buckets)].append(task)
-    payloads = [
-        (pairs, inst.a_size, inst.b_size, budget.max_nodes, budget.max_time, branch_c, bucket)
-        for bucket in buckets
-    ]
-    with multiprocessing.Pool(len(buckets)) as pool:
-        results = pool.map(_worker_entry, payloads)
-    # the split replaces the root node, so count it explicitly
-    total_nodes = 1 + sum(nodes for _, _, _, nodes, _ in results)
-    stopped = any(st for _, _, _, _, st in results)
-    best_size, best_task, best_sel = -1, -1, []
-    for size, task_idx, sel, _, _ in results:
-        if size > best_size or (size == best_size and 0 <= task_idx < best_task):
-            best_size, best_task, best_sel = size, task_idx, sel
+    if workers == 1:
+        results = [_search(*args[0])]
+    else:
+        with multiprocessing.Pool(workers) as pool:
+            results = pool.starmap(_search, args)
+    best_size, _, best_sel, _, _ = min(results, key=lambda r: (-r[0], r[1]))
+    # every worker visits the root (unless max_nodes is 0); count it once
+    nodes = max(0, sum(r[3] for r in results) - (workers - 1))
+    stopped = any(r[4] for r in results)
     best = make_matching(best_sel) if best_size > 0 else RainbowMatching.empty()
-    return SearchReport(best, not stopped, total_nodes, time.perf_counter() - start)
+    return SearchReport(best, not stopped, nodes, time.perf_counter() - start)
 
 
 def naive_max_rainbow(inst: Instance) -> SearchReport:
@@ -315,13 +283,16 @@ def estimate_mu(
     Exhaustive mode is complete for n = 2: the first class is canonicalized to
     {a_i b_i : i < m} (vertex relabelling preserves rainbow matchings) and the
     second ranges over every size-m matching in the 2m x 2m universe, so the
-    absence of a counterexample proves mu(2, ell) <= m. Randomized mode (n <= 6)
-    samples gen_random_instance families; absence there is evidence, not proof.
+    absence of a counterexample proves mu(2, ell) <= m; it ignores trials.
+    Randomized mode (n <= 6, trials >= 1) samples trials gen_random_instance
+    families; absence there is evidence, not proof.
     """
     if not 0 <= ell < n:
         raise ValueError(f"need 0 <= ell < n, got ell={ell}, n={n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     target = n - ell
     start = time.perf_counter()
 
@@ -347,6 +318,8 @@ def estimate_mu(
     if mode == "randomized":
         if n > 6:
             raise ValueError(f"randomized mode guard: n={n} > 6")
+        if trials < 1:
+            raise ValueError("randomized mode needs trials >= 1")
         rng = random.Random(seed)
         for t in range(trials):
             inst = gen_random_instance(n, m, seed=rng.getrandbits(48))

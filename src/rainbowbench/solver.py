@@ -149,6 +149,8 @@ def solve(
     only when the oracle exhausted its search space. The result never falls
     below the greedy matching.
     """
+    if target < 1:
+        raise ValueError(f"need target >= 1, got {target}")
     if target > inst.n_colours:
         raise ValueError(f"target {target} exceeds n_colours {inst.n_colours}")
     r = greedy_rainbow(inst, seed)

@@ -54,8 +54,14 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "option",
-        [("--budget-nodes", "0"), ("--budget-seconds", "-1"), ("--workers", "-3")],
-        ids=["budget-nodes", "budget-seconds", "workers"],
+        [
+            ("--budget-nodes", "0"),
+            ("--budget-seconds", "-1"),
+            ("--workers", "-3"),
+            ("--target", "0"),
+            ("--target", "-4"),
+        ],
+        ids=["budget-nodes", "budget-seconds", "workers", "target-zero", "target-negative"],
     )
     def test_out_of_range_option_exits_two(self, tmp_path, option):
         path = tmp_path / "inst.json"
@@ -108,6 +114,18 @@ class TestExperiment:
         assert len(witnesses) == 1
         inst = instance_from_json(witnesses[0].read_text())
         assert inst.n_colours == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [("f", "--trials", "-5"), ("mu", "--ell", "1", "--trials", "-5"), ("f",)],
+        ids=["f-negative", "mu-negative", "f-default-zero"],
+    )
+    def test_randomized_sweep_without_trials_exits_two(self, args):
+        result = run(
+            "experiment", args[0], "--n", "3", "--m", "3", "--mode", "randomized", *args[1:]
+        )
+        assert result.exit_code == 2
+        assert "trials" in result.output
 
     def test_mu_randomized_completes(self):
         result = run(

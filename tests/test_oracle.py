@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from rainbowbench.core import is_rainbow, make_instance, validate_instance
-from rainbowbench.gen import gen_drisko, gen_random_instance
+from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
 from rainbowbench.latin import gen_cyclic, latin_to_instance
+from rainbowbench import oracle
 from rainbowbench.oracle import (
     CSV_COLUMNS,
     SearchBudget,
@@ -58,13 +60,72 @@ class TestMaxRainbow:
         assert a.nodes_explored == b.nodes_explored
         assert a.best == b.best
 
+    def test_sequential_results_are_pinned(self):
+        # sha256 over (sorted matching triples, optimal, nodes_explored) of
+        # workers=1 searches on 300 seeded random instances, unlimited and
+        # under node budgets; recorded while workers=1 and workers>1 were
+        # separate code paths, so a change to the search order or to budget
+        # accounting fails here
+        digest = hashlib.sha256()
+        rng = random.Random(2015)
+        for _ in range(300):
+            inst = gen_random_instance(
+                rng.randint(1, 7), rng.randint(1, 6), seed=rng.getrandbits(32)
+            )
+            for limit in (None, 1, 2, 10, 40):
+                rep = max_rainbow(inst, SearchBudget(limit), workers=1)
+                triples = sorted(ce.triple for ce in rep.best)
+                digest.update(f"{triples}|{rep.optimal}|{rep.nodes_explored};".encode())
+        assert digest.hexdigest() == (
+            "f6dfcce43f633ec471ae5bb71886a2f6ab48d733474c157e7d2d01565116e6df"
+        )
+
+    @pytest.mark.parametrize(
+        "inst, nodes",
+        [(gen_drisko(5), 2_685), (gen_drisko(6), 34_662), (gen_no_transversal(8), 2_903)],
+        ids=["drisko5", "drisko6", "cyclic8"],
+    )
+    def test_witness_node_counts_are_pinned(self, inst, nodes):
+        rep = max_rainbow(inst, workers=1)
+        assert rep.optimal
+        assert len(rep.best) == inst.a_size - 1
+        assert rep.nodes_explored == nodes
+
     def test_worker_count_does_not_change_result(self):
         for inst in (gen_drisko(4), latin_to_instance(gen_cyclic(4))):
             seq = max_rainbow(inst, workers=1)
-            par = max_rainbow(inst, workers=2)
-            assert len(par.best) == len(seq.best)
-            assert par.best == seq.best
-            assert par.optimal
+            for workers in (2, 3):
+                par = max_rainbow(inst, workers=workers)
+                assert len(par.best) == len(seq.best)
+                assert par.best == seq.best
+                assert par.optimal
+
+    def test_pool_size_is_capped_by_root_moves(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Runs the workers' searches in this process, one after another."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, iterable):
+                return [func(*args) for args in iterable]
+
+        monkeypatch.setattr(oracle.multiprocessing, "Pool", FakePool)
+        inst = gen_drisko(3)  # smallest class has 3 edges: 4 root moves with "skip"
+        seq = max_rainbow(inst, workers=1)
+        assert sizes == []
+        par = max_rainbow(inst, workers=16)
+        assert len(sizes) == 1 and sizes[0] <= 4
+        assert par.best == seq.best
+        assert par.optimal
 
 
 class TestNaiveMaxRainbow:
@@ -145,6 +206,14 @@ class TestEstimates:
             estimate_f(3, 3, "exhaustive")
         with pytest.raises(ValueError):
             estimate_f(7, 8, "randomized", trials=1)
+
+    def test_trial_count_must_check_something(self):
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="trials"):
+                estimate_f(3, 3, "randomized", trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            estimate_mu(2, 0, 2, "exhaustive", trials=-1)
+        assert estimate_f(2, 2, "exhaustive", trials=0).counterexample_found
 
     def test_f3_m4_randomized_sweep_finds_nothing(self):
         report = estimate_f(3, 4, "randomized", trials=100_000, seed=20240816)
