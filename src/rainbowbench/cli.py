@@ -308,10 +308,10 @@ def rainbow_to_transversal_cmd(square_path: str, in_path: str, out: str | None) 
 def transversal_to_rainbow_cmd(square_path: str, in_path: str, out: str | None) -> None:
     ls = _load_square(square_path)
     try:
-        entries = json.loads(_read_text(in_path))
-        t = latin.PartialTransversal(frozenset((int(r), int(c)) for r, c in entries))
+        entries = core.int_rows(json.loads(_read_text(in_path)), 2)
+        t = latin.PartialTransversal(frozenset(entries))
         matching = latin.transversal_to_rainbow(ls, t)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
     _write_text(out, core.matching_to_json(matching))
 

@@ -99,33 +99,42 @@ class ColouredEdge:
 
 @dataclass(frozen=True)
 class ColourClass:
-    """One colour class: a matching (no two edges share a vertex)."""
+    """One colour class: a matching (no two edges share a vertex).
 
-    colour: int
-    edges: frozenset[Edge]
+    pairs holds the distinct (a_index, b_index) endpoint pairs in sorted
+    order, as make_instance builds them; the colour is the class's position
+    in Instance.classes.
+    """
 
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(e.pair for e in self.edges)
+    pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The pairs as Edge values, built on every call (not cached: it would hold memory)."""
+        return frozenset(Edge.of(a, b) for a, b in self.pairs)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
 class Instance:
-    """A family of n colour classes over explicit a_size x b_size vertex universes."""
+    """A family of colour classes over explicit a_size x b_size vertex universes."""
 
-    n_colours: int
     classes: tuple[ColourClass, ...]
     a_size: int
     b_size: int
+
+    @property
+    def n_colours(self) -> int:
+        return len(self.classes)
 
     def class_edges(self, colour: int) -> frozenset[Edge]:
         return self.classes[colour].edges
 
     def class_pairs(self, colour: int) -> list[tuple[int, int]]:
         """Endpoint pairs of one class, sorted lexicographically."""
-        return self.classes[colour].sorted_pairs()
+        return list(self.classes[colour].pairs)
 
 
 @dataclass(frozen=True)
@@ -164,23 +173,21 @@ def make_instance(
 ) -> Instance:
     """Build an Instance from per-colour endpoint pairs.
 
-    Universe bounds default to the smallest bounds containing every endpoint.
-    The result is not validated; run validate_instance for that.
+    Each class keeps its distinct pairs, sorted. Universe bounds default to
+    the smallest bounds containing every endpoint. Raises ValueError on a
+    negative index; the result is not validated otherwise, run
+    validate_instance for that.
     """
-    built: list[ColourClass] = []
-    max_a = -1
-    max_b = -1
-    for colour, pairs in enumerate(classes):
-        edges = frozenset(Edge.of(a, b) for a, b in pairs)
-        for e in edges:
-            max_a = max(max_a, e.a.index)
-            max_b = max(max_b, e.b.index)
-        built.append(ColourClass(colour, edges))
+    built = tuple(ColourClass(tuple(sorted({(a, b) for a, b in pairs}))) for pairs in classes)
+    a_ends = [a for cls in built for a, _ in cls.pairs]
+    b_ends = [b for cls in built for _, b in cls.pairs]
+    lowest = min(a_ends + b_ends, default=0)
+    if lowest < 0:
+        raise ValueError(f"vertex index must be non-negative, got {lowest}")
     return Instance(
-        n_colours=len(built),
-        classes=tuple(built),
-        a_size=a_size if a_size is not None else max_a + 1,
-        b_size=b_size if b_size is not None else max_b + 1,
+        classes=built,
+        a_size=a_size if a_size is not None else max(a_ends, default=-1) + 1,
+        b_size=b_size if b_size is not None else max(b_ends, default=-1) + 1,
     )
 
 
@@ -194,7 +201,7 @@ class Violation:
     """One instance-invariant violation; data, not a failure."""
 
     code: str
-    colour: int | None
+    colour: int
     message: str
 
     def __str__(self) -> str:
@@ -204,30 +211,21 @@ class Violation:
 def validate_instance(inst: Instance) -> list[Violation]:
     """Check all Instance invariants; empty list iff the instance is valid."""
     violations: list[Violation] = []
-    if inst.n_colours != len(inst.classes):
-        violations.append(
-            Violation(
-                "class_count",
-                None,
-                f"n_colours={inst.n_colours} but {len(inst.classes)} classes present",
-            )
-        )
-    for cls in inst.classes:
-        idx = cls.colour
-        if idx >= inst.n_colours or (idx < len(inst.classes) and inst.classes[idx] is not cls):
+    for idx, cls in enumerate(inst.classes):
+        if any(p >= q for p, q in zip(cls.pairs, cls.pairs[1:])):
             violations.append(
-                Violation("colour_index", idx, f"class at wrong position for colour {idx}")
+                Violation("unsorted_pairs", idx, f"colour {idx} pairs are not sorted and distinct")
             )
-        seen_a: dict[int, Edge] = {}
-        seen_b: dict[int, Edge] = {}
-        for edge in sorted(cls.edges, key=lambda e: e.pair):
-            ai, bi = edge.pair
+        seen_a: dict[int, str] = {}
+        seen_b: dict[int, str] = {}
+        for ai, bi in cls.pairs:
+            edge = f"a{ai}b{bi}"
             if ai in seen_a:
                 violations.append(
                     Violation(
                         "not_a_matching",
                         idx,
-                        f"colour {idx} is not a matching: {seen_a[ai]!r} and {edge!r} share a{ai}",
+                        f"colour {idx} is not a matching: {seen_a[ai]} and {edge} share a{ai}",
                     )
                 )
             if bi in seen_b:
@@ -235,25 +233,25 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     Violation(
                         "not_a_matching",
                         idx,
-                        f"colour {idx} is not a matching: {seen_b[bi]!r} and {edge!r} share b{bi}",
+                        f"colour {idx} is not a matching: {seen_b[bi]} and {edge} share b{bi}",
                     )
                 )
             seen_a.setdefault(ai, edge)
             seen_b.setdefault(bi, edge)
-            if ai >= inst.a_size:
+            if not 0 <= ai < inst.a_size:
                 violations.append(
                     Violation(
                         "vertex_out_of_range",
                         idx,
-                        f"colour {idx} edge {edge!r}: a{ai} outside universe of size {inst.a_size}",
+                        f"colour {idx} edge {edge}: a{ai} outside universe of size {inst.a_size}",
                     )
                 )
-            if bi >= inst.b_size:
+            if not 0 <= bi < inst.b_size:
                 violations.append(
                     Violation(
                         "vertex_out_of_range",
                         idx,
-                        f"colour {idx} edge {edge!r}: b{bi} outside universe of size {inst.b_size}",
+                        f"colour {idx} edge {edge}: b{bi} outside universe of size {inst.b_size}",
                     )
                 )
     return violations
@@ -306,11 +304,8 @@ def swap_colours(inst: Instance, c1: int, c2: int) -> Instance:
     if c1 == c2:
         return inst
     classes = list(inst.classes)
-    classes[c1], classes[c2] = (
-        ColourClass(c1, classes[c2].edges),
-        ColourClass(c2, classes[c1].edges),
-    )
-    return Instance(inst.n_colours, tuple(classes), inst.a_size, inst.b_size)
+    classes[c1], classes[c2] = classes[c2], classes[c1]
+    return Instance(tuple(classes), inst.a_size, inst.b_size)
 
 
 def swap_matching_colours(r: RainbowMatching, c1: int, c2: int) -> RainbowMatching:
@@ -346,13 +341,27 @@ def free_colour_zero(
 # --- canonical JSON formats ---------------------------------------------------
 
 
+def int_rows(rows: object, width: int) -> list[tuple[int, ...]]:
+    """A decoded JSON array of rows, each an array of `width` integers, as tuples.
+
+    Raises ValueError on anything else; bool, float and str entries are
+    rejected, not coerced.
+    """
+    if not isinstance(rows, list):
+        raise ValueError(f"expected an array of rows, got {rows!r}")
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == width and all(type(v) is int for v in row)):
+            raise ValueError(f"expected an array of {width} integers, got {row!r}")
+    return [tuple(row) for row in rows]
+
+
 def instance_to_json(inst: Instance) -> str:
     """Canonical Instance JSON; round-trips bit-exactly through instance_from_json."""
     payload = {
         "n_colours": inst.n_colours,
         "a_size": inst.a_size,
         "b_size": inst.b_size,
-        "classes": [[list(p) for p in cls.sorted_pairs()] for cls in inst.classes],
+        "classes": [[list(p) for p in cls.pairs] for cls in inst.classes],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -366,8 +375,7 @@ def instance_from_json(text: str) -> Instance:
         n_colours = int(payload["n_colours"])
         a_size = int(payload["a_size"])
         b_size = int(payload["b_size"])
-        raw_classes = payload["classes"]
-        classes = [[(int(a), int(b)) for a, b in pairs] for pairs in raw_classes]
+        classes = [int_rows(pairs, 2) for pairs in payload["classes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     if len(classes) != n_colours:
@@ -385,8 +393,7 @@ def matching_to_json(r: RainbowMatching) -> str:
 
 def matching_from_json(text: str) -> RainbowMatching:
     try:
-        payload = json.loads(text)
-        triples = [(int(c), int(a), int(b)) for c, a, b in payload]
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        triples = int_rows(json.loads(text), 3)
+    except ValueError as exc:
         raise ValueError(f"malformed matching JSON: {exc}") from exc
     return make_matching(triples)

@@ -130,12 +130,11 @@ def instance_to_latin(inst: Instance) -> LatinSquare:
             f"not a Latin-type instance: n_colours={n}, universe {inst.a_size}x{inst.b_size}"
         )
     cells = [[-1] * n for _ in range(n)]
-    for cls in inst.classes:
-        for edge in cls.edges:
-            j, i = edge.pair  # a = column, b = row
+    for colour, cls in enumerate(inst.classes):
+        for j, i in cls.pairs:  # a = column, b = row
             if cells[i][j] != -1:
-                raise ValueError(f"cell row {i} col {j} covered by colours {cells[i][j]} and {cls.colour}")
-            cells[i][j] = cls.colour
+                raise ValueError(f"cell row {i} col {j} covered by colours {cells[i][j]} and {colour}")
+            cells[i][j] = colour
     for i in range(n):
         for j in range(n):
             if cells[i][j] == -1:

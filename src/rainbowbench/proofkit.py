@@ -44,6 +44,7 @@ from .core import (
     Vertex,
     instance_from_json,
     instance_to_json,
+    int_rows,
     is_rainbow,
     matching_from_json,
     neighbourhood_along,
@@ -204,7 +205,7 @@ def initial_state(inst: Instance, r: RainbowMatching, eps: Epsilon) -> SwitchSta
     for ce in r.edges:
         if not 0 <= ce.colour < inst.n_colours:
             raise ValueError(f"edge {ce!r} has a colour outside the instance")
-        if ce.edge not in inst.class_edges(ce.colour):
+        if ce.edge.pair not in inst.classes[ce.colour].pairs:
             raise ValueError(f"edge {ce!r} does not belong to its colour class")
     if 0 in r.colours():
         raise ValueError("colour 0 must be unused by r; relabel first")
@@ -304,7 +305,7 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     p1_ok, p1_w = True, None
     for i in range(1, k + 1):
         e = st.e_seq[i - 1]
-        if e.colour != st.pi[i] or e.edge not in inst.class_edges(st.pi[i]):
+        if e.colour != st.pi[i] or e.edge.pair not in inst.classes[st.pi[i]].pairs:
             p1_ok, p1_w = False, f"e_{i}={e!r} not in class pi({i})={st.pi[i]}"
             break
 
@@ -313,7 +314,7 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     for i in range(1, k + 1):
         g = st.g_seq[i - 1]
         prior = set(st.pi[:i])
-        if g.colour not in prior or g.edge not in inst.class_edges(g.colour):
+        if g.colour not in prior or g.edge.pair not in inst.classes[g.colour].pairs:
             p2_ok, p2_w = False, f"g_{i}={g!r} not in classes pi(0..{i - 1})"
             break
 
@@ -364,10 +365,9 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
         if not p6_ok:
             break
         prev = st.y_sets[i - 2] if i >= 2 else frozenset()
-        excluded = {v.index for v in X | st.zs(i - 1)}
-        cls_pairs = inst.class_pairs(st.pi[i - 1])
+        banned = X | st.zs(i - 1)
         for w in sorted(st.y_sets[i - 1] - prev, key=lambda v: v.index):
-            if not any(b == w.index and a not in excluded for a, b in cls_pairs):
+            if _find_partner_edge(st, w, st.pi[i - 1], banned) is None:
                 p6_ok, p6_w = (
                     False,
                     f"w={w!r} in Y_{i} minus Y_{i - 1} has no partner in class pi({i - 1})",
@@ -459,7 +459,7 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     if k < 1:
         raise ValueError("claim1_switch needs k >= 1")
     X, Y = st.saturated()
-    if g.colour != st.pi[k] or g.edge not in st.inst.class_edges(g.colour):
+    if g.colour != st.pi[k] or g.edge.pair not in st.inst.classes[g.colour].pairs:
         raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[k]}")
     if g.a in X or g.a in st.zs(k):
         raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
@@ -484,7 +484,7 @@ def claim2_switch(
         raise ValueError("claim2_switch needs k >= 1")
     X, Y = st.saturated()
     Yk = st.y_sets[k - 1]
-    if g.colour != st.pi[k] or g.edge not in st.inst.class_edges(g.colour):
+    if g.colour != st.pi[k] or g.edge.pair not in st.inst.classes[g.colour].pairs:
         raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[k]}")
     if g.a in X or g.a in st.zs(k):
         raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
@@ -498,7 +498,7 @@ def claim2_switch(
         raise ValueError(f"e's colour {e.colour} must avoid the pi image")
     if e_bar.colour != e.colour:
         raise ValueError(f"e_bar colour {e_bar.colour} does not match e's colour {e.colour}")
-    if e_bar.edge not in st.inst.class_edges(e_bar.colour):
+    if e_bar.edge.pair not in st.inst.classes[e_bar.colour].pairs:
         raise ValueError(f"e_bar={e_bar!r} is not an edge of its class")
     if e_bar.a != st.x_of(k) or e_bar.b in Y:
         raise ValueError(f"e_bar={e_bar!r} must join x_{k} to B minus Y")
@@ -525,7 +525,7 @@ def claim3_switch(
         raise ValueError(f"f's colour {f.colour} must avoid the pi image")
     if zw.b != f.b:
         raise ValueError(f"zw={zw!r} must share f's B-endpoint {f.b!r}")
-    if zw.edge not in st.inst.class_edges(zw.colour):
+    if zw.edge.pair not in st.inst.classes[zw.colour].pairs:
         raise ValueError(f"zw={zw!r} is not an edge of its class")
     p = st.pi_index(zw.colour)
     if p is None:
@@ -557,7 +557,7 @@ def claim3_switch(
         removed, added = _chain_members(st, p)
     if f_bar.colour != f.colour:
         raise ValueError(f"f_bar colour {f_bar.colour} does not match f's colour {f.colour}")
-    if f_bar.edge not in st.inst.class_edges(f_bar.colour):
+    if f_bar.edge.pair not in st.inst.classes[f_bar.colour].pairs:
         raise ValueError(f"f_bar={f_bar!r} is not an edge of its class")
     if f_bar.a in X or f_bar.a in st.zs(k) or f_bar.a == zw.a:
         raise ValueError(f"f_bar={f_bar!r} must start outside X, z_1..z_k and zw's endpoint")
@@ -593,7 +593,7 @@ def _fresh_pool(st: SwitchState, mode: Mode) -> frozenset[Vertex]:
     pool = sorted(
         {
             b
-            for a, b in inst.class_pairs(st.pi[k])
+            for a, b in inst.classes[st.pi[k]].pairs
             if a not in excluded_a and b in y_indices and b not in banned_b
         }
     )
@@ -654,7 +654,7 @@ def _pigeonhole_ranking(
         if ce.colour not in escape:
             escape[ce.colour] = {
                 a
-                for a, b in st.inst.class_pairs(ce.colour)
+                for a, b in st.inst.classes[ce.colour].pairs
                 if b not in y_idx and va(a) in x_prime
             }
     threshold = _cover_threshold(st, mode)
@@ -722,7 +722,7 @@ def _find_partner_edge(
     """Smallest class edge at v whose other endpoint avoids the banned vertices."""
     banned_idx = {u.index for u in banned}
     at_a = v.side is Side.A
-    for a, b in st.inst.class_pairs(colour):
+    for a, b in st.inst.classes[colour].pairs:
         here, there = (a, b) if at_a else (b, a)
         if here == v.index and there not in banned_idx:
             return ColouredEdge.of(colour, a, b)
@@ -754,7 +754,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
     x_idx = {v.index for v in X}
     y_idx = {v.index for v in Y}
     if k == 0:
-        for a, b in inst.class_pairs(0):
+        for a, b in inst.classes[0].pairs:
             if a not in x_idx and b not in y_idx:
                 return st.r.with_edge(ColouredEdge.of(0, a, b))
         return None
@@ -762,12 +762,12 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
     colour_k = st.pi[k]
     yk_idx = {v.index for v in st.y_sets[k - 1]}
     xk = st.x_sets[k - 1]
-    for a, b in inst.class_pairs(colour_k):
+    for a, b in inst.classes[colour_k].pairs:
         if a in x_idx or a in z_idx:
             continue
         if b not in y_idx:
             return claim1_switch(st, ColouredEdge.of(colour_k, a, b))
-    for a, b in inst.class_pairs(colour_k):
+    for a, b in inst.classes[colour_k].pairs:
         if a in x_idx or a in z_idx or b not in yk_idx:
             continue
         g = ColouredEdge.of(colour_k, a, b)
@@ -799,7 +799,7 @@ def _claim3_augment(
         if zw is None:
             continue
         banned_a = {v.index for v in X | st.zs(st.k)} | {zw.a.index}
-        for a, b in st.inst.class_pairs(f.colour):
+        for a, b in st.inst.classes[f.colour].pairs:
             if a not in banned_a and b not in y_idx:
                 return claim3_switch(st, f, ColouredEdge.of(f.colour, a, b), zw)
     return None
@@ -918,7 +918,7 @@ def _state_payload(st: SwitchState) -> dict:
 
 def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     def ces(rows) -> tuple[ColouredEdge, ...]:
-        return tuple(ColouredEdge.of(int(c), int(a), int(b)) for c, a, b in rows)
+        return tuple(ColouredEdge.of(c, a, b) for c, a, b in int_rows(rows, 3))
 
     return SwitchState(
         inst=inst,
@@ -994,15 +994,15 @@ def _chain_breaks(base: SwitchState, prev: SwitchState, st: SwitchState) -> list
 def verify_trace_json(text: str) -> list[str]:
     """Independently re-check a serialized trace as one chain of engine steps.
 
-    The base must be a k = 0 state. Each extended step must continue the
-    previous state (k rises by one; e_seq, g_seq, x_sets, y_sets and pi each
-    gain one entry; r, eps and t stay the base's) and satisfy P1-P7. An
-    augmented step must end the trace with the matching extend_state derives
-    from the previous state, a valid rainbow matching one larger than the
-    base's r. Returns failure strings naming the step index and the violated
-    property, link or matching defect; empty means the trace verifies. Raises
-    ValueError on malformed JSON, including an invalid instance and
-    structurally invalid states.
+    The base must be a k = 0 state, and every step must be the outcome
+    extend_state derives from the previous state. Each extended step must
+    also continue the previous state (k rises by one; e_seq, g_seq, x_sets,
+    y_sets and pi each gain one entry; r, eps and t stay the base's) and
+    satisfy P1-P7. An augmented step must end the trace with a valid rainbow
+    matching one larger than the base's r. Returns failure strings naming the
+    step index and the violated property, link or matching defect; empty
+    means the trace verifies. Raises ValueError on malformed JSON, including
+    an invalid instance and structurally invalid states.
     """
     try:
         payload = json.loads(text)
@@ -1033,18 +1033,19 @@ def verify_trace_json(text: str) -> list[str]:
         if isinstance(prev, Augmented):
             failures.append(f"step {idx}: follows an augmentation, which ends a run")
             continue
+        try:
+            if extend_state(prev, mode) != out:
+                what = "extended state" if isinstance(out, Extended) else "augmented matching"
+                failures.append(f"step {idx}: {what} differs from the engine's step")
+        except (ThresholdInfeasible, PigeonholeFailure, ChainError, SwitchIntegrityError,
+                ValueError) as exc:
+            failures.append(f"step {idx}: the engine cannot step from the previous state ({exc})")
         if isinstance(out, Extended):
             links = _chain_breaks(base, prev, out.state)
             failures += [f"step {idx}: chain broken: {link}" for link in links]
             failures += [f"step {idx}: {n} fails ({report[n].witness})" for n in report.failed()]
             prev = out.state
             continue
-        try:
-            if extend_state(prev, mode) != out:
-                failures.append(f"step {idx}: augmented matching differs from the engine's step")
-        except (ThresholdInfeasible, PigeonholeFailure, ChainError, SwitchIntegrityError,
-                ValueError) as exc:
-            failures.append(f"step {idx}: the engine cannot step from the previous state ({exc})")
         prev = out
         if not is_rainbow(out.matching):
             failures.append(f"step {idx}: augmented matching is not rainbow")
@@ -1055,7 +1056,8 @@ def verify_trace_json(text: str) -> list[str]:
             )
         else:
             for ce in out.matching.edges:
-                if not (0 <= ce.colour < inst.n_colours and ce.edge in inst.class_edges(ce.colour)):
+                if not (0 <= ce.colour < inst.n_colours
+                        and ce.edge.pair in inst.classes[ce.colour].pairs):
                     failures.append(f"step {idx}: augmented edge {ce!r} not in its class")
                     break
     return failures

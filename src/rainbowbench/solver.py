@@ -50,7 +50,7 @@ def greedy_rainbow(inst: Instance, seed: int = 0) -> RainbowMatching:
     used_b: set[int] = set()
     chosen: set[ColouredEdge] = set()
     for c in order:
-        for a, b in inst.class_pairs(c):
+        for a, b in inst.classes[c].pairs:
             if a not in used_a and b not in used_b:
                 used_a.add(a)
                 used_b.add(b)

@@ -83,6 +83,13 @@ class TestSolve:
         result = run("solve", "--in", str(path), "--target", "1")
         assert result.exit_code == 2
 
+    def test_negative_vertex_index_exits_two(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"n_colours": 1, "a_size": 2, "b_size": 2, "classes": [[[0, -1]]]}')
+        result = run("solve", "--in", str(path), "--target", "1")
+        assert result.exit_code == 2
+        assert "non-negative" in result.output
+
     def test_workers_flag(self, tmp_path):
         path = tmp_path / "inst.json"
         run("gen", "drisko", "--n", "4", "-o", str(path))
@@ -207,6 +214,15 @@ class TestVerifyTrace:
         assert result.exit_code == 2
         assert "invalid instance" in result.output
 
+    def test_negative_vertex_index_exits_two(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        payload["instance"]["classes"][1].append([-1, 20])
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "non-negative" in result.output
+
     def test_empty_trace_exits_zero(self, tmp_path):
         payload = json.loads(self._trace_text())
         payload["steps"] = []
@@ -253,3 +269,13 @@ class TestConvert:
         back = run("convert", "rainbow-to-transversal", "--square", str(sq), "--in", str(mfile))
         assert back.exit_code == 0
         assert sorted(json.loads(back.output)) == sorted(entries)
+
+    @pytest.mark.parametrize("text", ['{"01": 5}', '["01"]', "[[0, 1.0]]", "[[true, 0]]"])
+    def test_transversal_rows_must_be_integer_arrays(self, tmp_path, text):
+        sq = tmp_path / "sq.txt"
+        sq.write_text(format_latin_text(gen_cyclic(5)))
+        tfile = tmp_path / "t.json"
+        tfile.write_text(text)
+        result = run("convert", "transversal-to-rainbow", "--square", str(sq), "--in", str(tfile))
+        assert result.exit_code == 2
+        assert "expected an array" in result.output

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rainbowbench.core import (
+    ColourClass,
     ColouredEdge,
     Edge,
+    Instance,
     RainbowMatching,
     Side,
     Vertex,
@@ -25,6 +28,7 @@ from rainbowbench.core import (
     va,
     vb,
 )
+from rainbowbench.gen import gen_random_instance
 
 
 def ce(colour, a, b):
@@ -67,6 +71,26 @@ class TestValidateInstance:
     def test_parallel_edges_across_classes_allowed(self):
         inst = make_instance([[(0, 0)], [(0, 0)]])
         assert validate_instance(inst) == []
+
+    def test_negative_index_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_instance([[(0, 0), (1, -1)]])
+        with pytest.raises(ValueError, match="non-negative"):
+            instance_from_json('{"n_colours": 1, "a_size": 2, "b_size": 2, "classes": [[[-1, 0]]]}')
+
+    def test_negative_index_in_hand_built_class_is_flagged(self):
+        inst = Instance((ColourClass(((-1, 0),)), ColourClass(((0, -2),))), 2, 2)
+        violations = validate_instance(inst)
+        assert [(v.code, v.colour) for v in violations] == [
+            ("vertex_out_of_range", 0),
+            ("vertex_out_of_range", 1),
+        ]
+        assert violations[0].message == "colour 0 edge a-1b0: a-1 outside universe of size 2"
+
+    def test_hand_built_class_must_be_sorted_and_distinct(self):
+        for pairs in (((1, 1), (0, 0)), ((0, 0), (0, 0))):
+            inst = Instance((ColourClass(((2, 2),)), ColourClass(pairs)), 3, 3)
+            assert ("unsorted_pairs", 1) in [(v.code, v.colour) for v in validate_instance(inst)]
 
 
 class TestIsRainbow:
@@ -187,6 +211,19 @@ class TestJsonFormats:
         with pytest.raises(ValueError):
             instance_from_json('{"n_colours": 2, "a_size": 1, "b_size": 1, "classes": [[]]}')
 
+    def test_matching_rows_must_be_integer_arrays(self):
+        # a string row must not be unpacked character by character ("045" as a4b5@0)
+        for text in ('["045"]', "[[0, 1, 2.5]]", "[[true, 1, 2]]", '[["0", 1, 2]]', "[[0, 1]]", "7"):
+            with pytest.raises(ValueError, match="malformed matching JSON"):
+                matching_from_json(text)
+
+    def test_instance_rows_must_be_integer_arrays(self):
+        # ["01", [1.9, true]] must not be read as the edges a0b1 and a1b1
+        for classes in ('[["01", [1.9, true]]]', "[[[0, 1.0]]]", "[[[0, 1, 2]]]", '{"0": []}'):
+            text = f'{{"n_colours": 1, "a_size": 2, "b_size": 2, "classes": {classes}}}'
+            with pytest.raises(ValueError, match="malformed instance JSON"):
+                instance_from_json(text)
+
     def test_random_instances_round_trip(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -199,3 +236,58 @@ class TestJsonFormats:
                 classes.append(list(zip(a_part, b_part)))
             inst = make_instance(classes, a_size=10, b_size=10)
             assert instance_from_json(instance_to_json(inst)) == inst
+
+
+class TestRepresentationPin:
+    def test_instances_and_violations_are_pinned(self):
+        # sha256 over canonical instance JSON and the (code, colour, message)
+        # of every violation, for each instance, its swap_colours image and
+        # its free_colour_zero image; recorded while classes were stored as
+        # frozensets of Edge objects, so a change of class storage that
+        # changes any output fails here
+        digest = hashlib.sha256()
+
+        def record(inst):
+            digest.update(instance_to_json(inst).encode())
+            for v in validate_instance(inst):
+                digest.update(f"{v.code}|{v.colour}|{v.message};".encode())
+
+        rng = random.Random(2016)
+        instances = [
+            gen_random_instance(rng.randint(1, 7), rng.randint(1, 6), seed=rng.getrandbits(32))
+            for _ in range(300)
+        ]
+        instances += [
+            make_instance([[(0, 0), (0, 1)], [(1, 1), (2, 1)]]),  # shared vertices
+            make_instance([[(0, 5), (7, 1)], [(2, 2)]], a_size=3, b_size=3),  # out of range
+            make_instance([[(1, 1), (1, 1), (0, 2)], [(2, 0), (2, 0)]]),  # duplicate pairs
+            make_instance([[(3, 0), (0, 3), (1, 1)], [(2, 2), (0, 1)]]),  # unsorted input
+        ]
+        for _ in range(100):  # raw random pairs: shared vertices, small universes
+            instances.append(
+                make_instance(
+                    [
+                        [(rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(0, 4))]
+                        for _ in range(rng.randint(1, 5))
+                    ],
+                    a_size=rng.choice([None, 3, 6]),
+                    b_size=rng.choice([None, 4, 6]),
+                )
+            )
+        for inst in instances:
+            record(inst)
+            n = inst.n_colours
+            record(swap_colours(inst, rng.randrange(n), rng.randrange(n)))
+            pairs = inst.class_pairs(0)
+            if not pairs:
+                continue
+            try:
+                inst2, r2, c = free_colour_zero(inst, make_matching([(0, *pairs[0])]))
+            except ValueError:
+                digest.update(b"full;")
+                continue
+            record(inst2)
+            digest.update(f"{c}|{matching_to_json(r2)};".encode())
+        assert digest.hexdigest() == (
+            "631d4f23b3596567b918d746aaf93bfb651a87074b2ee24620fcbf69ef143a5d"
+        )

@@ -30,7 +30,7 @@ class TestDrisko:
             inst = gen_drisko(n)
             union = set()
             for cls in inst.classes:
-                union.update(cls.sorted_pairs())
+                union.update(cls.pairs)
             expected = {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)}
             assert union == expected
             assert len(union) == 2 * n

@@ -175,7 +175,7 @@ class TestOracleInvariants:
             )
             before = len(max_rainbow(inst).best)
             colour = rng.randrange(inst.n_colours)
-            pairs = [list(cls.sorted_pairs()) for cls in inst.classes]
+            pairs = [list(cls.pairs) for cls in inst.classes]
             used_a = {a for a, _ in pairs[colour]}
             used_b = {b for _, b in pairs[colour]}
             free_a = [a for a in range(inst.a_size) if a not in used_a]

@@ -25,6 +25,7 @@ from rainbowbench.proofkit import (
     PigeonholeFailure,
     SwitchState,
     ThresholdInfeasible,
+    Trace,
     claim1_switch,
     claim2_switch,
     claim3_switch,
@@ -658,6 +659,39 @@ class TestTraceChain:
         rows = payload["steps"][-1]["matching"]
         rows[rows.index([0, 9, 9])] = [0, 10, 10]
         assert verify(payload) == ["step 0: augmented matching differs from the engine's step"]
+
+    def test_extended_state_must_be_the_engines_step(self):
+        # the second pigeonhole choice passes P1-P7 and extends the base, but
+        # it is not the step the engine takes
+        rng = random.Random(70)
+        for _ in range(50):
+            forge = StateForge(rng, 7, 0, [])
+            forge.plant_extension()
+            forge.add_escapes(4)
+            base = forge.freeze()
+            children = list(step_outcomes(base))
+            if len(children) >= 2 and all(isinstance(c, Extended) for c in children):
+                break
+        else:
+            pytest.fail("no forged state with two viable extensions")
+        trace = run_switch_trace(base.inst, base.r, EPS1, max_steps=1)
+        assert trace.steps == (children[0],)
+        forged = Trace(trace.inst, trace.mode, trace.base, (children[1],))
+        assert verify_properties(children[1].state).all_ok
+        assert verify(json.loads(trace_to_json(forged))) == [
+            "step 0: extended state differs from the engine's step"
+        ]
+
+    def test_state_rows_must_be_integer_arrays(self):
+        payload = two_step_trace()
+        row = payload["steps"][0]["state"]["e_seq"][0]
+        row[2] = float(row[2])  # a float equal to an integer is still not an integer
+        with pytest.raises(ValueError, match="step 0: expected an array of 3 integers"):
+            verify(payload)
+        payload = two_step_trace()
+        payload["base_state"]["r"][0] = "".join(map(str, payload["base_state"]["r"][0]))
+        with pytest.raises(ValueError, match="malformed trace JSON: expected an array"):
+            verify(payload)
 
     def test_augmentation_after_a_dead_end_is_rejected(self):
         # the run stopped at k = 2 because the fresh pool is empty; a valid
