@@ -341,6 +341,13 @@ def free_colour_zero(
 # --- canonical JSON formats ---------------------------------------------------
 
 
+def json_int(value: object) -> int:
+    """A decoded JSON integer; ValueError on anything else (bool, float, str are not coerced)."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def int_rows(rows: object, width: int) -> list[tuple[int, ...]]:
     """A decoded JSON array of rows, each an array of `width` integers, as tuples.
 
@@ -372,9 +379,9 @@ def instance_from_json(text: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     try:
-        n_colours = int(payload["n_colours"])
-        a_size = int(payload["a_size"])
-        b_size = int(payload["b_size"])
+        n_colours = json_int(payload["n_colours"])
+        a_size = json_int(payload["a_size"])
+        b_size = json_int(payload["b_size"])
         classes = [int_rows(pairs, 2) for pairs in payload["classes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc

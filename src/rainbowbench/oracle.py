@@ -1,10 +1,13 @@
 """Exact maximum rainbow matching search and empirical threshold sweeps.
 
 max_rainbow is the ground-truth engine: depth-first branch and bound over
-colours with a fail-first colour order, "skip this colour" tried last, and an
-admissible bound combining the count of still-viable colours with the number
-of unsaturated vertices per side. naive_max_rainbow is a deliberately separate
-enumeration used for oracle-vs-oracle equivalence checks.
+bundles of identical colour classes, each taking its edges in ascending order
+so that no permutation of identical colours is searched twice. The branch is
+the bundle with the fewest candidate edges, "skip this bundle" is tried last,
+candidate lists are filtered down from parent to child, and the admissible
+bound is size + min(sum of min(capacity, candidates), a_size - size, b_size -
+size). naive_max_rainbow is a deliberately separate enumeration used for
+oracle-vs-oracle equivalence checks.
 """
 
 from __future__ import annotations
@@ -64,11 +67,14 @@ class SearchReport:
     elapsed: float
 
 
+# (candidate edges, capacity, colours ascending): identical classes searched as one
+_Bundle = tuple[list[tuple[int, int]], int, list[int]]
+
+
 class _Searcher:
     """Branch-and-bound state of one worker's search."""
 
     __slots__ = (
-        "pairs",
         "a_size",
         "b_size",
         "max_nodes",
@@ -83,13 +89,11 @@ class _Searcher:
 
     def __init__(
         self,
-        pairs: list[list[tuple[int, int]]],
         a_size: int,
         b_size: int,
         max_nodes: int | None,
         deadline: float | None,
     ) -> None:
-        self.pairs = pairs
         self.a_size = a_size
         self.b_size = b_size
         self.max_nodes = max_nodes
@@ -103,17 +107,19 @@ class _Searcher:
 
     def dfs(
         self,
-        undecided: list[int],
-        a_mask: int,
-        b_mask: int,
+        bundles: list[_Bundle],
         chosen: list[tuple[int, int, int]],
         share: tuple[int, int] | None = None,
     ) -> None:
         """Search below one node; share = (worker, workers) marks the root.
 
-        A node's moves are the branch colour's edges, then "skip". At the root
-        this worker takes only the moves i with i % workers == worker, and i
-        becomes the task that the best selection found below it is tagged with.
+        bundles holds (cands, cap, colours) per bundle with a candidate left:
+        its edges disjoint from chosen, ascending; how many more it may take;
+        its colours. The moves are the branch bundle's candidates, then "skip",
+        which drops it. Taking candidate j leaves it cands[j+1:] and cap - 1;
+        its t-th edge gets its t-th colour. At the root this worker takes only
+        the moves i with i % workers == worker, and i becomes the task that
+        the best selection found below it is tagged with.
         """
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
             self.stopped = True
@@ -128,37 +134,37 @@ class _Searcher:
             self.best_size = size
             self.best_sel = list(chosen)
             self.best_task = self.task
-        viable: list[tuple[int, int, list[tuple[int, int]]]] = []
-        for c in undecided:
-            cands = [
-                (a, b)
-                for a, b in self.pairs[c]
-                if not (a_mask >> a) & 1 and not (b_mask >> b) & 1
-            ]
-            if cands:
-                viable.append((len(cands), c, cands))
-        bound = size + min(len(viable), self.a_size - size, self.b_size - size)
+        room = sum(min(cap, len(cands)) for cands, cap, _ in bundles)
+        bound = size + min(room, self.a_size - size, self.b_size - size)
         if bound <= self.best_size:
             return
-        _, branch_c, cands = min(viable, key=lambda t: (t[0], t[1]))
-        rest = [c for _, c, _ in viable if c != branch_c]
+        branch = min(bundles, key=lambda t: (len(t[0]), t[2][0]))
+        cands, cap, colours = branch
+        rest = [t for t in bundles if t is not branch]
+        colour = colours[len(colours) - cap]
         worker, workers = share or (0, 1)
         for i in range(worker, len(cands) + 1, workers):
             if share is not None:
                 self.task = i
             if i == len(cands):
-                self.dfs(rest, a_mask, b_mask, chosen)
+                self.dfs(rest, chosen)
                 return
             a, b = cands[i]
-            chosen.append((branch_c, a, b))
-            self.dfs(rest, a_mask | (1 << a), b_mask | (1 << b), chosen)
+            kept = rest + [(cands[i + 1 :], cap - 1, colours)] if cap > 1 else rest
+            child = []
+            for c_cands, c_cap, c_colours in kept:
+                left = [p for p in c_cands if p[0] != a and p[1] != b]
+                if left:
+                    child.append((left, c_cap, c_colours))
+            chosen.append((colour, a, b))
+            self.dfs(child, chosen)
             chosen.pop()
             if self.stopped:
                 return
 
 
 def _search(
-    pairs: list[list[tuple[int, int]]],
+    bundles: list[_Bundle],
     a_size: int,
     b_size: int,
     max_nodes: int | None,
@@ -167,8 +173,8 @@ def _search(
 ) -> tuple[int, int, list[tuple[int, int, int]], int, bool]:
     """One worker's search from the root: (best_size, best_task, best_sel, nodes, stopped)."""
     deadline = None if max_time is None else time.perf_counter() + max_time
-    s = _Searcher(pairs, a_size, b_size, max_nodes, deadline)
-    s.dfs([c for c in range(len(pairs)) if pairs[c]], 0, 0, [], share)
+    s = _Searcher(a_size, b_size, max_nodes, deadline)
+    s.dfs(bundles, [], share)
     return s.best_size, s.best_task, s.best_sel, s.nodes, s.stopped
 
 
@@ -179,20 +185,31 @@ def max_rainbow(
 ) -> SearchReport:
     """Exact maximum rainbow matching search.
 
-    Worker w of W searches the root moves i with i % W == w, with the full
-    budget each; workers=1 is worker 0 of 1, the plain sequential search, and
-    runs in this process. At most one process is started per root move. The
-    reported optimum and matching do not depend on the worker count: the best
-    selection with the lowest root move wins, which is the one a sequential
-    search finds first. Node counts depend on the worker count; optimal is
-    true only when every worker exhausted its share.
+    Classes with equal pairs form one bundle, which gives at most one edge
+    per colour, in ascending edge order, so no two orders of identical
+    colours are both searched; with distinct classes each bundle is one
+    colour. The branch is the bundle with the fewest candidates, and a node's
+    bound is size + min(sum over bundles of min(capacity, candidates),
+    a_size - size, b_size - size).
+
+    Worker w of W searches the root bundle's moves i with i % W == w, with
+    the full budget each; workers=1 is worker 0 of 1, the plain sequential
+    search, and runs in this process. At most one process is started per
+    root move. The reported optimum and matching do not depend on the worker
+    count: the best selection with the lowest root move wins, which is the
+    one a sequential search finds first. Node counts depend on the worker
+    count; optimal is true only when every worker exhausted its share.
     """
     start = time.perf_counter()
-    pairs = [inst.class_pairs(c) for c in range(inst.n_colours)]
-    root_moves = 1 + min((len(p) for p in pairs if p), default=0)
+    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for c, cls in enumerate(inst.classes):
+        if cls.pairs:
+            groups.setdefault(cls.pairs, []).append(c)
+    bundles = [(list(pairs), len(colours), colours) for pairs, colours in groups.items()]
+    root_moves = 1 + min((len(cands) for cands, _, _ in bundles), default=0)
     workers = max(1, min(workers, root_moves))
     args = [
-        (pairs, inst.a_size, inst.b_size, budget.max_nodes, budget.max_time, (w, workers))
+        (bundles, inst.a_size, inst.b_size, budget.max_nodes, budget.max_time, (w, workers))
         for w in range(workers)
     ]
     if workers == 1:

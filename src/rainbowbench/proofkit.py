@@ -46,6 +46,7 @@ from .core import (
     instance_to_json,
     int_rows,
     is_rainbow,
+    json_int,
     matching_from_json,
     neighbourhood_along,
     saturated_sets,
@@ -924,13 +925,13 @@ def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
         inst=inst,
         r=RainbowMatching(frozenset(ces(payload["r"]))),
         eps=Epsilon(Fraction(payload["eps"])),
-        t=int(payload["t"]),
-        k=int(payload["k"]),
+        t=json_int(payload["t"]),
+        k=json_int(payload["k"]),
         e_seq=ces(payload["e_seq"]),
         g_seq=ces(payload["g_seq"]),
-        x_sets=tuple(frozenset(va(i) for i in s) for s in payload["x_sets"]),
-        y_sets=tuple(frozenset(vb(i) for i in s) for s in payload["y_sets"]),
-        pi=tuple(int(c) for c in payload["pi"]),
+        x_sets=tuple(frozenset(va(json_int(i)) for i in s) for s in payload["x_sets"]),
+        y_sets=tuple(frozenset(vb(json_int(i)) for i in s) for s in payload["y_sets"]),
+        pi=tuple(json_int(c) for c in payload["pi"]),
     )
 
 

@@ -90,6 +90,13 @@ class TestSolve:
         assert result.exit_code == 2
         assert "non-negative" in result.output
 
+    def test_non_integer_size_exits_two(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"n_colours": 1, "a_size": 2.9, "b_size": true, "classes": [[[0, 0]]]}')
+        result = run("solve", "--in", str(path), "--target", "1")
+        assert result.exit_code == 2
+        assert "expected an integer" in result.output
+
     def test_workers_flag(self, tmp_path):
         path = tmp_path / "inst.json"
         run("gen", "drisko", "--n", "4", "-o", str(path))
@@ -222,6 +229,15 @@ class TestVerifyTrace:
         result = run("verify-trace", "--in", str(path))
         assert result.exit_code == 2
         assert "non-negative" in result.output
+
+    def test_non_integer_state_field_exits_two(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        payload["base_state"]["t"] = float(payload["base_state"]["t"])
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "expected an integer" in result.output
 
     def test_empty_trace_exits_zero(self, tmp_path):
         payload = json.loads(self._trace_text())

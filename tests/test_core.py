@@ -224,6 +224,17 @@ class TestJsonFormats:
             with pytest.raises(ValueError, match="malformed instance JSON"):
                 instance_from_json(text)
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_colours", True), ("a_size", 2.9), ("b_size", "2")],
+        ids=["n_colours", "a_size", "b_size"],
+    )
+    def test_instance_sizes_must_be_integers(self, field, value):
+        # int() would read each value as a size of 1 or 2, and the instance would load
+        payload = {"n_colours": 1, "a_size": 2, "b_size": 2, "classes": [[[0, 0]]]}
+        payload[field] = value
+        with pytest.raises(ValueError, match="malformed instance JSON: expected an integer"):
+            instance_from_json(json.dumps(payload))
+
     def test_random_instances_round_trip(self):
         rng = random.Random(7)
         for _ in range(25):

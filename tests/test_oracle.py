@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowbench.core import is_rainbow, make_instance, validate_instance
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
@@ -16,6 +17,47 @@ from rainbowbench.oracle import (
     naive_max_rainbow,
     reports_to_csv,
 )
+
+
+def _pin_draws():
+    """The 300 seeded random instances behind the oracle's sha256 pins."""
+    rng = random.Random(2015)
+    for _ in range(300):
+        yield gen_random_instance(rng.randint(1, 7), rng.randint(1, 6), seed=rng.getrandbits(32))
+
+
+def _relabelled(inst, seed):
+    """The instance under a seeded colour permutation and vertex relabelling on both sides."""
+    rng = random.Random(seed)
+    a_map = list(range(inst.a_size))
+    b_map = list(range(inst.b_size))
+    rng.shuffle(a_map)
+    rng.shuffle(b_map)
+    classes = [sorted((a_map[a], b_map[b]) for a, b in cls.pairs) for cls in inst.classes]
+    rng.shuffle(classes)
+    return make_instance(classes, a_size=inst.a_size, b_size=inst.b_size)
+
+
+@st.composite
+def duplicated_families(draw):
+    """1-4 base matchings, the first repeated, the colour order shuffled; n <= 7, sizes <= 4."""
+    a_size = draw(st.integers(1, 5))
+    b_size = draw(st.integers(1, 5))
+    classes = []
+    for i in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, min(a_size, b_size, 4)))
+        a_idx = draw(st.lists(st.integers(0, a_size - 1), min_size=size, max_size=size, unique=True))
+        b_idx = draw(st.lists(st.integers(0, b_size - 1), min_size=size, max_size=size, unique=True))
+        copies = draw(st.integers(2 if i == 0 else 1, 3))
+        classes += [list(zip(a_idx, b_idx))] * copies
+    classes = draw(st.permutations(classes[:7]))
+    return make_instance(classes, a_size=a_size, b_size=b_size)
+
+
+def _pin_line(inst, limit, nodes):
+    rep = max_rainbow(inst, SearchBudget(limit), workers=1)
+    line = f"{sorted(ce.triple for ce in rep.best)}|{rep.optimal}"
+    return (f"{line}|{rep.nodes_explored};" if nodes else f"{line};").encode()
 
 
 class TestMaxRainbow:
@@ -47,10 +89,10 @@ class TestMaxRainbow:
         assert len(rep.best) == 0 and rep.optimal
 
     def test_node_budget_reported_via_optimal_flag(self):
-        inst = gen_drisko(5)
-        rep = max_rainbow(inst, SearchBudget.nodes(50))
+        inst = gen_drisko(5)  # certified in 34 nodes (test_witness_node_counts_are_pinned)
+        rep = max_rainbow(inst, SearchBudget.nodes(20))
         assert not rep.optimal
-        assert rep.nodes_explored <= 50
+        assert rep.nodes_explored <= 20
         assert is_rainbow(rep.best)
 
     def test_deterministic_counters(self):
@@ -63,26 +105,42 @@ class TestMaxRainbow:
     def test_sequential_results_are_pinned(self):
         # sha256 over (sorted matching triples, optimal, nodes_explored) of
         # workers=1 searches on 300 seeded random instances, unlimited and
-        # under node budgets; recorded while workers=1 and workers>1 were
-        # separate code paths, so a change to the search order or to budget
+        # under node budgets, so a change to the search order or to budget
         # accounting fails here
         digest = hashlib.sha256()
-        rng = random.Random(2015)
-        for _ in range(300):
-            inst = gen_random_instance(
-                rng.randint(1, 7), rng.randint(1, 6), seed=rng.getrandbits(32)
-            )
+        for inst in _pin_draws():
             for limit in (None, 1, 2, 10, 40):
-                rep = max_rainbow(inst, SearchBudget(limit), workers=1)
-                triples = sorted(ce.triple for ce in rep.best)
-                digest.update(f"{triples}|{rep.optimal}|{rep.nodes_explored};".encode())
+                digest.update(_pin_line(inst, limit, nodes=True))
         assert digest.hexdigest() == (
-            "f6dfcce43f633ec471ae5bb71886a2f6ab48d733474c157e7d2d01565116e6df"
+            "4aef300b3c62fe484350cd464a58b4c17203e302111b31545228b421f9953b93"
+        )
+
+    def test_unlimited_results_are_pinned(self):
+        # the same draws at an unlimited budget, without node counts: the
+        # optimum, the matching and the certificate, however the search runs
+        digest = hashlib.sha256()
+        for inst in _pin_draws():
+            digest.update(_pin_line(inst, None, nodes=False))
+        assert digest.hexdigest() == (
+            "1ca725f512a0dd54e808ea4b7198f1558386deca91671f29e327cffe1391cb20"
+        )
+
+    def test_distinct_class_results_are_pinned(self):
+        # the same draws and budgets, node counts included, on the draws whose
+        # classes are all distinct: there the search order is fixed
+        digest = hashlib.sha256()
+        for inst in _pin_draws():
+            if len({cls.pairs for cls in inst.classes}) < inst.n_colours:
+                continue
+            for limit in (None, 1, 2, 10, 40):
+                digest.update(_pin_line(inst, limit, nodes=True))
+        assert digest.hexdigest() == (
+            "0b10fa2e65250223a036f1b11d722cf80fb2ff1b6fcb456b68aeeeab8205b04e"
         )
 
     @pytest.mark.parametrize(
         "inst, nodes",
-        [(gen_drisko(5), 2_685), (gen_drisko(6), 34_662), (gen_no_transversal(8), 2_903)],
+        [(gen_drisko(5), 34), (gen_drisko(6), 64), (gen_no_transversal(8), 2_903)],
         ids=["drisko5", "drisko6", "cyclic8"],
     )
     def test_witness_node_counts_are_pinned(self, inst, nodes):
@@ -90,6 +148,31 @@ class TestMaxRainbow:
         assert rep.optimal
         assert len(rep.best) == inst.a_size - 1
         assert rep.nodes_explored == nodes
+
+    def test_no_transversal_10_node_count_is_pinned(self):
+        rep = max_rainbow(gen_no_transversal(10), workers=1)
+        assert rep.optimal and len(rep.best) == 9
+        assert rep.nodes_explored == 62_830
+
+    @pytest.mark.parametrize(
+        "inst", [gen_drisko(8), _relabelled(gen_drisko(7), 7)], ids=["drisko8", "drisko7-relabelled"]
+    )
+    def test_duplicate_class_witnesses_certify_quickly(self, inst):
+        rep = max_rainbow(inst, SearchBudget.nodes(5_000))
+        assert rep.optimal
+        assert len(rep.best) == inst.a_size - 1
+        assert is_rainbow(rep.best)
+
+    @settings(max_examples=60, deadline=None)
+    @given(duplicated_families())
+    def test_duplicate_classes_keep_the_optimum(self, inst):
+        assert len({cls.pairs for cls in inst.classes}) < inst.n_colours
+        rep = max_rainbow(inst)
+        assert rep.optimal and is_rainbow(rep.best)
+        assert all(ce.edge.pair in inst.classes[ce.colour].pairs for ce in rep.best)
+        assert len(rep.best) == len(naive_max_rainbow(inst).best)
+        for workers in (2, 3):
+            assert max_rainbow(inst, workers=workers).best == rep.best
 
     def test_worker_count_does_not_change_result(self):
         for inst in (gen_drisko(4), latin_to_instance(gen_cyclic(4))):

@@ -693,6 +693,20 @@ class TestTraceChain:
         with pytest.raises(ValueError, match="malformed trace JSON: expected an array"):
             verify(payload)
 
+    @pytest.mark.parametrize("field", ["t", "k", "pi", "x_sets", "y_sets"])
+    def test_state_scalars_must_be_integers(self, field):
+        # 1.0 for 1 would be coerced or hashed as the integer, and the trace would verify
+        payload = two_step_trace()
+        state = payload["steps"][0]["state"]
+        if field in ("t", "k"):
+            state[field] = float(state[field])
+        elif field == "pi":
+            state["pi"][0] = float(state["pi"][0])
+        else:
+            state[field][0][0] = float(state[field][0][0])
+        with pytest.raises(ValueError, match="step 0: expected an integer, got"):
+            verify(payload)
+
     def test_augmentation_after_a_dead_end_is_rejected(self):
         # the run stopped at k = 2 because the fresh pool is empty; a valid
         # optimum appended as its augmentation is still not an engine step
