@@ -139,31 +139,43 @@ class Instance:
 
 @dataclass(frozen=True)
 class RainbowMatching:
-    """A set of vertex-disjoint edges with pairwise distinct colours."""
+    """A set of vertex-disjoint edges with pairwise distinct colours.
 
-    edges: frozenset[ColouredEdge]
+    triples holds the distinct (colour, a_index, b_index) rows in sorted
+    order, as make_matching builds them.
+    """
+
+    triples: tuple[tuple[int, int, int], ...]
 
     @classmethod
     def empty(cls) -> "RainbowMatching":
-        return cls(frozenset())
+        return cls(())
+
+    @property
+    def edges(self) -> frozenset[ColouredEdge]:
+        """The triples as ColouredEdge values.
+
+        Built on every call, as ColourClass.edges is (not cached: it would hold memory).
+        """
+        return frozenset(self.sorted_edges())
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.triples)
 
     def __iter__(self) -> Iterator[ColouredEdge]:
-        return iter(self.edges)
+        return iter(self.sorted_edges())
 
-    def __contains__(self, item: ColouredEdge) -> bool:
-        return item in self.edges
+    def __contains__(self, item: object) -> bool:
+        return isinstance(item, ColouredEdge) and item.triple in self.triples
 
     def colours(self) -> frozenset[int]:
-        return frozenset(ce.colour for ce in self.edges)
+        return frozenset(c for c, _, _ in self.triples)
 
     def sorted_edges(self) -> list[ColouredEdge]:
-        return sorted(self.edges, key=lambda ce: ce.triple)
+        return [ColouredEdge.of(c, a, b) for c, a, b in self.triples]
 
     def with_edge(self, ce: ColouredEdge) -> "RainbowMatching":
-        return RainbowMatching(self.edges | {ce})
+        return make_matching(self.triples + (ce.triple,))
 
 
 def make_instance(
@@ -192,8 +204,17 @@ def make_instance(
 
 
 def make_matching(triples: Iterable[tuple[int, int, int]]) -> RainbowMatching:
-    """Build a RainbowMatching from (colour, a_index, b_index) triples."""
-    return RainbowMatching(frozenset(ColouredEdge.of(c, a, b) for c, a, b in triples))
+    """Build a RainbowMatching from (colour, a_index, b_index) triples.
+
+    Keeps the distinct triples, sorted. Raises ValueError on a negative
+    vertex index; the result is not checked to be rainbow, run is_rainbow
+    for that.
+    """
+    rows = tuple(sorted({(c, a, b) for c, a, b in triples}))
+    lowest = min((min(a, b) for _, a, b in rows), default=0)
+    if lowest < 0:
+        raise ValueError(f"vertex index must be non-negative, got {lowest}")
+    return RainbowMatching(rows)
 
 
 @dataclass(frozen=True)
@@ -260,25 +281,17 @@ def validate_instance(inst: Instance) -> list[Violation]:
 def is_rainbow(edges: Iterable[ColouredEdge]) -> bool:
     """True iff the edges are vertex-disjoint with pairwise distinct colours."""
     if isinstance(edges, RainbowMatching):
-        edges = edges.edges
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    seen_c: set[int] = set()
-    for ce in edges:
-        ai, bi = ce.edge.pair
-        if ai in seen_a or bi in seen_b or ce.colour in seen_c:
-            return False
-        seen_a.add(ai)
-        seen_b.add(bi)
-        seen_c.add(ce.colour)
-    return True
+        rows = edges.triples
+    else:
+        rows = [ce.triple for ce in edges]
+    return all(len({row[i] for row in rows}) == len(rows) for i in range(3))
 
 
 def saturated_sets(r: RainbowMatching) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
     """(X, Y): the A- and B-vertices incident with some edge of r."""
     return (
-        frozenset(ce.a for ce in r.edges),
-        frozenset(ce.b for ce in r.edges),
+        frozenset(va(a) for _, a, _ in r.triples),
+        frozenset(vb(b) for _, _, b in r.triples),
     )
 
 
@@ -290,13 +303,11 @@ def neighbourhood_along(r: RainbowMatching, x: Iterable[Vertex]) -> frozenset[Ve
     a bijection on saturated vertices.
     """
     query = set(x)
-    out: set[Vertex] = set()
-    for ce in r.edges:
-        if ce.a in query:
-            out.add(ce.b)
-        if ce.b in query:
-            out.add(ce.a)
-    return frozenset(out)
+    a_query = {v.index for v in query if v.side is Side.A}
+    b_query = {v.index for v in query if v.side is Side.B}
+    return frozenset(vb(b) for _, a, b in r.triples if a in a_query).union(
+        va(a) for _, a, b in r.triples if b in b_query
+    )
 
 
 def swap_colours(inst: Instance, c1: int, c2: int) -> Instance:
@@ -313,9 +324,8 @@ def swap_matching_colours(r: RainbowMatching, c1: int, c2: int) -> RainbowMatchi
     if c1 == c2:
         return r
     mapping = {c1: c2, c2: c1}
-    return RainbowMatching(
-        frozenset(ColouredEdge(ce.edge, mapping.get(ce.colour, ce.colour)) for ce in r.edges)
-    )
+    # a transposition of colours keeps the rows distinct and the vertices as they were
+    return RainbowMatching(tuple(sorted((mapping.get(c, c), a, b) for c, a, b in r.triples)))
 
 
 def free_colour_zero(
@@ -362,6 +372,18 @@ def int_rows(rows: object, width: int) -> list[tuple[int, ...]]:
     return [tuple(row) for row in rows]
 
 
+def matching_rows(rows: object) -> list[tuple[int, ...]]:
+    """int_rows for [colour, a_index, b_index] rows, which must also be distinct.
+
+    A repeated row is malformed, not a smaller matching: ValueError.
+    """
+    triples = int_rows(rows, 3)
+    if len(set(triples)) < len(triples):
+        repeated = next(t for i, t in enumerate(triples) if t in triples[:i])
+        raise ValueError(f"repeated row {list(repeated)}")
+    return triples
+
+
 def instance_to_json(inst: Instance) -> str:
     """Canonical Instance JSON; round-trips bit-exactly through instance_from_json."""
     payload = {
@@ -394,13 +416,13 @@ def instance_from_json(text: str) -> Instance:
 
 def matching_to_json(r: RainbowMatching) -> str:
     """Canonical RainbowMatching JSON: [colour, a_index, b_index] rows sorted by colour."""
-    payload = [list(ce.triple) for ce in r.sorted_edges()]
+    payload = [list(t) for t in r.triples]
     return json.dumps(payload, indent=2) + "\n"
 
 
 def matching_from_json(text: str) -> RainbowMatching:
     try:
-        triples = int_rows(json.loads(text), 3)
+        triples = matching_rows(json.loads(text))
     except ValueError as exc:
         raise ValueError(f"malformed matching JSON: {exc}") from exc
     return make_matching(triples)

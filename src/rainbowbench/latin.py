@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
-    ColouredEdge,
     Instance,
     RainbowMatching,
     make_instance,
+    make_matching,
 )
 
 
@@ -178,12 +178,12 @@ def transversal_to_rainbow(ls: LatinSquare, t: PartialTransversal) -> RainbowMat
     n = ls.order
     if not is_partial_transversal(ls, t):
         raise ValueError("entries do not form a partial transversal")
-    edges = set()
+    triples = []
     for row, col in t.sorted_entries():
         if not (0 <= row < n and 0 <= col < n):
             raise ValueError(f"entry ({row},{col}) outside the order-{n} square")
-        edges.add(ColouredEdge.of(ls.cells[row][col], col, row))
-    return RainbowMatching(frozenset(edges))
+        triples.append((ls.cells[row][col], col, row))
+    return make_matching(triples)
 
 
 def is_partial_transversal(ls: LatinSquare, t: PartialTransversal) -> bool:

@@ -34,21 +34,22 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import AbstractSet, Iterator, NamedTuple, Sequence
 
 from .core import (
     ColouredEdge,
     Instance,
     RainbowMatching,
-    Side,
     Vertex,
     instance_from_json,
     instance_to_json,
     int_rows,
     is_rainbow,
     json_int,
+    make_matching,
     matching_from_json,
-    neighbourhood_along,
+    matching_rows,
+    neighbourhood_along,  # unused here, but perfbench's tracer patches proofkit.neighbourhood_along
     saturated_sets,
     va,
     validate_instance,
@@ -103,9 +104,12 @@ class Epsilon:
 
 
 def smallest_t(eps: Epsilon) -> int:
-    """Minimal t >= 1 with 1/(2t - 1) <= eps, by exact rational arithmetic."""
-    inv = 1 / eps.value
-    return max(1, math.ceil((inv + 1) / 2))
+    """Minimal t >= 1 with 1/(2t - 1) <= eps, by exact integer arithmetic.
+
+    With eps = p/q this is ceil((1/eps + 1)/2) = ceil((q + p)/(2p)).
+    """
+    p, q = eps.value.numerator, eps.value.denominator
+    return max(1, -(-(q + p) // (2 * p)))
 
 
 def s_k(k: int, eps: Epsilon, n: int) -> Fraction:
@@ -144,6 +148,20 @@ def contradiction_threshold(eps: Epsilon) -> int:
 # --- the induction state --------------------------------------------------------
 
 
+class _Ints(NamedTuple):
+    """A state's integer view, built once per state: all the engine step reads of it."""
+
+    x: frozenset[int]  # saturated A-indices
+    y: frozenset[int]  # saturated B-indices
+    xz: frozenset[int]  # x with z_1 .. z_k
+    r_at_a: dict[int, tuple[int, int, int]]  # the r-triple at each saturated A-index
+    r_at_b: dict[int, tuple[int, int, int]]  # the r-triple at each saturated B-index
+    z: tuple[int, ...]  # z_1 .. z_k
+    ys: tuple[int, ...]  # y_1 .. y_k
+    x_sets: tuple[frozenset[int], ...]  # X_1 .. X_k
+    y_sets: tuple[frozenset[int], ...]  # Y_1 .. Y_k
+
+
 @dataclass(frozen=True)
 class SwitchState:
     """Snapshot of the augmentation engine after k extension steps.
@@ -175,6 +193,23 @@ class SwitchState:
         # computed once per state; frozen dataclasses still allow this write
         return saturated_sets(self.r)
 
+    @cached_property
+    def _ints(self) -> _Ints:
+        triples = self.r.triples
+        x = frozenset(a for _, a, _ in triples)
+        z = tuple(g.a.index for g in self.g_seq)
+        return _Ints(
+            x=x,
+            y=frozenset(b for _, _, b in triples),
+            xz=x.union(z),
+            r_at_a={t[1]: t for t in triples},
+            r_at_b={t[2]: t for t in triples},
+            z=z,
+            ys=tuple(e.b.index for e in self.e_seq),
+            x_sets=tuple(frozenset(v.index for v in s) for s in self.x_sets),
+            y_sets=tuple(frozenset(v.index for v in s) for s in self.y_sets),
+        )
+
     def x_of(self, i: int) -> Vertex:
         """x_i, the A-endpoint of e_i (1-based)."""
         return self.e_seq[i - 1].a
@@ -195,21 +230,29 @@ class SwitchState:
             return None
 
 
+def _initial_defect(inst: Instance, r: RainbowMatching) -> str | None:
+    """Why initial_state rejects r for inst, or None when it accepts it."""
+    if not is_rainbow(r):
+        return "r is not a rainbow matching"
+    for c, a, b in r.triples:
+        if not 0 <= c < inst.n_colours:
+            return f"edge {ColouredEdge.of(c, a, b)!r} has a colour outside the instance"
+        if (a, b) not in inst.classes[c].pairs:
+            return f"edge {ColouredEdge.of(c, a, b)!r} does not belong to its colour class"
+    if 0 in r.colours():
+        return "colour 0 must be unused by r; relabel first"
+    return None
+
+
 def initial_state(inst: Instance, r: RainbowMatching, eps: Epsilon) -> SwitchState:
     """The k = 0 state for a matching that leaves colour 0 unused.
 
     Raises ValueError when r is not a valid rainbow matching of inst or when
     it uses colour 0 (relabel with core.free_colour_zero first).
     """
-    if not is_rainbow(r):
-        raise ValueError("r is not a rainbow matching")
-    for ce in r.edges:
-        if not 0 <= ce.colour < inst.n_colours:
-            raise ValueError(f"edge {ce!r} has a colour outside the instance")
-        if ce.edge.pair not in inst.classes[ce.colour].pairs:
-            raise ValueError(f"edge {ce!r} does not belong to its colour class")
-    if 0 in r.colours():
-        raise ValueError("colour 0 must be unused by r; relabel first")
+    defect = _initial_defect(inst, r)
+    if defect is not None:
+        raise ValueError(defect)
     return SwitchState(
         inst=inst,
         r=r,
@@ -299,7 +342,8 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     if bad:
         raise ValueError("structurally invalid state: " + "; ".join(bad))
     inst, k = st.inst, st.k
-    X, Y = st.saturated()
+    X, _ = st.saturated()
+    ix = st._ints
     n = inst.n_colours
 
     # P1: e_i in r and in class pi(i)
@@ -348,14 +392,14 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     for i in range(1, k + 1):
         if not p5_ok:
             break
-        Xi, Yi = st.x_sets[i - 1], st.y_sets[i - 1]
+        Xi, Yi = ix.x_sets[i - 1], ix.y_sets[i - 1]
         xi = st.x_of(i)
-        for ce in st.r.sorted_edges():
-            if ce.a in Xi and ce.b in Yi:
-                if _find_partner_edge(st, xi, ce.colour, Y) is None:
+        for c, a, b in st.r.triples:
+            if a in Xi and b in Yi:
+                if _class_edge_at(st, c, xi.index, True, ix.y) is None:
                     p5_ok, p5_w = (
                         False,
-                        f"class {ce.colour} meets r in X_{i} x Y_{i} but has no edge "
+                        f"class {c} meets r in X_{i} x Y_{i} but has no edge "
                         f"from x_{i}={xi!r} into B minus Y",
                     )
                     break
@@ -365,13 +409,13 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     for i in range(1, k + 1):
         if not p6_ok:
             break
-        prev = st.y_sets[i - 2] if i >= 2 else frozenset()
-        banned = X | st.zs(i - 1)
-        for w in sorted(st.y_sets[i - 1] - prev, key=lambda v: v.index):
-            if _find_partner_edge(st, w, st.pi[i - 1], banned) is None:
+        prev = ix.y_sets[i - 2] if i >= 2 else frozenset()
+        banned = ix.x.union(ix.z[: i - 1])
+        for w in sorted(ix.y_sets[i - 1] - prev):
+            if _class_edge_at(st, st.pi[i - 1], w, False, banned) is None:
                 p6_ok, p6_w = (
                     False,
-                    f"w={w!r} in Y_{i} minus Y_{i - 1} has no partner in class pi({i - 1})",
+                    f"w={vb(w)!r} in Y_{i} minus Y_{i - 1} has no partner in class pi({i - 1})",
                 )
                 break
 
@@ -440,7 +484,8 @@ def _apply_exchange(
     for e in removed:
         if e not in st.r:
             raise SwitchIntegrityError(f"cannot remove {e!r}: not an edge of r")
-    result = RainbowMatching(st.r.edges.difference(removed).union(added))
+    gone = {e.triple for e in removed}
+    result = make_matching([t for t in st.r.triples if t not in gone] + [g.triple for g in added])
     if not is_rainbow(result) or len(result) != len(st.r) + 1:
         raise SwitchIntegrityError(
             f"exchange produced an invalid matching (size {len(result)}, expected "
@@ -459,12 +504,12 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     k = st.k
     if k < 1:
         raise ValueError("claim1_switch needs k >= 1")
-    X, Y = st.saturated()
+    ix = st._ints
     if g.colour != st.pi[k] or g.edge.pair not in st.inst.classes[g.colour].pairs:
         raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[k]}")
-    if g.a in X or g.a in st.zs(k):
+    if g.a.index in ix.xz:
         raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
-    if g.b in Y:
+    if g.b.index in ix.y:
         raise ValueError(f"g={g!r} must end outside Y")
     removed, added = _chain_members(st, k)
     return _apply_exchange(st, removed, added + [g])
@@ -483,17 +528,16 @@ def claim2_switch(
     k = st.k
     if k < 1:
         raise ValueError("claim2_switch needs k >= 1")
-    X, Y = st.saturated()
-    Yk = st.y_sets[k - 1]
+    ix = st._ints
     if g.colour != st.pi[k] or g.edge.pair not in st.inst.classes[g.colour].pairs:
         raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[k]}")
-    if g.a in X or g.a in st.zs(k):
+    if g.a.index in ix.xz:
         raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
-    if g.b not in Yk:
+    if g.b.index not in ix.y_sets[k - 1]:
         raise ValueError(f"g={g!r} must end in Y_{k}")
     if e not in st.r or e.b != g.b:
         raise ValueError(f"e={e!r} must be the r-edge adjacent to g")
-    if e.a not in st.x_sets[k - 1]:
+    if e.a.index not in ix.x_sets[k - 1]:
         raise ValueError(f"e={e!r} must lie between X_{k} and Y_{k}")
     if e.colour in st.pi:
         raise ValueError(f"e's colour {e.colour} must avoid the pi image")
@@ -501,7 +545,7 @@ def claim2_switch(
         raise ValueError(f"e_bar colour {e_bar.colour} does not match e's colour {e.colour}")
     if e_bar.edge.pair not in st.inst.classes[e_bar.colour].pairs:
         raise ValueError(f"e_bar={e_bar!r} is not an edge of its class")
-    if e_bar.a != st.x_of(k) or e_bar.b in Y:
+    if e_bar.a != st.x_of(k) or e_bar.b.index in ix.y:
         raise ValueError(f"e_bar={e_bar!r} must join x_{k} to B minus Y")
     removed, added = _chain_members(st, k)
     return _apply_exchange(st, removed + [e], added + [e_bar, g])
@@ -519,7 +563,7 @@ def claim3_switch(
     chainless exchange removing f and adding f_bar and zw.
     """
     k = st.k
-    X, Y = st.saturated()
+    ix = st._ints
     if f not in st.r:
         raise ValueError(f"f={f!r} must be an edge of r")
     if f.colour in st.pi:
@@ -533,36 +577,35 @@ def claim3_switch(
         raise ValueError(
             f"subcase undeterminable: zw's colour {zw.colour} is outside the pi image"
         )
-    w = f.b
-    ys = frozenset(st.y_of(i) for i in range(1, k + 1))
+    w, z_a = f.b, zw.a.index
     if p == k and k >= 1:
         # fresh-pool subcase: w must avoid Y_k and all y_i, zw must start outside X u z's
-        if w in st.y_sets[k - 1] or w in ys:
+        if w.index in ix.y_sets[k - 1] or w.index in ix.ys:
             raise ValueError(f"subcase undeterminable: w={w!r} not in the fresh pool shape")
-        if zw.a in X or zw.a in st.zs(k):
+        if z_a in ix.xz:
             raise ValueError(f"zw={zw!r} must start outside X and z_1..z_k")
         removed, added = _chain_members(st, k)
     elif p == 0:
         # degenerate: zw lies in class 0, chainless exchange
-        if zw.a in X:
+        if z_a in ix.x:
             raise ValueError(f"zw={zw!r} must start outside X")
         removed, added = [], []
     else:
         # w in Y_{p+1} \ Y_p, zw in class pi(p)
-        if w not in st.y_sets[p]:
+        if w.index not in ix.y_sets[p]:
             raise ValueError(f"subcase undeterminable: w={w!r} not in Y_{p + 1}")
-        if p >= 1 and w in st.y_sets[p - 1]:
+        if p >= 1 and w.index in ix.y_sets[p - 1]:
             raise ValueError(f"w={w!r} already in Y_{p}; zw names the wrong increment")
-        if zw.a in X or zw.a in st.zs(p):
+        if z_a in ix.x or z_a in ix.z[:p]:
             raise ValueError(f"zw={zw!r} must start outside X and z_1..z_{p}")
         removed, added = _chain_members(st, p)
     if f_bar.colour != f.colour:
         raise ValueError(f"f_bar colour {f_bar.colour} does not match f's colour {f.colour}")
     if f_bar.edge.pair not in st.inst.classes[f_bar.colour].pairs:
         raise ValueError(f"f_bar={f_bar!r} is not an edge of its class")
-    if f_bar.a in X or f_bar.a in st.zs(k) or f_bar.a == zw.a:
+    if f_bar.a.index in ix.xz or f_bar.a == zw.a:
         raise ValueError(f"f_bar={f_bar!r} must start outside X, z_1..z_k and zw's endpoint")
-    if f_bar.b in Y:
+    if f_bar.b.index in ix.y:
         raise ValueError(f"f_bar={f_bar!r} must end outside Y")
     return _apply_exchange(st, removed + [f], added + [f_bar, zw])
 
@@ -578,29 +621,25 @@ def _n_required(st: SwitchState, mode: Mode) -> int:
     return 1 if mode is Mode.RELAXED else max(1, math.ceil(_pool_formula(st)))
 
 
-def _fresh_pool(st: SwitchState, mode: Mode) -> frozenset[Vertex]:
-    """The fresh pool N_k of the current state, for every k.
+def _fresh_pool(st: SwitchState, mode: Mode) -> frozenset[int]:
+    """The B-indices of the fresh pool N_k of the current state, for every k.
 
     Saturated B-vertices outside Y_k and the used y_i with a class-pi(k)
     partner outside X and z_1..z_k. Strict mode keeps the _n_required
     smallest B-indices.
     """
-    inst, k = st.inst, st.k
-    X, Y = st.saturated()
-    excluded_a = {v.index for v in X | st.zs(k)}
-    banned_b = {v.index for v in st.y_sets[k - 1]} if k >= 1 else set()
-    banned_b.update(st.y_of(i).index for i in range(1, k + 1))
-    y_indices = {v.index for v in Y}
+    ix, k = st._ints, st.k
+    banned_b = ix.y_sets[k - 1].union(ix.ys) if k >= 1 else frozenset()
     pool = sorted(
         {
             b
-            for a, b in inst.classes[st.pi[k]].pairs
-            if a not in excluded_a and b in y_indices and b not in banned_b
+            for a, b in st.inst.classes[st.pi[k]].pairs
+            if a not in ix.xz and b in ix.y and b not in banned_b
         }
     )
     if mode is Mode.STRICT:
         pool = pool[: _n_required(st, mode)]
-    return frozenset(vb(b) for b in pool)
+    return frozenset(pool)
 
 
 def construct_N0(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex]:
@@ -611,7 +650,7 @@ def construct_N0(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex
     """
     if st.k != 0:
         raise ValueError(f"construct_N0 needs k = 0, got k = {st.k}")
-    return _fresh_pool(st, mode)
+    return frozenset(vb(b) for b in _fresh_pool(st, mode))
 
 
 def construct_Nk(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex]:
@@ -623,7 +662,7 @@ def construct_Nk(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex
     """
     if st.k < 1:
         raise ValueError(f"construct_Nk needs k >= 1, got k = {st.k}")
-    return _fresh_pool(st, mode)
+    return frozenset(vb(b) for b in _fresh_pool(st, mode))
 
 
 def _cover_threshold(st: SwitchState, mode: Mode) -> int:
@@ -634,42 +673,39 @@ def _cover_threshold(st: SwitchState, mode: Mode) -> int:
 
 def _pigeonhole_ranking(
     st: SwitchState,
-    x_prime: frozenset[Vertex],
-    y_prime: frozenset[Vertex],
+    x_prime: AbstractSet[int],
+    y_prime: AbstractSet[int],
     mode: Mode,
-) -> Iterator[tuple[Vertex, frozenset[Vertex], frozenset[Vertex]]]:
+) -> Iterator[tuple[int, frozenset[int], frozenset[int]]]:
     """(x*, X_next, Y_next) for every x* in x_prime whose cover reaches the mode threshold.
 
-    x* covers each other r-edge inside x_prime x y_prime whose class has an
-    edge from x* into the unsaturated part of B. Largest cover first, ties by
-    smallest A-index; X_next and Y_next are the A- and B-endpoints of the
-    covered r-edges (strict mode: the threshold-many smallest A-indices), so
-    Y_next is the r-neighbourhood of X_next.
+    Everything here is an index: x_prime, x* and X_next are A-indices,
+    y_prime and Y_next B-indices. x* covers each other r-edge inside
+    x_prime x y_prime whose class has an edge from x* into the unsaturated
+    part of B. Largest cover first, ties by smallest A-index; X_next and
+    Y_next are the A- and B-endpoints of the covered r-edges (strict mode:
+    the threshold-many smallest A-indices), so Y_next is the
+    r-neighbourhood of X_next.
     """
-    _, Y = st.saturated()
-    y_idx = {v.index for v in Y}
-    box = [ce for ce in st.r.sorted_edges() if ce.a in x_prime and ce.b in y_prime]
+    y = st._ints.y
+    box = [t for t in st.r.triples if t[1] in x_prime and t[2] in y_prime]
     # A-endpoints of class-j edges escaping into B \ Y, per relevant colour
     escape: dict[int, set[int]] = {}
-    for ce in box:
-        if ce.colour not in escape:
-            escape[ce.colour] = {
-                a
-                for a, b in st.inst.classes[ce.colour].pairs
-                if b not in y_idx and va(a) in x_prime
-            }
+    for c, _, _ in box:
+        if c not in escape:
+            escape[c] = {a for a, b in st.inst.classes[c].pairs if b not in y and a in x_prime}
     threshold = _cover_threshold(st, mode)
-    scored: list[tuple[int, int, Vertex, list[ColouredEdge]]] = []
+    scored: list[tuple[int, int, list[tuple[int, int, int]]]] = []
     for x_star in x_prime:
-        covered = [ce for ce in box if ce.a != x_star and x_star.index in escape[ce.colour]]
+        covered = [t for t in box if t[1] != x_star and x_star in escape[t[0]]]
         if len(covered) >= threshold:
-            scored.append((-len(covered), x_star.index, x_star, covered))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    for _, _, x_star, covered in scored:
-        covered.sort(key=lambda ce: ce.a.index)
+            scored.append((-len(covered), x_star, covered))
+    scored.sort(key=lambda s: (s[0], s[1]))
+    for _, x_star, covered in scored:
+        covered.sort(key=lambda t: t[1])
         if mode is Mode.STRICT:
             covered = covered[:threshold]
-        yield x_star, frozenset(ce.a for ce in covered), frozenset(ce.b for ce in covered)
+        yield x_star, frozenset(a for _, a, _ in covered), frozenset(b for _, _, b in covered)
 
 
 def pigeonhole_select(
@@ -687,8 +723,10 @@ def pigeonhole_select(
     indices) and Y_next its r-neighbourhood. Raises PigeonholeFailure when no
     vertex reaches the mode threshold.
     """
-    for selection in _pigeonhole_ranking(st, x_prime, y_prime, mode):
-        return selection
+    x_idx = {v.index for v in x_prime}
+    y_idx = {v.index for v in y_prime}
+    for x_star, X_next, Y_next in _pigeonhole_ranking(st, x_idx, y_idx, mode):
+        return va(x_star), frozenset(va(a) for a in X_next), frozenset(vb(b) for b in Y_next)
     threshold = _cover_threshold(st, mode)
     raise PigeonholeFailure(f"no vertex covers {threshold} pool members")
 
@@ -709,100 +747,90 @@ class Augmented:
 StepOutcome = Extended | Augmented
 
 
-def _r_edge_at(st: SwitchState, v: Vertex) -> ColouredEdge | None:
-    """The r-edge at v, if r saturates it."""
-    for ce in st.r.edges:
-        if v in (ce.a, ce.b):
-            return ce
-    return None
+def _class_edge_at(
+    st: SwitchState, colour: int, v: int, at_a: bool, banned: AbstractSet[int]
+) -> tuple[int, int] | None:
+    """Smallest pair of the class at index v whose other endpoint is not banned.
 
-
-def _find_partner_edge(
-    st: SwitchState, v: Vertex, colour: int, banned: frozenset[Vertex]
-) -> ColouredEdge | None:
-    """Smallest class edge at v whose other endpoint avoids the banned vertices."""
-    banned_idx = {u.index for u in banned}
-    at_a = v.side is Side.A
+    v is an A-index when at_a, else a B-index.
+    """
     for a, b in st.inst.classes[colour].pairs:
         here, there = (a, b) if at_a else (b, a)
-        if here == v.index and there not in banned_idx:
-            return ColouredEdge.of(colour, a, b)
+        if here == v and there not in banned:
+            return a, b
     return None
 
 
-def _zw_for(st: SwitchState, w: Vertex, n_pool: frozenset[Vertex]) -> ColouredEdge | None:
-    """The partner edge into a pool vertex w, by the two-case rule.
+def _zw_for(st: SwitchState, w: int, n_pool: AbstractSet[int]) -> tuple[int, int, int] | None:
+    """The partner edge into a pool B-index w, by the two-case rule, as a triple.
 
     Fresh-pool case (w in N_k): through class pi(k), from outside X and
     z_1..z_k. Increment case (w in Y_k): for the smallest i with w in Y_i,
     through class pi(i-1), from outside X and z_1..z_{i-1}. N_k avoids Y_k,
     so at most one case applies.
     """
-    X, _ = st.saturated()
-    k = st.k
+    ix, k = st._ints, st.k
     if w in n_pool:
-        return _find_partner_edge(st, w, st.pi[k], X | st.zs(k))
-    if k < 1 or w not in st.y_sets[k - 1]:
+        colour, banned = st.pi[k], ix.xz
+    elif k >= 1 and w in ix.y_sets[k - 1]:
+        i = next(i for i in range(1, k + 1) if w in ix.y_sets[i - 1])
+        colour, banned = st.pi[i - 1], ix.x.union(ix.z[: i - 1])
+    else:
         return None
-    i = next(i for i in range(1, k + 1) if w in st.y_sets[i - 1])
-    return _find_partner_edge(st, w, st.pi[i - 1], X | st.zs(i - 1))
+    pair = _class_edge_at(st, colour, w, False, banned)
+    return None if pair is None else (colour, *pair)
 
 
 def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
     """Search the current class pi(k) for a claim-1 or claim-2 witness edge."""
-    inst, k = st.inst, st.k
-    X, Y = st.saturated()
-    x_idx = {v.index for v in X}
-    y_idx = {v.index for v in Y}
+    inst, k, ix = st.inst, st.k, st._ints
     if k == 0:
         for a, b in inst.classes[0].pairs:
-            if a not in x_idx and b not in y_idx:
-                return st.r.with_edge(ColouredEdge.of(0, a, b))
+            if a not in ix.x and b not in ix.y:
+                return make_matching(st.r.triples + ((0, a, b),))
         return None
-    z_idx = {v.index for v in st.zs(k)}
     colour_k = st.pi[k]
-    yk_idx = {v.index for v in st.y_sets[k - 1]}
-    xk = st.x_sets[k - 1]
-    for a, b in inst.classes[colour_k].pairs:
-        if a in x_idx or a in z_idx:
-            continue
-        if b not in y_idx:
+    pairs = inst.classes[colour_k].pairs
+    for a, b in pairs:
+        if a not in ix.xz and b not in ix.y:
             return claim1_switch(st, ColouredEdge.of(colour_k, a, b))
-    for a, b in inst.classes[colour_k].pairs:
-        if a in x_idx or a in z_idx or b not in yk_idx:
+    x_k = st.x_of(k).index
+    for a, b in pairs:
+        if a in ix.xz or b not in ix.y_sets[k - 1]:
             continue
-        g = ColouredEdge.of(colour_k, a, b)
-        e = _r_edge_at(st, g.b)
-        if e is None or e.a not in xk or e.colour in st.pi:
+        e = ix.r_at_b.get(b)
+        if e is None or e[1] not in ix.x_sets[k - 1] or e[0] in st.pi:
             continue  # hand-built states may lack the paired structure; not a witness
-        e_bar = _find_partner_edge(st, st.x_of(k), e.colour, Y)
+        e_bar = _class_edge_at(st, e[0], x_k, True, ix.y)
         if e_bar is None:
             continue
-        return claim2_switch(st, g, e, e_bar)
+        return claim2_switch(
+            st, ColouredEdge.of(colour_k, a, b), ColouredEdge.of(*e), ColouredEdge.of(e[0], *e_bar)
+        )
     return None
 
 
 def _claim3_augment(
     st: SwitchState,
-    n_pool: frozenset[Vertex],
-    x_prime: frozenset[Vertex],
-    y_prime: frozenset[Vertex],
+    n_pool: AbstractSet[int],
+    x_prime: AbstractSet[int],
+    y_prime: AbstractSet[int],
 ) -> RainbowMatching | None:
     """Search the pool box for a claim-3 witness triple (f, f_bar, zw)."""
-    X, Y = st.saturated()
-    y_idx = {v.index for v in Y}
-    for f in st.r.sorted_edges():
-        if f.a not in x_prime or f.b not in y_prime:
+    ix = st._ints
+    for c, x, w in st.r.triples:
+        if x not in x_prime or w not in y_prime:
             continue
-        if f.colour in st.pi:
+        if c in st.pi:
             continue  # cannot happen when P3 holds; skip defensively
-        zw = _zw_for(st, f.b, n_pool)
+        zw = _zw_for(st, w, n_pool)
         if zw is None:
             continue
-        banned_a = {v.index for v in X | st.zs(st.k)} | {zw.a.index}
-        for a, b in st.inst.classes[f.colour].pairs:
-            if a not in banned_a and b not in y_idx:
-                return claim3_switch(st, f, ColouredEdge.of(f.colour, a, b), zw)
+        for a, b in st.inst.classes[c].pairs:
+            if a not in ix.xz and a != zw[1] and b not in ix.y:
+                return claim3_switch(
+                    st, ColouredEdge.of(c, x, w), ColouredEdge.of(c, a, b), ColouredEdge.of(*zw)
+                )
     return None
 
 
@@ -827,29 +855,29 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
         raise ThresholdInfeasible(
             f"pool size (1/2 + eps)*n + 1 - 2k = {_pool_formula(st)}", required, len(n_pool)
         )
-    y_k = st.y_sets[st.k - 1] if st.k >= 1 else frozenset()
-    y_prime = y_k | n_pool
-    x_prime = neighbourhood_along(st.r, y_prime)
+    ix = st._ints
+    y_prime = ix.y_sets[st.k - 1] | n_pool if st.k >= 1 else n_pool
+    x_prime = {ix.r_at_b[b][1] for b in y_prime if b in ix.r_at_b}
     augmented = _claim3_augment(st, n_pool, x_prime, y_prime)
     if augmented is not None:
         yield Augmented(augmented)
         return
     for x_star, X_next, Y_next in _pigeonhole_ranking(st, x_prime, y_prime, mode):
-        e_next = _r_edge_at(st, x_star)
-        if e_next is None or e_next.colour in st.pi:
+        e_next = ix.r_at_a.get(x_star)
+        if e_next is None or e_next[0] in st.pi:
             continue
-        g_next = _zw_for(st, e_next.b, n_pool)
+        g_next = _zw_for(st, e_next[2], n_pool)
         if g_next is None:
             continue
         yield Extended(
             replace(
                 st,
                 k=st.k + 1,
-                e_seq=st.e_seq + (e_next,),
-                g_seq=st.g_seq + (g_next,),
-                x_sets=st.x_sets + (X_next,),
-                y_sets=st.y_sets + (Y_next,),
-                pi=st.pi + (e_next.colour,),
+                e_seq=st.e_seq + (ColouredEdge.of(*e_next),),
+                g_seq=st.g_seq + (ColouredEdge.of(*g_next),),
+                x_sets=st.x_sets + (frozenset(va(a) for a in X_next),),
+                y_sets=st.y_sets + (frozenset(vb(b) for b in Y_next),),
+                pi=st.pi + (e_next[0],),
             )
         )
 
@@ -905,7 +933,7 @@ def run_switch_trace(
 
 def _state_payload(st: SwitchState) -> dict:
     return {
-        "r": [list(ce.triple) for ce in st.r.sorted_edges()],
+        "r": [list(t) for t in st.r.triples],
         "eps": str(st.eps.value),
         "t": st.t,
         "k": st.k,
@@ -923,7 +951,7 @@ def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
 
     return SwitchState(
         inst=inst,
-        r=RainbowMatching(frozenset(ces(payload["r"]))),
+        r=make_matching(matching_rows(payload["r"])),
         eps=Epsilon(Fraction(payload["eps"])),
         t=json_int(payload["t"]),
         k=json_int(payload["k"]),
@@ -954,7 +982,7 @@ def trace_to_json(trace: Trace) -> str:
             steps.append(
                 {
                     "kind": "augmented",
-                    "matching": [list(ce.triple) for ce in out.matching.sorted_edges()],
+                    "matching": [list(t) for t in out.matching.triples],
                 }
             )
     payload = {
@@ -1024,6 +1052,11 @@ def verify_trace_json(text: str) -> list[str]:
     ]
     if base.k != 0:
         failures.append(f"base state: k = {base.k}, expected 0")
+    defect = _initial_defect(inst, base.r)
+    if defect is not None:
+        failures.append(f"base state: {defect}")
+    if base.t != smallest_t(base.eps):
+        failures.append(f"base state: t = {base.t}, expected {smallest_t(base.eps)}")
     prev: SwitchState | Augmented = base
     for idx, step in enumerate(steps):
         try:
@@ -1056,7 +1089,7 @@ def verify_trace_json(text: str) -> list[str]:
                 f"expected {len(base.r) + 1}"
             )
         else:
-            for ce in out.matching.edges:
+            for ce in out.matching.sorted_edges():
                 if not (0 <= ce.colour < inst.n_colours
                         and ce.edge.pair in inst.classes[ce.colour].pairs):
                     failures.append(f"step {idx}: augmented edge {ce!r} not in its class")

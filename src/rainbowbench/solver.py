@@ -7,9 +7,9 @@ import time
 from dataclasses import dataclass
 
 from .core import (
-    ColouredEdge,
     Instance,
     RainbowMatching,
+    make_matching,
     neighbourhood_along,  # unused here, but perfbench's tracer patches solver.neighbourhood_along
     swap_colours,
     swap_matching_colours,
@@ -25,6 +25,7 @@ from .proofkit import (
 )
 
 MAX_AUGMENT_DEPTH = 8
+AUGMENT_EPS = Epsilon.parse("1")  # relaxed mode: eps sets only the state's t
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,15 @@ def greedy_rainbow(inst: Instance, seed: int = 0) -> RainbowMatching:
     order.sort(key=lambda c: len(inst.classes[c]))  # stable: seeded tie-break survives
     used_a: set[int] = set()
     used_b: set[int] = set()
-    chosen: set[ColouredEdge] = set()
+    chosen: list[tuple[int, int, int]] = []
     for c in order:
         for a, b in inst.classes[c].pairs:
             if a not in used_a and b not in used_b:
                 used_a.add(a)
                 used_b.add(b)
-                chosen.add(ColouredEdge.of(c, a, b))
+                chosen.append((c, a, b))
                 break
-    return RainbowMatching(frozenset(chosen))
+    return make_matching(chosen)
 
 
 class _BudgetExhausted(Exception):
@@ -126,7 +127,7 @@ def augment(
         for c0 in unused:
             inst0 = swap_colours(inst, 0, c0)
             r0 = swap_matching_colours(r, 0, c0)
-            found = search.dfs(initial_state(inst0, r0, Epsilon.parse("1")), max_depth)
+            found = search.dfs(initial_state(inst0, r0, AUGMENT_EPS), max_depth)
             if found is not None:
                 return swap_matching_colours(found, 0, c0)
     except _BudgetExhausted:

@@ -239,6 +239,26 @@ class TestVerifyTrace:
         assert result.exit_code == 2
         assert "expected an integer" in result.output
 
+    def test_base_state_initial_state_cannot_build_exits_one(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        payload["steps"] = []
+        payload["base_state"]["t"] = 7
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 1
+        assert "base state: t = 7, expected 1" in result.output
+
+    def test_repeated_r_row_exits_two(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        rows = payload["base_state"]["r"]
+        rows.append(list(rows[0]))
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "repeated row" in result.output
+
     def test_empty_trace_exits_zero(self, tmp_path):
         payload = json.loads(self._trace_text())
         payload["steps"] = []
@@ -295,3 +315,12 @@ class TestConvert:
         result = run("convert", "transversal-to-rainbow", "--square", str(sq), "--in", str(tfile))
         assert result.exit_code == 2
         assert "expected an array" in result.output
+
+    def test_repeated_matching_row_exits_two(self, tmp_path):
+        sq = tmp_path / "sq.txt"
+        sq.write_text(format_latin_text(gen_cyclic(5)))
+        mfile = tmp_path / "m.json"
+        mfile.write_text("[[0, 0, 0], [0, 0, 0]]")
+        result = run("convert", "rainbow-to-transversal", "--square", str(sq), "--in", str(mfile))
+        assert result.exit_code == 2
+        assert "repeated row" in result.output

@@ -217,6 +217,11 @@ class TestJsonFormats:
             with pytest.raises(ValueError, match="malformed matching JSON"):
                 matching_from_json(text)
 
+    def test_repeated_matching_row_rejected(self):
+        # a repeated row is malformed, not a smaller matching
+        with pytest.raises(ValueError, match=r"malformed matching JSON: repeated row \[0, 1, 1\]"):
+            matching_from_json("[[0, 1, 1], [0, 1, 1]]")
+
     def test_instance_rows_must_be_integer_arrays(self):
         # ["01", [1.9, true]] must not be read as the edges a0b1 and a1b1
         for classes in ('[["01", [1.9, true]]]', "[[[0, 1.0]]]", "[[[0, 1, 2]]]", '{"0": []}'):

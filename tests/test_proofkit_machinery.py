@@ -641,6 +641,53 @@ class TestTraceChain:
         del payload["steps"][0]
         assert verify(payload) == ["base state: k = 1, expected 0"]
 
+    def test_base_r_must_be_rainbow(self):
+        # an r-edge copied with a shifted B-endpoint repeats a colour and an A-vertex
+        payload = two_step_trace()
+        payload["steps"] = []
+        rows = payload["base_state"]["r"]
+        c, a, b = rows[0]
+        rows.append([c, a, (b + 1) % payload["instance"]["b_size"]])
+        assert verify(payload) == ["base state: r is not a rainbow matching"]
+
+    def test_base_r_edges_must_lie_in_their_classes(self):
+        payload = two_step_trace()
+        payload["steps"] = []
+        rows = payload["base_state"]["r"]
+        free_b = min(set(range(payload["instance"]["b_size"])) - {b for _, _, b in rows})
+        c, a, _ = rows[0]
+        rows[0] = [c, a, free_b]
+        assert verify(payload) == [
+            f"base state: edge a{a}b{free_b}@{c} does not belong to its colour class"
+        ]
+
+    def test_base_r_must_leave_colour_zero_unused(self):
+        payload = augmented_trace()
+        payload["steps"] = []
+        payload["base_state"]["r"].append([0, 9, 9])  # an edge of class 0, disjoint from r
+        assert verify(payload) == ["base state: colour 0 must be unused by r; relabel first"]
+
+    def test_base_t_must_be_the_smallest_t_of_eps(self):
+        payload = two_step_trace()
+        payload["steps"] = []
+        payload["base_state"]["t"] = 7
+        assert verify(payload) == ["base state: t = 7, expected 1"]
+
+    @pytest.mark.parametrize("where", ["base", "step", "augmented"])
+    def test_repeated_matching_row_raises_value_error(self, where):
+        # a repeated row is malformed, not a smaller matching
+        payload = augmented_trace() if where == "augmented" else two_step_trace()
+        if where == "base":
+            rows = payload["base_state"]["r"]
+        elif where == "step":
+            rows = payload["steps"][0]["state"]["r"]
+        else:
+            rows = payload["steps"][0]["matching"]
+        rows.append(list(rows[0]))
+        prefix = "" if where == "base" else "step 0: "
+        with pytest.raises(ValueError, match=f"malformed trace JSON: {prefix}.*repeated row"):
+            verify(payload)
+
     def test_step_after_an_augmentation_is_rejected(self):
         payload = augmented_trace()
         assert [step["kind"] for step in payload["steps"]] == ["augmented"]

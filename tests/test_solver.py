@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from rainbowbench.core import is_rainbow, make_instance, matching_to_json
+from rainbowbench.core import free_colour_zero, is_rainbow, make_instance, matching_to_json
 from rainbowbench.gen import gen_drisko, gen_random_instance
 from rainbowbench.oracle import SearchBudget, max_rainbow
+from rainbowbench.proofkit import Epsilon, run_switch_trace, trace_to_json
 from rainbowbench import solver
 from rainbowbench.solver import augment, greedy_rainbow, solve
 
@@ -216,4 +217,30 @@ class TestSolve:
         assert methods == {"greedy", "augmented", "oracle"}
         assert digest.hexdigest() == (
             "ec54e08304711bdb5a20f0c6585cc1d9c710985a84fec39f2d91ba8ab65895a5"
+        )
+
+    def test_switch_engine_outputs_are_pinned(self):
+        # sha256 over, per tight-universe draw: the greedy triples, the solve
+        # result (method, augment_steps, canonical matching JSON) and, when
+        # greedy falls short, the trace JSON of the switch engine run from the
+        # greedy start with colour 0 freed; recorded before the engine moved
+        # to integer state, so any change in what the engine derives fails
+        eps = Epsilon.parse("1")
+        digest = hashlib.sha256()
+        traces = 0
+        for seed in range(300):
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            r = greedy_rainbow(inst)
+            res = solve(inst, target=8, budget=BUDGET)
+            digest.update(f"{[ce.triple for ce in r.sorted_edges()]}|".encode())
+            digest.update(
+                f"{res.method}|{res.augment_steps}|{matching_to_json(res.matching)}".encode()
+            )
+            if len(r) < inst.n_colours:
+                inst0, r0, _ = free_colour_zero(inst, r)
+                digest.update(trace_to_json(run_switch_trace(inst0, r0, eps)).encode())
+                traces += 1
+        assert traces == 213
+        assert digest.hexdigest() == (
+            "dc26da382265cddbf4780f70917f9168dff75b5c0cc67e5d477c2337170d2d64"
         )
