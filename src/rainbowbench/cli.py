@@ -150,9 +150,9 @@ def solve_cmd(
         "method": result.method,
         "augment_steps": result.augment_steps,
         "certified_optimal": result.certified_optimal,
-        "matching": [list(ce.triple) for ce in result.matching.sorted_edges()],
+        "matching": [list(t) for t in result.matching.triples],
     }
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(core.canonical_json(payload), nl=False)
     ctx.exit(0 if len(result.matching) >= target else 1)
 
 
@@ -183,7 +183,7 @@ def _emit_experiment(report: oracle.SweepReport, fmt: str, out: str | None, witn
             "instances_checked": report.instances_checked,
             "elapsed_ms": report.elapsed_ms,
         }
-        _write_text(out, json.dumps(payload, indent=2) + "\n")
+        _write_text(out, core.canonical_json(payload))
 
 
 @main.group("experiment")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -372,27 +373,91 @@ def int_rows(rows: object, width: int) -> list[tuple[int, ...]]:
     return [tuple(row) for row in rows]
 
 
+def _reject_repeats(rows: list[tuple[int, ...]], what: str) -> None:
+    """ValueError "<what> [..]" naming the first repeated row, if any."""
+    if len(set(rows)) < len(rows):
+        repeated = next(t for i, t in enumerate(rows) if t in rows[:i])
+        raise ValueError(f"{what} {list(repeated)}")
+
+
 def matching_rows(rows: object) -> list[tuple[int, ...]]:
     """int_rows for [colour, a_index, b_index] rows, which must also be distinct.
 
     A repeated row is malformed, not a smaller matching: ValueError.
     """
     triples = int_rows(rows, 3)
-    if len(set(triples)) < len(triples):
-        repeated = next(t for i, t in enumerate(triples) if t in triples[:i])
-        raise ValueError(f"repeated row {list(repeated)}")
+    _reject_repeats(triples, "repeated row")
     return triples
 
 
-def instance_to_json(inst: Instance) -> str:
-    """Canonical Instance JSON; round-trips bit-exactly through instance_from_json."""
-    payload = {
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _int_rows_layout(rows: list[list], nl: str) -> str | None:
+    """_encode(rows, nl) when rows are equal-width, non-empty rows of ints; None otherwise.
+
+    One str.format call fills in every value.
+    """
+    widths = set(map(len, rows))
+    values = list(chain.from_iterable(rows))
+    if len(widths) != 1 or not values or set(map(type, values)) != {int}:
+        return None
+    inner, row_nl = nl + "  ", nl + "    "
+    row = "[" + row_nl + ("," + row_nl).join(["{}"] * widths.pop()) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + nl + "]").format(*values)
+
+
+def _encode(obj: object, nl: str) -> str:
+    """obj as json.dumps(indent=2) lays it out; nl is a line break plus the indent obj starts at."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = nl + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            return "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
+        if kinds == {list} and (rows := _int_rows_layout(obj, nl)) is not None:
+            return rows
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + nl + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"canonical JSON cannot encode {kind.__name__}")
+
+
+def canonical_json(obj: object) -> str:
+    """The one indent-2 JSON writer: exactly json.dumps(obj, indent=2) + "\n".
+
+    Accepts dicts with str keys, lists, str, int, bool and None; any other
+    type (float, tuple, set, ...) raises TypeError.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def instance_payload(inst: Instance) -> dict:
+    """The canonical Instance JSON object, before encoding."""
+    return {
         "n_colours": inst.n_colours,
         "a_size": inst.a_size,
         "b_size": inst.b_size,
         "classes": [[list(p) for p in cls.pairs] for cls in inst.classes],
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def instance_to_json(inst: Instance) -> str:
+    """Canonical Instance JSON; round-trips bit-exactly through instance_from_json."""
+    return canonical_json(instance_payload(inst))
 
 
 def instance_from_json(text: str) -> Instance:
@@ -400,11 +465,23 @@ def instance_from_json(text: str) -> Instance:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
+    return instance_from_payload(payload)
+
+
+def instance_from_payload(payload: object) -> Instance:
+    """An Instance from a decoded Instance JSON object.
+
+    Raises ValueError on a missing field, a non-integer value, a class count
+    that differs from n_colours, or a pair repeated inside a class (malformed,
+    not a smaller class).
+    """
     try:
         n_colours = json_int(payload["n_colours"])
         a_size = json_int(payload["a_size"])
         b_size = json_int(payload["b_size"])
         classes = [int_rows(pairs, 2) for pairs in payload["classes"]]
+        for colour, pairs in enumerate(classes):
+            _reject_repeats(pairs, f"colour {colour}: repeated pair")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     if len(classes) != n_colours:
@@ -416,8 +493,7 @@ def instance_from_json(text: str) -> Instance:
 
 def matching_to_json(r: RainbowMatching) -> str:
     """Canonical RainbowMatching JSON: [colour, a_index, b_index] rows sorted by colour."""
-    payload = [list(t) for t in r.triples]
-    return json.dumps(payload, indent=2) + "\n"
+    return canonical_json([list(t) for t in r.triples])
 
 
 def matching_from_json(text: str) -> RainbowMatching:

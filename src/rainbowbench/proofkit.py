@@ -41,13 +41,13 @@ from .core import (
     Instance,
     RainbowMatching,
     Vertex,
-    instance_from_json,
-    instance_to_json,
+    canonical_json,
+    instance_from_payload,
+    instance_payload,
     int_rows,
     is_rainbow,
     json_int,
     make_matching,
-    matching_from_json,
     matching_rows,
     neighbourhood_along,  # unused here, but perfbench's tracer patches proofkit.neighbourhood_along
     saturated_sets,
@@ -987,11 +987,11 @@ def trace_to_json(trace: Trace) -> str:
             )
     payload = {
         "mode": trace.mode.value,
-        "instance": json.loads(instance_to_json(trace.inst)),
+        "instance": instance_payload(trace.inst),
         "base_state": _state_payload(trace.base),
         "steps": steps,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return canonical_json(payload)
 
 
 def _step_from_payload(inst: Instance, step) -> StepOutcome:
@@ -1001,7 +1001,7 @@ def _step_from_payload(inst: Instance, step) -> StepOutcome:
     if kind == "extended":
         return Extended(_state_from_payload(inst, step["state"]))
     if kind == "augmented":
-        return Augmented(matching_from_json(json.dumps(step["matching"])))
+        return Augmented(make_matching(matching_rows(step["matching"])))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -1036,7 +1036,7 @@ def verify_trace_json(text: str) -> list[str]:
     try:
         payload = json.loads(text)
         mode = Mode(payload["mode"])
-        inst = instance_from_json(json.dumps(payload["instance"]))
+        inst = instance_from_payload(payload["instance"])
         violations = validate_instance(inst)
         if violations:
             raise ValueError("invalid instance: " + "; ".join(str(v) for v in violations))

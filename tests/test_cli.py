@@ -97,6 +97,19 @@ class TestSolve:
         assert result.exit_code == 2
         assert "expected an integer" in result.output
 
+    def test_repeated_pair_exits_two(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"n_colours": 1, "a_size": 1, "b_size": 1, "classes": [[[0, 0], [0, 0]]]}')
+        result = run("solve", "--in", str(path), "--target", "1")
+        assert result.exit_code == 2
+        assert "repeated pair [0, 0]" in result.output
+
+    def test_output_is_json_dumps_indent_2(self, tmp_path):
+        path = tmp_path / "inst.json"
+        run("gen", "drisko", "--n", "3", "-o", str(path))
+        result = run("solve", "--in", str(path), "--target", "3", "--oracle-fallback")
+        assert result.output == json.dumps(json.loads(result.output), indent=2) + "\n"
+
     def test_workers_flag(self, tmp_path):
         path = tmp_path / "inst.json"
         run("gen", "drisko", "--n", "4", "-o", str(path))
@@ -157,6 +170,7 @@ class TestExperiment:
         payload = json.loads(result.output)
         assert payload["counterexample_found"] is False
         assert payload["instances_checked"] == 2400
+        assert result.output == json.dumps(payload, indent=2) + "\n"
 
     def test_bad_mode_arguments_exit_two(self):
         assert run("experiment", "f", "--n", "3", "--m", "3", "--mode", "exhaustive").exit_code == 2
@@ -220,6 +234,16 @@ class TestVerifyTrace:
         result = run("verify-trace", "--in", str(path))
         assert result.exit_code == 2
         assert "invalid instance" in result.output
+
+    def test_repeated_instance_pair_exits_two(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        pairs = next(pairs for pairs in payload["instance"]["classes"] if pairs)
+        pairs.append(list(pairs[0]))
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "repeated pair" in result.output
 
     def test_negative_vertex_index_exits_two(self, tmp_path):
         payload = json.loads(self._trace_text())

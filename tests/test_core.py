@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rainbowbench.core import (
     ColourClass,
@@ -13,6 +13,7 @@ from rainbowbench.core import (
     RainbowMatching,
     Side,
     Vertex,
+    canonical_json,
     free_colour_zero,
     instance_from_json,
     instance_to_json,
@@ -222,6 +223,16 @@ class TestJsonFormats:
         with pytest.raises(ValueError, match=r"malformed matching JSON: repeated row \[0, 1, 1\]"):
             matching_from_json("[[0, 1, 1], [0, 1, 1]]")
 
+    def test_repeated_instance_pair_rejected(self):
+        # a repeated pair is malformed, not a smaller class
+        text = '{"n_colours": 1, "a_size": 1, "b_size": 1, "classes": [[[0, 0], [0, 0]]]}'
+        with pytest.raises(
+            ValueError, match=r"malformed instance JSON: colour 0: repeated pair \[0, 0\]"
+        ):
+            instance_from_json(text)
+        # library callers still get the distinct pairs
+        assert make_instance([[(0, 0), (0, 0)]]).classes[0].pairs == ((0, 0),)
+
     def test_instance_rows_must_be_integer_arrays(self):
         # ["01", [1.9, true]] must not be read as the edges a0b1 and a1b1
         for classes in ('[["01", [1.9, true]]]', "[[[0, 1.0]]]", "[[[0, 1, 2]]]", '{"0": []}'):
@@ -252,6 +263,55 @@ class TestJsonFormats:
                 classes.append(list(zip(a_part, b_part)))
             inst = make_instance(classes, a_size=10, b_size=10)
             assert instance_from_json(instance_to_json(inst)) == inst
+
+
+JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/[]{},: \n\t\r\x00\x1f\x7f\u00e9\u2603\U0001f600\ud800'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | JSON_TEXT
+)
+JSON_ROWS = st.lists(
+    st.one_of(st.integers(), st.lists(st.integers(), max_size=4)), max_size=5
+) | st.lists(st.lists(st.integers(min_value=-9, max_value=99), min_size=3, max_size=3), max_size=5)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | JSON_ROWS,
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(JSON_TEXT, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    @given(JSON_VALUES)
+    @example([])
+    @example({})
+    @example([[]])
+    @example([[], [1]])
+    @example([[1, 2], [3]])
+    @example([[1, 2], 3])
+    @example([[True, 1], [0, 1]])
+    @example({"a": [[0, 1, 2], [3, 4, 5]], "b": {"c": [], "d": [{}]}, "e": [None, False]})
+    def test_matches_json_dumps_indent_2(self, obj):
+        assert canonical_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [1.5, (1, 2), {1, 2}, [[1, 2.0]], [[0, 1], (2, 3)], {"a": {0}}, {1: "a"}],
+        ids=["float", "tuple", "set", "float-in-row", "tuple-row", "set-in-dict", "int-key"],
+    )
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
 
 
 class TestRepresentationPin:

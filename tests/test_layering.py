@@ -83,3 +83,39 @@ def test_guard_sees_direct_matching_constructions(tmp_path):
         "u = make_matching([])\n"
     )
     assert matching_constructions(probe) == [3, 4]
+
+
+def indented_dumps(path: Path) -> list[int]:
+    """Line of every dumps(...) call, bare or through a module attribute, given an indent."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "dumps" and any(kw.arg == "indent" for kw in node.keywords):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_only_core_writes_indented_json():
+    # core.canonical_json is the one indent-2 writer
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "core" and (lines := indented_dumps(path))
+    }
+    assert offenders == {}
+
+
+def test_guard_sees_indented_dumps(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import json\n"
+        "from json import dumps\n"
+        "a = json.dumps(x, indent=2)\n"
+        "b = dumps(x, indent=None)\n"
+        "c = json.dumps(x)\n"
+        "d = json.dumps(x, separators=(',', ':'))\n"
+    )
+    assert indented_dumps(probe) == [3, 4]

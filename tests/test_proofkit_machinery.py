@@ -576,6 +576,19 @@ class TestTraces:
         assert isinstance(trace.steps[-1], Augmented)
         assert verify_trace_json(trace_to_json(trace)) == []
 
+    def test_trace_json_with_failing_witnesses_is_json_dumps(self):
+        # witness strings are the only free text in a trace
+        forge = StateForge(random.Random(52), 7, 2, [1, 1])
+        st = forge.freeze()
+        g1 = st.g_seq[0]
+        bad = replace(st, g_seq=(ColouredEdge(g1.edge, st.pi[1]), *st.g_seq[1:]))
+        base = initial_state(st.inst, st.r, st.eps)
+        text = trace_to_json(Trace(st.inst, Mode.RELAXED, base, (Extended(bad),)))
+        payload = json.loads(text)
+        witnesses = [p["witness"] for p in payload["steps"][0]["properties"].values()]
+        assert any(isinstance(w, str) for w in witnesses)
+        assert text == json.dumps(payload, indent=2) + "\n"
+
     def test_initial_state_requires_free_colour_zero(self):
         inst = make_instance([[(0, 0)], [(1, 1)]])
         with pytest.raises(ValueError):
