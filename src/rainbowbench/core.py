@@ -175,9 +175,6 @@ class RainbowMatching:
     def sorted_edges(self) -> list[ColouredEdge]:
         return [ColouredEdge.of(c, a, b) for c, a, b in self.triples]
 
-    def with_edge(self, ce: ColouredEdge) -> "RainbowMatching":
-        return make_matching(self.triples + (ce.triple,))
-
 
 def make_instance(
     classes: Sequence[Iterable[tuple[int, int]]],

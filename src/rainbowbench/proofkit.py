@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Iterator, NamedTuple
 
 from .core import (
     ColouredEdge,
@@ -50,7 +51,6 @@ from .core import (
     make_matching,
     matching_rows,
     neighbourhood_along,  # unused here, but perfbench's tracer patches proofkit.neighbourhood_along
-    saturated_sets,
     va,
     validate_instance,
     vb,
@@ -148,8 +148,13 @@ def contradiction_threshold(eps: Epsilon) -> int:
 # --- the induction state --------------------------------------------------------
 
 
+def _show(t: tuple[int, int, int]) -> str:
+    """A triple as its ColouredEdge repr, for messages: a2b1@0."""
+    return repr(ColouredEdge.of(*t))
+
+
 class _Ints(NamedTuple):
-    """A state's integer view, built once per state: all the engine step reads of it."""
+    """What the engine reads of a state beyond its fields, built once per state."""
 
     x: frozenset[int]  # saturated A-indices
     y: frozenset[int]  # saturated B-indices
@@ -158,17 +163,16 @@ class _Ints(NamedTuple):
     r_at_b: dict[int, tuple[int, int, int]]  # the r-triple at each saturated B-index
     z: tuple[int, ...]  # z_1 .. z_k
     ys: tuple[int, ...]  # y_1 .. y_k
-    x_sets: tuple[frozenset[int], ...]  # X_1 .. X_k
-    y_sets: tuple[frozenset[int], ...]  # Y_1 .. Y_k
 
 
 @dataclass(frozen=True)
 class SwitchState:
     """Snapshot of the augmentation engine after k extension steps.
 
-    e_seq[i-1] is e_i = x_i y_i (an edge of r), g_seq[i-1] is g_i = z_i y_i
-    with z_i outside the saturated A-side, x_sets[i-1] / y_sets[i-1] are X_i /
-    Y_i, and pi[i] is the colour of e_i with pi[0] = 0. t is the step bound
+    e_seq[i-1] is e_i = x_i y_i (an edge of r) and g_seq[i-1] is g_i = z_i y_i
+    with z_i outside the saturated A-side, both as (colour, a_index, b_index)
+    triples. x_sets[i-1] / y_sets[i-1] are X_i / Y_i, as sets of A-indices and
+    B-indices. pi[i] is the colour of e_i with pi[0] = 0. t is the step bound
     derived from eps; strict mode is meaningful only for k within it.
     """
 
@@ -177,27 +181,18 @@ class SwitchState:
     eps: Epsilon
     t: int
     k: int
-    e_seq: tuple[ColouredEdge, ...]
-    g_seq: tuple[ColouredEdge, ...]
-    x_sets: tuple[frozenset[Vertex], ...]
-    y_sets: tuple[frozenset[Vertex], ...]
+    e_seq: tuple[tuple[int, int, int], ...]
+    g_seq: tuple[tuple[int, int, int], ...]
+    x_sets: tuple[frozenset[int], ...]
+    y_sets: tuple[frozenset[int], ...]
     pi: tuple[int, ...]
-
-    # -- derived views ------------------------------------------------------
-
-    def saturated(self) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-        return self._saturated
-
-    @cached_property
-    def _saturated(self) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-        # computed once per state; frozen dataclasses still allow this write
-        return saturated_sets(self.r)
 
     @cached_property
     def _ints(self) -> _Ints:
+        # computed once per state; frozen dataclasses still allow this write
         triples = self.r.triples
         x = frozenset(a for _, a, _ in triples)
-        z = tuple(g.a.index for g in self.g_seq)
+        z = tuple(a for _, a, _ in self.g_seq)
         return _Ints(
             x=x,
             y=frozenset(b for _, _, b in triples),
@@ -205,22 +200,8 @@ class SwitchState:
             r_at_a={t[1]: t for t in triples},
             r_at_b={t[2]: t for t in triples},
             z=z,
-            ys=tuple(e.b.index for e in self.e_seq),
-            x_sets=tuple(frozenset(v.index for v in s) for s in self.x_sets),
-            y_sets=tuple(frozenset(v.index for v in s) for s in self.y_sets),
+            ys=tuple(b for _, _, b in self.e_seq),
         )
-
-    def x_of(self, i: int) -> Vertex:
-        """x_i, the A-endpoint of e_i (1-based)."""
-        return self.e_seq[i - 1].a
-
-    def y_of(self, i: int) -> Vertex:
-        """y_i, the shared B-endpoint of e_i and g_i (1-based)."""
-        return self.e_seq[i - 1].b
-
-    def zs(self, upto: int) -> frozenset[Vertex]:
-        """{z_1 .. z_upto}."""
-        return frozenset(self.g_seq[i].a for i in range(upto))
 
     def pi_index(self, colour: int) -> int | None:
         """i with pi(i) == colour, or None."""
@@ -236,9 +217,9 @@ def _initial_defect(inst: Instance, r: RainbowMatching) -> str | None:
         return "r is not a rainbow matching"
     for c, a, b in r.triples:
         if not 0 <= c < inst.n_colours:
-            return f"edge {ColouredEdge.of(c, a, b)!r} has a colour outside the instance"
+            return f"edge {_show((c, a, b))} has a colour outside the instance"
         if (a, b) not in inst.classes[c].pairs:
-            return f"edge {ColouredEdge.of(c, a, b)!r} does not belong to its colour class"
+            return f"edge {_show((c, a, b))} does not belong to its colour class"
     if 0 in r.colours():
         return "colour 0 must be unused by r; relabel first"
     return None
@@ -281,22 +262,22 @@ def state_violations(st: SwitchState) -> list[str]:
     n = st.inst.n_colours
     if any(not 0 <= c < n for c in st.pi) or any(not 0 <= c < n for c in st.r.colours()):
         out.append(f"pi or r uses a colour outside the instance's 0..{n - 1}")
-    X, Y = st.saturated()
+    ix = st._ints
     if len(set(st.e_seq)) != k:
         out.append("e_i are not pairwise distinct")
     if len(set(st.g_seq)) != k:
         out.append("g_i are not pairwise distinct")
     for i in range(1, k + 1):
         e, g = st.e_seq[i - 1], st.g_seq[i - 1]
-        if e not in st.r:
-            out.append(f"e_{i}={e!r} is not an edge of r")
-        if g.b != e.b:
-            out.append(f"g_{i}={g!r} does not share its B-endpoint with e_{i}={e!r}")
-        if g.a in X:
-            out.append(f"z_{i}={g.a!r} is saturated by r")
-        if not st.x_sets[i - 1] <= X:
+        if e not in st.r.triples:
+            out.append(f"e_{i}={_show(e)} is not an edge of r")
+        if g[2] != e[2]:
+            out.append(f"g_{i}={_show(g)} does not share its B-endpoint with e_{i}={_show(e)}")
+        if g[1] in ix.x:
+            out.append(f"z_{i}={va(g[1])!r} is saturated by r")
+        if not st.x_sets[i - 1] <= ix.x:
             out.append(f"X_{i} is not a subset of the saturated A-side")
-        if not st.y_sets[i - 1] <= Y:
+        if not st.y_sets[i - 1] <= ix.y:
             out.append(f"Y_{i} is not a subset of the saturated B-side")
     return out
 
@@ -342,7 +323,6 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     if bad:
         raise ValueError("structurally invalid state: " + "; ".join(bad))
     inst, k = st.inst, st.k
-    X, _ = st.saturated()
     ix = st._ints
     n = inst.n_colours
 
@@ -350,8 +330,8 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     p1_ok, p1_w = True, None
     for i in range(1, k + 1):
         e = st.e_seq[i - 1]
-        if e.colour != st.pi[i] or e.edge.pair not in inst.classes[st.pi[i]].pairs:
-            p1_ok, p1_w = False, f"e_{i}={e!r} not in class pi({i})={st.pi[i]}"
+        if e[0] != st.pi[i] or e[1:] not in inst.classes[st.pi[i]].pairs:
+            p1_ok, p1_w = False, f"e_{i}={_show(e)} not in class pi({i})={st.pi[i]}"
             break
 
     # P2: g_i in the union of classes pi(0)..pi(i-1)
@@ -359,8 +339,8 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     for i in range(1, k + 1):
         g = st.g_seq[i - 1]
         prior = set(st.pi[:i])
-        if g.colour not in prior or g.edge.pair not in inst.classes[g.colour].pairs:
-            p2_ok, p2_w = False, f"g_{i}={g!r} not in classes pi(0..{i - 1})"
+        if g[0] not in prior or g[1:] not in inst.classes[g[0]].pairs:
+            p2_ok, p2_w = False, f"g_{i}={_show(g)} not in classes pi(0..{i - 1})"
             break
 
     # P3: endpoints of e_1..e_k avoid X_k and Y_k
@@ -368,12 +348,12 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     if k >= 1:
         Xk, Yk = st.x_sets[k - 1], st.y_sets[k - 1]
         for i in range(1, k + 1):
-            e = st.e_seq[i - 1]
-            if e.a in Xk:
-                p3_ok, p3_w = False, f"x_{i}={e.a!r} lies in X_{k}"
+            _, a, b = st.e_seq[i - 1]
+            if a in Xk:
+                p3_ok, p3_w = False, f"x_{i}={va(a)!r} lies in X_{k}"
                 break
-            if e.b in Yk:
-                p3_ok, p3_w = False, f"y_{i}={e.b!r} lies in Y_{k}"
+            if b in Yk:
+                p3_ok, p3_w = False, f"y_{i}={vb(b)!r} lies in Y_{k}"
                 break
 
     # P4: |X_k| = |Y_k| (= ceil(s_k) in strict mode)
@@ -392,15 +372,15 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     for i in range(1, k + 1):
         if not p5_ok:
             break
-        Xi, Yi = ix.x_sets[i - 1], ix.y_sets[i - 1]
-        xi = st.x_of(i)
+        Xi, Yi = st.x_sets[i - 1], st.y_sets[i - 1]
+        xi = st.e_seq[i - 1][1]
         for c, a, b in st.r.triples:
             if a in Xi and b in Yi:
-                if _class_edge_at(st, c, xi.index, True, ix.y) is None:
+                if _class_edge_at(st, c, xi, True, ix.y) is None:
                     p5_ok, p5_w = (
                         False,
                         f"class {c} meets r in X_{i} x Y_{i} but has no edge "
-                        f"from x_{i}={xi!r} into B minus Y",
+                        f"from x_{i}={va(xi)!r} into B minus Y",
                     )
                     break
 
@@ -409,9 +389,9 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     for i in range(1, k + 1):
         if not p6_ok:
             break
-        prev = ix.y_sets[i - 2] if i >= 2 else frozenset()
+        prev = st.y_sets[i - 2] if i >= 2 else frozenset()
         banned = ix.x.union(ix.z[: i - 1])
-        for w in sorted(ix.y_sets[i - 1] - prev):
+        for w in sorted(st.y_sets[i - 1] - prev):
             if _class_edge_at(st, st.pi[i - 1], w, False, banned) is None:
                 p6_ok, p6_w = (
                     False,
@@ -424,12 +404,11 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     for i in range(1, k + 1):
         if not p7_ok:
             break
-        g = st.g_seq[i - 1]
+        colour, zi, _ = st.g_seq[i - 1]
         for j in range(1, i):
-            if g.colour == st.pi[j]:
-                zi = g.a
-                if zi in X or zi in st.zs(j):
-                    p7_ok, p7_w = False, f"z_{i}={zi!r} collides with X or z_1..z_{j}"
+            if colour == st.pi[j]:
+                if zi in ix.x or zi in ix.z[:j]:
+                    p7_ok, p7_w = False, f"z_{i}={va(zi)!r} collides with X or z_1..z_{j}"
                 break
 
     checks = (
@@ -458,9 +437,9 @@ def colour_chain(st: SwitchState, i: int) -> list[int]:
     cur = i
     while True:
         g = st.g_seq[cur - 1]
-        j = st.pi_index(g.colour)
+        j = st.pi_index(g[0])
         if j is None or j >= cur:
-            raise ChainError(f"g_{cur}={g!r} lies in no earlier class; chain broken")
+            raise ChainError(f"g_{cur}={_show(g)} lies in no earlier class; chain broken")
         chain.append(j)
         if j == 0:
             return chain
@@ -470,8 +449,10 @@ def colour_chain(st: SwitchState, i: int) -> list[int]:
 # --- the three exchange operations ----------------------------------------------
 
 
-def _chain_members(st: SwitchState, start: int) -> tuple[list[ColouredEdge], list[ColouredEdge]]:
-    """Removed e-edges and added g-edges for the chain rooted at index `start`."""
+def _chain_members(
+    st: SwitchState, start: int
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """Removed e-triples and added g-triples for the chain rooted at index `start`."""
     chain = colour_chain(st, start)
     removed = [st.e_seq[start - 1]] + [st.e_seq[j - 1] for j in chain[:-1]]
     added = [st.g_seq[start - 1]] + [st.g_seq[j - 1] for j in chain[:-1]]
@@ -479,13 +460,13 @@ def _chain_members(st: SwitchState, start: int) -> tuple[list[ColouredEdge], lis
 
 
 def _apply_exchange(
-    st: SwitchState, removed: Sequence[ColouredEdge], added: Sequence[ColouredEdge]
+    st: SwitchState, removed: list[tuple[int, int, int]], added: list[tuple[int, int, int]]
 ) -> RainbowMatching:
     for e in removed:
-        if e not in st.r:
-            raise SwitchIntegrityError(f"cannot remove {e!r}: not an edge of r")
-    gone = {e.triple for e in removed}
-    result = make_matching([t for t in st.r.triples if t not in gone] + [g.triple for g in added])
+        if e not in st.r.triples:
+            raise SwitchIntegrityError(f"cannot remove {_show(e)}: not an edge of r")
+    gone = set(removed)
+    result = make_matching([t for t in st.r.triples if t not in gone] + added)
     if not is_rainbow(result) or len(result) != len(st.r) + 1:
         raise SwitchIntegrityError(
             f"exchange produced an invalid matching (size {len(result)}, expected "
@@ -512,7 +493,7 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     if g.b.index in ix.y:
         raise ValueError(f"g={g!r} must end outside Y")
     removed, added = _chain_members(st, k)
-    return _apply_exchange(st, removed, added + [g])
+    return _apply_exchange(st, removed, added + [g.triple])
 
 
 def claim2_switch(
@@ -533,11 +514,11 @@ def claim2_switch(
         raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[k]}")
     if g.a.index in ix.xz:
         raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
-    if g.b.index not in ix.y_sets[k - 1]:
+    if g.b.index not in st.y_sets[k - 1]:
         raise ValueError(f"g={g!r} must end in Y_{k}")
     if e not in st.r or e.b != g.b:
         raise ValueError(f"e={e!r} must be the r-edge adjacent to g")
-    if e.a.index not in ix.x_sets[k - 1]:
+    if e.a.index not in st.x_sets[k - 1]:
         raise ValueError(f"e={e!r} must lie between X_{k} and Y_{k}")
     if e.colour in st.pi:
         raise ValueError(f"e's colour {e.colour} must avoid the pi image")
@@ -545,10 +526,10 @@ def claim2_switch(
         raise ValueError(f"e_bar colour {e_bar.colour} does not match e's colour {e.colour}")
     if e_bar.edge.pair not in st.inst.classes[e_bar.colour].pairs:
         raise ValueError(f"e_bar={e_bar!r} is not an edge of its class")
-    if e_bar.a != st.x_of(k) or e_bar.b.index in ix.y:
+    if e_bar.a.index != st.e_seq[k - 1][1] or e_bar.b.index in ix.y:
         raise ValueError(f"e_bar={e_bar!r} must join x_{k} to B minus Y")
     removed, added = _chain_members(st, k)
-    return _apply_exchange(st, removed + [e], added + [e_bar, g])
+    return _apply_exchange(st, removed + [e.triple], added + [e_bar.triple, g.triple])
 
 
 def claim3_switch(
@@ -570,6 +551,8 @@ def claim3_switch(
         raise ValueError(f"f's colour {f.colour} must avoid the pi image")
     if zw.b != f.b:
         raise ValueError(f"zw={zw!r} must share f's B-endpoint {f.b!r}")
+    if not 0 <= zw.colour < st.inst.n_colours:
+        raise ValueError(f"zw={zw!r} has a colour outside the instance")
     if zw.edge.pair not in st.inst.classes[zw.colour].pairs:
         raise ValueError(f"zw={zw!r} is not an edge of its class")
     p = st.pi_index(zw.colour)
@@ -580,7 +563,7 @@ def claim3_switch(
     w, z_a = f.b, zw.a.index
     if p == k and k >= 1:
         # fresh-pool subcase: w must avoid Y_k and all y_i, zw must start outside X u z's
-        if w.index in ix.y_sets[k - 1] or w.index in ix.ys:
+        if w.index in st.y_sets[k - 1] or w.index in ix.ys:
             raise ValueError(f"subcase undeterminable: w={w!r} not in the fresh pool shape")
         if z_a in ix.xz:
             raise ValueError(f"zw={zw!r} must start outside X and z_1..z_k")
@@ -592,9 +575,9 @@ def claim3_switch(
         removed, added = [], []
     else:
         # w in Y_{p+1} \ Y_p, zw in class pi(p)
-        if w.index not in ix.y_sets[p]:
+        if w.index not in st.y_sets[p]:
             raise ValueError(f"subcase undeterminable: w={w!r} not in Y_{p + 1}")
-        if p >= 1 and w.index in ix.y_sets[p - 1]:
+        if p >= 1 and w.index in st.y_sets[p - 1]:
             raise ValueError(f"w={w!r} already in Y_{p}; zw names the wrong increment")
         if z_a in ix.x or z_a in ix.z[:p]:
             raise ValueError(f"zw={zw!r} must start outside X and z_1..z_{p}")
@@ -607,7 +590,7 @@ def claim3_switch(
         raise ValueError(f"f_bar={f_bar!r} must start outside X, z_1..z_k and zw's endpoint")
     if f_bar.b.index in ix.y:
         raise ValueError(f"f_bar={f_bar!r} must end outside Y")
-    return _apply_exchange(st, removed + [f], added + [f_bar, zw])
+    return _apply_exchange(st, removed + [f.triple], added + [f_bar.triple, zw.triple])
 
 
 # --- pool constructions ----------------------------------------------------------
@@ -629,7 +612,7 @@ def _fresh_pool(st: SwitchState, mode: Mode) -> frozenset[int]:
     smallest B-indices.
     """
     ix, k = st._ints, st.k
-    banned_b = ix.y_sets[k - 1].union(ix.ys) if k >= 1 else frozenset()
+    banned_b = st.y_sets[k - 1].union(ix.ys) if k >= 1 else frozenset()
     pool = sorted(
         {
             b
@@ -772,8 +755,8 @@ def _zw_for(st: SwitchState, w: int, n_pool: AbstractSet[int]) -> tuple[int, int
     ix, k = st._ints, st.k
     if w in n_pool:
         colour, banned = st.pi[k], ix.xz
-    elif k >= 1 and w in ix.y_sets[k - 1]:
-        i = next(i for i in range(1, k + 1) if w in ix.y_sets[i - 1])
+    elif k >= 1 and w in st.y_sets[k - 1]:
+        i = next(i for i in range(1, k + 1) if w in st.y_sets[i - 1])
         colour, banned = st.pi[i - 1], ix.x.union(ix.z[: i - 1])
     else:
         return None
@@ -794,12 +777,12 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
     for a, b in pairs:
         if a not in ix.xz and b not in ix.y:
             return claim1_switch(st, ColouredEdge.of(colour_k, a, b))
-    x_k = st.x_of(k).index
+    x_k = st.e_seq[k - 1][1]
     for a, b in pairs:
-        if a in ix.xz or b not in ix.y_sets[k - 1]:
+        if a in ix.xz or b not in st.y_sets[k - 1]:
             continue
         e = ix.r_at_b.get(b)
-        if e is None or e[1] not in ix.x_sets[k - 1] or e[0] in st.pi:
+        if e is None or e[1] not in st.x_sets[k - 1] or e[0] in st.pi:
             continue  # hand-built states may lack the paired structure; not a witness
         e_bar = _class_edge_at(st, e[0], x_k, True, ix.y)
         if e_bar is None:
@@ -856,7 +839,7 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
             f"pool size (1/2 + eps)*n + 1 - 2k = {_pool_formula(st)}", required, len(n_pool)
         )
     ix = st._ints
-    y_prime = ix.y_sets[st.k - 1] | n_pool if st.k >= 1 else n_pool
+    y_prime = st.y_sets[st.k - 1] | n_pool if st.k >= 1 else n_pool
     x_prime = {ix.r_at_b[b][1] for b in y_prime if b in ix.r_at_b}
     augmented = _claim3_augment(st, n_pool, x_prime, y_prime)
     if augmented is not None:
@@ -873,10 +856,10 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
             replace(
                 st,
                 k=st.k + 1,
-                e_seq=st.e_seq + (ColouredEdge.of(*e_next),),
-                g_seq=st.g_seq + (ColouredEdge.of(*g_next),),
-                x_sets=st.x_sets + (frozenset(va(a) for a in X_next),),
-                y_sets=st.y_sets + (frozenset(vb(b) for b in Y_next),),
+                e_seq=st.e_seq + (e_next,),
+                g_seq=st.g_seq + (g_next,),
+                x_sets=st.x_sets + (X_next,),
+                y_sets=st.y_sets + (Y_next,),
                 pi=st.pi + (e_next[0],),
             )
         )
@@ -937,28 +920,48 @@ def _state_payload(st: SwitchState) -> dict:
         "eps": str(st.eps.value),
         "t": st.t,
         "k": st.k,
-        "e_seq": [list(ce.triple) for ce in st.e_seq],
-        "g_seq": [list(ce.triple) for ce in st.g_seq],
-        "x_sets": [sorted(v.index for v in s) for s in st.x_sets],
-        "y_sets": [sorted(v.index for v in s) for s in st.y_sets],
+        "e_seq": [list(t) for t in st.e_seq],
+        "g_seq": [list(t) for t in st.g_seq],
+        "x_sets": [sorted(s) for s in st.x_sets],
+        "y_sets": [sorted(s) for s in st.y_sets],
         "pi": list(st.pi),
     }
 
 
+# the shape of str(Fraction): checked first, so Fraction never evaluates an
+# exponent ("1e10000000" takes seconds) or divides by zero
+_FRACTION = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _eps_from_json(value: object) -> Epsilon:
+    """eps as _state_payload writes it, str(eps.value); ValueError on anything else."""
+    if not (type(value) is str and _FRACTION.fullmatch(value) and str(Fraction(value)) == value):
+        raise ValueError(f"eps must be a canonical fraction string, got {value!r}")
+    return Epsilon(Fraction(value))
+
+
+def _json_index(value: object) -> int:
+    """A decoded JSON vertex index: a non-negative integer, nothing coerced."""
+    index = json_int(value)
+    if index < 0:
+        raise ValueError(f"vertex index must be non-negative, got {index}")
+    return index
+
+
 def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
-    def ces(rows) -> tuple[ColouredEdge, ...]:
-        return tuple(ColouredEdge.of(c, a, b) for c, a, b in int_rows(rows, 3))
+    def edges(rows) -> tuple[tuple[int, int, int], ...]:
+        return tuple((c, _json_index(a), _json_index(b)) for c, a, b in int_rows(rows, 3))
 
     return SwitchState(
         inst=inst,
         r=make_matching(matching_rows(payload["r"])),
-        eps=Epsilon(Fraction(payload["eps"])),
+        eps=_eps_from_json(payload["eps"]),
         t=json_int(payload["t"]),
         k=json_int(payload["k"]),
-        e_seq=ces(payload["e_seq"]),
-        g_seq=ces(payload["g_seq"]),
-        x_sets=tuple(frozenset(va(json_int(i)) for i in s) for s in payload["x_sets"]),
-        y_sets=tuple(frozenset(vb(json_int(i)) for i in s) for s in payload["y_sets"]),
+        e_seq=edges(payload["e_seq"]),
+        g_seq=edges(payload["g_seq"]),
+        x_sets=tuple(frozenset(map(_json_index, s)) for s in payload["x_sets"]),
+        y_sets=tuple(frozenset(map(_json_index, s)) for s in payload["y_sets"]),
         pi=tuple(json_int(c) for c in payload["pi"]),
     )
 
@@ -1089,9 +1092,8 @@ def verify_trace_json(text: str) -> list[str]:
                 f"expected {len(base.r) + 1}"
             )
         else:
-            for ce in out.matching.sorted_edges():
-                if not (0 <= ce.colour < inst.n_colours
-                        and ce.edge.pair in inst.classes[ce.colour].pairs):
-                    failures.append(f"step {idx}: augmented edge {ce!r} not in its class")
+            for t in out.matching.triples:
+                if not (0 <= t[0] < inst.n_colours and t[1:] in inst.classes[t[0]].pairs):
+                    failures.append(f"step {idx}: augmented edge {_show(t)} not in its class")
                     break
     return failures

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from rainbowbench.core import ColouredEdge, make_instance, make_matching, va, vb
+from rainbowbench.core import ColouredEdge, make_instance, make_matching
 from rainbowbench.proofkit import Epsilon, SwitchState, smallest_t
 
 
@@ -47,7 +47,7 @@ class StateForge:
         images = rng.sample(range(1, n), k)
         self.pi = [0] + images
         # e_i = r-edge of colour pi(i); z_i = a-index n - 1 + i... keep n + i - 1
-        self.e_seq = [ColouredEdge.of(self.pi[i], self.pi[i], self.pi[i]) for i in range(1, k + 1)]
+        self.e_seq = [(self.pi[i], self.pi[i], self.pi[i]) for i in range(1, k + 1)]
         self.z_index = [n + i for i in range(k)]  # z_1 .. z_k
         # chain structure: g_i lies in class pi(c_i) with c_i < i
         if chain_src is None:
@@ -60,7 +60,7 @@ class StateForge:
             a = self.z_index[i - 1]
             b = self.pi[i]  # y_i = b_{pi(i)}
             self.class_pairs[colour].add((a, b))
-            self.g_seq.append(ColouredEdge.of(colour, a, b))
+            self.g_seq.append((colour, a, b))
         # nested pools from non-pi colours
         free_colours = [c for c in range(1, n) if c not in self.pi]
         rng.shuffle(free_colours)
@@ -225,8 +225,8 @@ class StateForge:
             k=self.k,
             e_seq=tuple(self.e_seq),
             g_seq=tuple(self.g_seq),
-            x_sets=tuple(frozenset(va(c) for c in s) for s in self.y_sets),
-            y_sets=tuple(frozenset(vb(c) for c in s) for s in self.y_sets),
+            x_sets=tuple(frozenset(s) for s in self.y_sets),
+            y_sets=tuple(frozenset(s) for s in self.y_sets),
             pi=tuple(self.pi),
         )
 

@@ -263,6 +263,16 @@ class TestVerifyTrace:
         assert result.exit_code == 2
         assert "expected an integer" in result.output
 
+    def test_non_canonical_eps_exits_two(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        for state in [payload["base_state"]] + [step["state"] for step in payload["steps"]]:
+            state["eps"] = 1.0
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "eps must be a canonical fraction string" in result.output
+
     def test_base_state_initial_state_cannot_build_exits_one(self, tmp_path):
         payload = json.loads(self._trace_text())
         payload["steps"] = []

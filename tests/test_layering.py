@@ -1,9 +1,11 @@
-"""Module boundaries inside the package, checked on the source with ast."""
+"""Module boundaries inside the package, checked on the source with ast and on type hints."""
 
 import ast
+import typing
 from pathlib import Path
 
 import rainbowbench
+from rainbowbench.proofkit import SwitchState
 
 PACKAGE_DIR = Path(rainbowbench.__file__).parent
 SIBLINGS = {path.stem for path in PACKAGE_DIR.glob("*.py")}
@@ -119,3 +121,15 @@ def test_guard_sees_indented_dumps(tmp_path):
         "d = json.dumps(x, separators=(',', ':'))\n"
     )
     assert indented_dumps(probe) == [3, 4]
+
+
+def test_switch_state_fields_are_integers():
+    # Vertex and ColouredEdge values are built at the public boundary only
+    hints = typing.get_type_hints(SwitchState)
+    assert set(hints) >= {"e_seq", "g_seq", "x_sets", "y_sets", "pi"}
+    offenders = {
+        name: hint
+        for name, hint in hints.items()
+        if "Vertex" in repr(hint) or "ColouredEdge" in repr(hint)
+    }
+    assert offenders == {}

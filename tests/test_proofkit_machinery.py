@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,6 @@ from rainbowbench.core import (
     is_rainbow,
     make_instance,
     make_matching,
-    saturated_sets,
     va,
     vb,
 )
@@ -60,8 +60,8 @@ def worked_claim1_state() -> SwitchState:
         eps=EPS1,
         t=1,
         k=1,
-        e_seq=(ColouredEdge.of(1, 1, 1),),
-        g_seq=(ColouredEdge.of(0, 2, 1),),
+        e_seq=((1, 1, 1),),
+        g_seq=((0, 2, 1),),
         x_sets=(frozenset(),),
         y_sets=(frozenset(),),
         pi=(0, 1),
@@ -75,14 +75,14 @@ class TestVerifyProperties:
 
     def test_recoloured_g_fails_p2(self):
         st = worked_claim1_state()
-        bad = replace(st, g_seq=(ColouredEdge.of(1, 2, 1),))
+        bad = replace(st, g_seq=((1, 2, 1),))
         report = verify_properties(bad)
         assert report.failed() == ("P2",)
         assert "g_1" in report["P2"].witness
 
     def test_y1_containing_y1_fails_p3(self):
         st = worked_claim1_state()
-        bad = replace(st, y_sets=(frozenset({vb(1)}),))
+        bad = replace(st, y_sets=(frozenset({1}),))
         report = verify_properties(bad)
         assert "P3" in report.failed()
         assert "b1" in report["P3"].witness
@@ -136,7 +136,7 @@ class TestColourChain:
 
     def test_broken_chain_raises(self):
         st = worked_claim1_state()
-        bad = replace(st, g_seq=(ColouredEdge.of(1, 2, 1),))
+        bad = replace(st, g_seq=((1, 2, 1),))
         with pytest.raises(ChainError):
             colour_chain(bad, 1)
 
@@ -155,8 +155,8 @@ class TestClaim1Switch:
         out = claim1_switch(st, g)
         assert is_rainbow(out) and len(out) == len(st.r) + 1
         # chain [1, 0]: e_2 and e_1 leave, g_2, g_1 and g enter
-        assert st.e_seq[0] not in out and st.e_seq[1] not in out
-        assert st.g_seq[0] in out and st.g_seq[1] in out and g in out
+        assert st.e_seq[0] not in out.triples and st.e_seq[1] not in out.triples
+        assert st.g_seq[0] in out.triples and st.g_seq[1] in out.triples and g in out
 
     def test_precondition_violations(self):
         st = worked_claim1_state()
@@ -177,10 +177,10 @@ class TestClaim2Switch:
             eps=EPS1,
             t=1,
             k=1,
-            e_seq=(ColouredEdge.of(1, 1, 1),),
-            g_seq=(ColouredEdge.of(0, 4, 1),),
-            x_sets=(frozenset({va(2)}),),
-            y_sets=(frozenset({vb(2)}),),
+            e_seq=((1, 1, 1),),
+            g_seq=((0, 4, 1),),
+            x_sets=(frozenset({2}),),
+            y_sets=(frozenset({2}),),
             pi=(0, 1),
         )
         out = claim2_switch(
@@ -198,10 +198,10 @@ class TestClaim2Switch:
             eps=EPS1,
             t=1,
             k=1,
-            e_seq=(ColouredEdge.of(1, 1, 1),),
-            g_seq=(ColouredEdge.of(0, 4, 1),),
-            x_sets=(frozenset({va(2)}),),
-            y_sets=(frozenset({vb(2)}),),
+            e_seq=((1, 1, 1),),
+            g_seq=((0, 4, 1),),
+            x_sets=(frozenset({2}),),
+            y_sets=(frozenset({2}),),
             pi=(0, 1),
         )
         with pytest.raises(ValueError):
@@ -229,10 +229,10 @@ class TestClaim3Switch:
             eps=EPS1,
             t=1,
             k=1,
-            e_seq=(ColouredEdge.of(1, 1, 1),),
-            g_seq=(ColouredEdge.of(0, 5, 1),),
-            x_sets=(frozenset({va(2)}),),
-            y_sets=(frozenset({vb(2)}),),
+            e_seq=((1, 1, 1),),
+            g_seq=((0, 5, 1),),
+            x_sets=(frozenset({2}),),
+            y_sets=(frozenset({2}),),
             pi=(0, 1),
         )
         out = claim3_switch(
@@ -250,8 +250,8 @@ class TestClaim3Switch:
             eps=EPS1,
             t=1,
             k=1,
-            e_seq=(ColouredEdge.of(1, 1, 1),),
-            g_seq=(ColouredEdge.of(0, 5, 1),),
+            e_seq=((1, 1, 1),),
+            g_seq=((0, 5, 1),),
             x_sets=(frozenset(),),
             y_sets=(frozenset(),),
             pi=(0, 1),
@@ -272,6 +272,16 @@ class TestClaim3Switch:
         st = forge.freeze()
         with pytest.raises(ValueError, match="subcase"):
             claim3_switch(st, f, f_bar, zw_bad)
+
+    @pytest.mark.parametrize("offset", [0, 5, None], ids=["n", "n+5", "minus-1"])
+    def test_zw_colour_outside_the_instance_rejected(self, offset):
+        # checked before the colour indexes a class; -1 would read the last one
+        forge = random_forge(random.Random(4), min_pool=1)
+        f, f_bar, zw = forge.plant_claim3("pool")
+        st = forge.freeze()
+        colour = -1 if offset is None else st.inst.n_colours + offset
+        with pytest.raises(ValueError, match="colour outside the instance"):
+            claim3_switch(st, f, f_bar, replace(zw, colour=colour))
 
 
 class TestPoolConstruction:
@@ -310,8 +320,9 @@ class TestPoolConstruction:
         st = forge.freeze()
         pool = construct_Nk(st)
         assert zw.b in pool
-        assert not pool & st.y_sets[st.k - 1]
-        assert all(st.y_of(i) not in pool for i in range(1, st.k + 1))
+        pool_idx = {v.index for v in pool}
+        assert not pool_idx & st.y_sets[st.k - 1]
+        assert all(b not in pool_idx for _, _, b in st.e_seq)
 
     def test_strict_truncation_count(self):
         # eps = 1/12, n = 12, k = 1: pool threshold = (1/2 + 1/12)*12 + 1 - 2 = 6
@@ -346,7 +357,7 @@ class TestPigeonholeSelect:
         c_star = forge.plant_extension()
         st = forge.freeze()
         pool = construct_Nk(st)
-        y_prime = st.y_sets[st.k - 1] | pool
+        y_prime = frozenset(vb(b) for b in st.y_sets[st.k - 1]) | pool
         x_prime = frozenset(va(v.index) for v in y_prime)
         x_next, X_next, Y_next = pigeonhole_select(st, x_prime, y_prime)
         assert x_next == va(c_star)
@@ -398,13 +409,12 @@ class TestPigeonholeSelect:
                     forge.add_edge(c, other, forge.fresh_b())
         st = forge.freeze()
         pool = construct_Nk(st)
-        y_prime = st.y_sets[0] | pool
+        y_prime = frozenset(vb(b) for b in st.y_sets[0]) | pool
         x_prime = frozenset(va(v.index) for v in y_prime)
         x_next, X_next, Y_next = pigeonhole_select(st, x_prime, y_prime, Mode.STRICT)
         assert len(X_next) == 5  # ceil(s_2) exactly, in strict mode
         assert x_next not in X_next
-        _, Y = st.saturated()
-        y_idx = {v.index for v in Y}
+        y_idx = {b for _, _, b in st.r.triples}
         for ce in st.r.sorted_edges():
             if ce.a in X_next and ce.b in Y_next:
                 assert any(
@@ -580,8 +590,8 @@ class TestTraces:
         # witness strings are the only free text in a trace
         forge = StateForge(random.Random(52), 7, 2, [1, 1])
         st = forge.freeze()
-        g1 = st.g_seq[0]
-        bad = replace(st, g_seq=(ColouredEdge(g1.edge, st.pi[1]), *st.g_seq[1:]))
+        _, a, b = st.g_seq[0]
+        bad = replace(st, g_seq=((st.pi[1], a, b), *st.g_seq[1:]))
         base = initial_state(st.inst, st.r, st.eps)
         text = trace_to_json(Trace(st.inst, Mode.RELAXED, base, (Extended(bad),)))
         payload = json.loads(text)
@@ -647,6 +657,30 @@ class TestTraceChain:
         payload = two_step_trace()
         payload["steps"][0]["state"]["eps"] = "1/2"
         assert "step 0: chain broken: eps differs from the base state's" in verify(payload)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [1, 1.0, True, "1.0", " 1 ", "2/2", "01", "1/0", "1e0", None],
+        ids=["int", "float", "bool", "decimal", "padded", "unreduced", "leading-zero",
+             "zero-denominator", "exponent", "null"],
+    )
+    def test_eps_must_be_a_canonical_fraction_string(self, eps):
+        # what _state_payload writes is str(eps.value); "1" would verify
+        payload = two_step_trace()
+        for state in [payload["base_state"]] + [step["state"] for step in payload["steps"]]:
+            assert state["eps"] == "1"
+            state["eps"] = eps
+        with pytest.raises(ValueError, match="eps must be a canonical fraction string"):
+            verify(payload)
+
+    def test_eps_exponent_is_never_evaluated(self):
+        # Fraction("1e10000000") computes 10**10000000, seconds of CPU, before any check
+        payload = two_step_trace()
+        payload["base_state"]["eps"] = "1e10000000"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="eps must be a canonical fraction string"):
+            verify(payload)
+        assert time.perf_counter() - start < 2
 
     def test_base_must_be_a_k0_state(self):
         payload = two_step_trace()
@@ -767,6 +801,17 @@ class TestTraceChain:
         with pytest.raises(ValueError, match="step 0: expected an integer, got"):
             verify(payload)
 
+    @pytest.mark.parametrize("field", ["e_seq", "g_seq", "x_sets", "y_sets"])
+    def test_state_vertex_indices_must_be_non_negative(self, field):
+        payload = two_step_trace()
+        state = payload["steps"][0]["state"]
+        if field in ("e_seq", "g_seq"):
+            state[field][0][1] = -1
+        else:
+            state[field][0][0] = -1
+        with pytest.raises(ValueError, match="step 0: vertex index must be non-negative, got -1"):
+            verify(payload)
+
     def test_augmentation_after_a_dead_end_is_rejected(self):
         # the run stopped at k = 2 because the fresh pool is empty; a valid
         # optimum appended as its augmentation is still not an engine step
@@ -843,9 +888,10 @@ class TestStateImmutability:
         assert (st.e_seq, st.g_seq, st.x_sets, st.y_sets, st.pi, st.r) == before
 
     def test_saturation_is_computed_once_per_state(self, monkeypatch):
-        real = saturated_sets
+        # the saturated index sets live in the one integer view of a state
+        real = proofkit._Ints
         calls = []
-        monkeypatch.setattr(proofkit, "saturated_sets", lambda r: calls.append(r) or real(r))
+        monkeypatch.setattr(proofkit, "_Ints", lambda **view: calls.append(view) or real(**view))
         states = [random_forge(random.Random(seed)).freeze() for seed in range(20)]
         for st in states:
             verify_properties(st)
