@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 
 class Side(Enum):
@@ -370,11 +370,11 @@ def int_rows(rows: object, width: int) -> list[tuple[int, ...]]:
     return [tuple(row) for row in rows]
 
 
-def _reject_repeats(rows: list[tuple[int, ...]], what: str) -> None:
-    """ValueError "<what> [..]" naming the first repeated row, if any."""
+def reject_repeats(rows: Sequence[Hashable], what: str) -> None:
+    """ValueError "<what> <row as JSON>" naming the first repeated row or index, if any."""
     if len(set(rows)) < len(rows):
         repeated = next(t for i, t in enumerate(rows) if t in rows[:i])
-        raise ValueError(f"{what} {list(repeated)}")
+        raise ValueError(f"{what} {json.dumps(repeated)}")
 
 
 def matching_rows(rows: object) -> list[tuple[int, ...]]:
@@ -383,7 +383,7 @@ def matching_rows(rows: object) -> list[tuple[int, ...]]:
     A repeated row is malformed, not a smaller matching: ValueError.
     """
     triples = int_rows(rows, 3)
-    _reject_repeats(triples, "repeated row")
+    reject_repeats(triples, "repeated row")
     return triples
 
 
@@ -478,7 +478,7 @@ def instance_from_payload(payload: object) -> Instance:
         b_size = json_int(payload["b_size"])
         classes = [int_rows(pairs, 2) for pairs in payload["classes"]]
         for colour, pairs in enumerate(classes):
-            _reject_repeats(pairs, f"colour {colour}: repeated pair")
+            reject_repeats(pairs, f"colour {colour}: repeated pair")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     if len(classes) != n_colours:

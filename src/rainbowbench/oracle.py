@@ -2,12 +2,13 @@
 
 max_rainbow is the ground-truth engine: depth-first branch and bound over
 bundles of identical colour classes, each taking its edges in ascending order
-so that no permutation of identical colours is searched twice. The branch is
-the bundle with the fewest candidate edges, "skip this bundle" is tried last,
-candidate lists are filtered down from parent to child, and the admissible
-bound is size + min(sum of min(capacity, candidates), a_size - size, b_size -
-size). naive_max_rainbow is a deliberately separate enumeration used for
-oracle-vs-oracle equivalence checks.
+so that no permutation of identical colours is searched twice. A bundle's
+candidates are one integer bitmask over its own sorted pairs, and a child
+clears the bits of the edges that meet the one just chosen. The branch is the
+bundle with the fewest candidate edges, "skip this bundle" is tried last, and
+the admissible bound is size + min(sum of min(capacity, candidates), a_size -
+size, b_size - size). naive_max_rainbow is a deliberately separate
+enumeration used for oracle-vs-oracle equivalence checks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass
 from io import StringIO
+from operator import itemgetter
 from typing import Iterable, Literal
 
 from .core import Instance, RainbowMatching, make_instance, make_matching
@@ -67,14 +69,32 @@ class SearchReport:
     elapsed: float
 
 
-# (candidate edges, capacity, colours ascending): identical classes searched as one
-_Bundle = tuple[list[tuple[int, int]], int, list[int]]
+# (pairs ascending, colours ascending): identical classes searched as one
+_Bundle = tuple[tuple[tuple[int, int], ...], list[int]]
+# the weight field of a live bundle, see _Searcher.dfs
+_WEIGHT = itemgetter(4)
+
+
+def _masks_at(pairs: tuple[tuple[int, int], ...], side: int) -> dict[int, int]:
+    """Vertex on side 0 (A) or 1 (B) -> mask of the pairs at it, bit j for pairs[j]."""
+    at: dict[int, int] = {}
+    for j, pair in enumerate(pairs):
+        at[pair[side]] = at.get(pair[side], 0) | 1 << j
+    return at
 
 
 class _Searcher:
-    """Branch-and-bound state of one worker's search."""
+    """Branch-and-bound state of one worker's search.
+
+    Bundle t is bundles[t], numbered by its lowest colour; at_a[t] and
+    at_b[t] are its _masks_at, dicts so that set-up scales with the edges,
+    not with the universe.
+    """
 
     __slots__ = (
+        "bundles",
+        "at_a",
+        "at_b",
         "a_size",
         "b_size",
         "max_nodes",
@@ -89,11 +109,15 @@ class _Searcher:
 
     def __init__(
         self,
+        bundles: list[_Bundle],
         a_size: int,
         b_size: int,
         max_nodes: int | None,
         deadline: float | None,
     ) -> None:
+        self.bundles = bundles
+        self.at_a = [_masks_at(p, 0) for p, _ in bundles]
+        self.at_b = [_masks_at(p, 1) for p, _ in bundles]
         self.a_size = a_size
         self.b_size = b_size
         self.max_nodes = max_nodes
@@ -107,19 +131,22 @@ class _Searcher:
 
     def dfs(
         self,
-        bundles: list[_Bundle],
+        bundles: list[tuple[int, int, int, int, int]],
         chosen: list[tuple[int, int, int]],
         share: tuple[int, int] | None = None,
     ) -> None:
         """Search below one node; share = (worker, workers) marks the root.
 
-        bundles holds (cands, cap, colours) per bundle with a candidate left:
-        its edges disjoint from chosen, ascending; how many more it may take;
-        its colours. The moves are the branch bundle's candidates, then "skip",
-        which drops it. Taking candidate j leaves it cands[j+1:] and cap - 1;
-        its t-th edge gets its t-th colour. At the root this worker takes only
-        the moves i with i % workers == worker, and i becomes the task that
-        the best selection found below it is tagged with.
+        bundles holds (count, t, mask, cap, weight) per bundle t with a
+        candidate left: mask is its edges disjoint from chosen, count their
+        number, cap how many more it may take, weight min(cap, count). The
+        branch is the least tuple (fewest candidates, ties to the lowest
+        colour); its moves are its set bits upward, then "skip", which drops
+        it. Taking bit j leaves it the bits above j and cap - 1, gives the
+        edge its next colour and clears every mask's edges that meet it. At
+        the root this worker takes only the moves i with i % workers ==
+        worker, and i becomes the task that the best selection found below
+        it is tagged with.
         """
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
             self.stopped = True
@@ -134,28 +161,36 @@ class _Searcher:
             self.best_size = size
             self.best_sel = list(chosen)
             self.best_task = self.task
-        room = sum(min(cap, len(cands)) for cands, cap, _ in bundles)
+        room = sum(map(_WEIGHT, bundles))
         bound = size + min(room, self.a_size - size, self.b_size - size)
         if bound <= self.best_size:
             return
-        branch = min(bundles, key=lambda t: (len(t[0]), t[2][0]))
-        cands, cap, colours = branch
-        rest = [t for t in bundles if t is not branch]
-        colour = colours[len(colours) - cap]
+        branch = min(bundles)
+        count, t, left, cap, _ = branch
+        rest = [u for u in bundles if u is not branch]
+        pairs, colours = self.bundles[t]
+        colour = colours[-cap]
+        at_a, at_b = self.at_a, self.at_b
         worker, workers = share or (0, 1)
-        for i in range(worker, len(cands) + 1, workers):
+        for i in range(count + 1):
+            low = left & -left
+            left ^= low
+            if i % workers != worker:
+                continue
             if share is not None:
                 self.task = i
-            if i == len(cands):
+            if not low:
                 self.dfs(rest, chosen)
                 return
-            a, b = cands[i]
-            kept = rest + [(cands[i + 1 :], cap - 1, colours)] if cap > 1 else rest
+            a, b = pairs[low.bit_length() - 1]
+            # the filter below recounts every mask it keeps
+            kept = rest + [(0, t, left, cap - 1, 0)] if cap > 1 else rest
             child = []
-            for c_cands, c_cap, c_colours in kept:
-                left = [p for p in c_cands if p[0] != a and p[1] != b]
-                if left:
-                    child.append((left, c_cap, c_colours))
+            for _, u_t, u_mask, u_cap, _ in kept:
+                m = u_mask & ~(at_a[u_t].get(a, 0) | at_b[u_t].get(b, 0))
+                if m:
+                    n = m.bit_count()
+                    child.append((n, u_t, m, u_cap, min(n, u_cap)))
             chosen.append((colour, a, b))
             self.dfs(child, chosen)
             chosen.pop()
@@ -173,8 +208,12 @@ def _search(
 ) -> tuple[int, int, list[tuple[int, int, int]], int, bool]:
     """One worker's search from the root: (best_size, best_task, best_sel, nodes, stopped)."""
     deadline = None if max_time is None else time.perf_counter() + max_time
-    s = _Searcher(a_size, b_size, max_nodes, deadline)
-    s.dfs(bundles, [], share)
+    s = _Searcher(bundles, a_size, b_size, max_nodes, deadline)
+    root = [
+        (len(p), t, (1 << len(p)) - 1, len(c), min(len(p), len(c)))
+        for t, (p, c) in enumerate(bundles)
+    ]
+    s.dfs(root, [], share)
     return s.best_size, s.best_task, s.best_sel, s.nodes, s.stopped
 
 
@@ -205,8 +244,8 @@ def max_rainbow(
     for c, cls in enumerate(inst.classes):
         if cls.pairs:
             groups.setdefault(cls.pairs, []).append(c)
-    bundles = [(list(pairs), len(colours), colours) for pairs, colours in groups.items()]
-    root_moves = 1 + min((len(cands) for cands, _, _ in bundles), default=0)
+    bundles = list(groups.items())
+    root_moves = 1 + min((len(pairs) for pairs, _ in bundles), default=0)
     workers = max(1, min(workers, root_moves))
     args = [
         (bundles, inst.a_size, inst.b_size, budget.max_nodes, budget.max_time, (w, workers))

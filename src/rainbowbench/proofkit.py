@@ -51,6 +51,7 @@ from .core import (
     make_matching,
     matching_rows,
     neighbourhood_along,  # unused here, but perfbench's tracer patches proofkit.neighbourhood_along
+    reject_repeats,
     va,
     validate_instance,
     vb,
@@ -248,6 +249,21 @@ def initial_state(inst: Instance, r: RainbowMatching, eps: Epsilon) -> SwitchSta
     )
 
 
+def _require_shape(st: SwitchState) -> None:
+    """ValueError unless e_seq, g_seq, x_sets and y_sets have k entries and pi k + 1.
+
+    An O(1) guard for the engine's entry points, which index these by k or a
+    pi-index; state_violations makes the full structural check.
+    """
+    k = st.k
+    lengths = (len(st.e_seq), len(st.g_seq), len(st.x_sets), len(st.y_sets), len(st.pi))
+    if lengths != (k, k, k, k, k + 1):
+        raise ValueError(
+            f"state shape does not fit k={k}: e_seq, g_seq, x_sets, y_sets and pi "
+            f"have {', '.join(map(str, lengths))} entries"
+        )
+
+
 def state_violations(st: SwitchState) -> list[str]:
     """Structural checks on the sequence shapes, independent of P1-P7."""
     out: list[str] = []
@@ -431,6 +447,7 @@ def colour_chain(st: SwitchState, i: int) -> list[int]:
     reached. Strict decrease guarantees termination; raises ChainError when a
     g-edge's class is not among the earlier pi values.
     """
+    _require_shape(st)
     if not 1 <= i <= st.k:
         raise ValueError(f"need 1 <= i <= k={st.k}, got {i}")
     chain: list[int] = []
@@ -482,6 +499,7 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     and its B-endpoint is unsaturated. The exchange removes e_k and the chain
     e-edges and adds g_k, the chain g-edges and g.
     """
+    _require_shape(st)
     k = st.k
     if k < 1:
         raise ValueError("claim1_switch needs k >= 1")
@@ -506,6 +524,7 @@ def claim2_switch(
     exchange removes e_k, the chain e-edges and e, and adds g_k, the chain
     g-edges, e_bar and g.
     """
+    _require_shape(st)
     k = st.k
     if k < 1:
         raise ValueError("claim2_switch needs k >= 1")
@@ -543,6 +562,7 @@ def claim3_switch(
     (w in Y_{p+1} minus Y_p) starts it at p, and class 0 degenerates to the
     chainless exchange removing f and adding f_bar and zw.
     """
+    _require_shape(st)
     k = st.k
     ix = st._ints
     if f not in st.r:
@@ -631,6 +651,7 @@ def construct_N0(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex
     Strict mode truncates to ceil((1/2 + eps)*n + 1) vertices, smallest
     B-indices first; relaxed mode returns every qualifying vertex.
     """
+    _require_shape(st)
     if st.k != 0:
         raise ValueError(f"construct_N0 needs k = 0, got k = {st.k}")
     return frozenset(vb(b) for b in _fresh_pool(st, mode))
@@ -643,6 +664,7 @@ def construct_Nk(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex
     outside X and z_1..z_k in class pi(k). Strict mode truncates to
     ceil((1/2 + eps)*n + 1 - 2k), smallest B-indices first.
     """
+    _require_shape(st)
     if st.k < 1:
         raise ValueError(f"construct_Nk needs k >= 1, got k = {st.k}")
     return frozenset(vb(b) for b in _fresh_pool(st, mode))
@@ -828,6 +850,7 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
     the fresh pool is smaller than the mode threshold, which is expected for
     strict mode at desk-scale n.
     """
+    _require_shape(st)
     augmented = _claim12_augment(st)
     if augmented is not None:
         yield Augmented(augmented)
@@ -952,6 +975,15 @@ def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     def edges(rows) -> tuple[tuple[int, int, int], ...]:
         return tuple((c, _json_index(a), _json_index(b)) for c, a, b in int_rows(rows, 3))
 
+    def index_sets(name: str) -> tuple[frozenset[int], ...]:
+        # a repeated index is malformed, not a smaller set
+        sets = []
+        for i, values in enumerate(payload[name]):
+            indices = [_json_index(v) for v in values]
+            reject_repeats(indices, f"{name}[{i}]: repeated index")
+            sets.append(frozenset(indices))
+        return tuple(sets)
+
     return SwitchState(
         inst=inst,
         r=make_matching(matching_rows(payload["r"])),
@@ -960,8 +992,8 @@ def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
         k=json_int(payload["k"]),
         e_seq=edges(payload["e_seq"]),
         g_seq=edges(payload["g_seq"]),
-        x_sets=tuple(frozenset(map(_json_index, s)) for s in payload["x_sets"]),
-        y_sets=tuple(frozenset(map(_json_index, s)) for s in payload["y_sets"]),
+        x_sets=index_sets("x_sets"),
+        y_sets=index_sets("y_sets"),
         pi=tuple(json_int(c) for c in payload["pi"]),
     )
 

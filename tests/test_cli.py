@@ -6,9 +6,11 @@ from click.testing import CliRunner
 
 from stateforge import StateForge
 from rainbowbench.cli import main
-from rainbowbench.core import instance_from_json
+from rainbowbench.core import free_colour_zero, instance_from_json
+from rainbowbench.gen import gen_random_instance
 from rainbowbench.latin import format_latin_text, gen_cyclic
 from rainbowbench.proofkit import Epsilon, run_switch_trace, trace_to_json
+from rainbowbench.solver import greedy_rainbow
 
 
 def run(*args, **kwargs):
@@ -244,6 +246,21 @@ class TestVerifyTrace:
         result = run("verify-trace", "--in", str(path))
         assert result.exit_code == 2
         assert "repeated pair" in result.output
+
+    def test_repeated_pool_index_exits_two(self, tmp_path):
+        # a repeated index in X_1 is malformed, not a smaller set
+        inst = gen_random_instance(5, 6, a_size=6, b_size=6, seed=6)
+        inst0, r0, _ = free_colour_zero(inst, greedy_rainbow(inst, 0))
+        payload = json.loads(trace_to_json(run_switch_trace(inst0, r0, Epsilon.parse("1"))))
+        assert [step["kind"] for step in payload["steps"]] == ["extended", "extended"]
+        for step in payload["steps"]:
+            pool = step["state"]["x_sets"][0]
+            pool.append(pool[0])
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "x_sets[0]: repeated index" in result.output
 
     def test_negative_vertex_index_exits_two(self, tmp_path):
         payload = json.loads(self._trace_text())

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,10 +56,31 @@ def duplicated_families(draw):
     return make_instance(classes, a_size=a_size, b_size=b_size)
 
 
-def _pin_line(inst, limit, nodes):
-    rep = max_rainbow(inst, SearchBudget(limit), workers=1)
+def _pin_line(inst, limit, nodes, workers=1):
+    rep = max_rainbow(inst, SearchBudget(limit), workers=workers)
     line = f"{sorted(ce.triple for ce in rep.best)}|{rep.optimal}"
     return (f"{line}|{rep.nodes_explored};" if nodes else f"{line};").encode()
+
+
+def _fake_pool(sizes):
+    """A multiprocessing.Pool stand-in that records its size and runs the workers here."""
+
+    class FakePool:
+        """Runs the workers' searches in this process, one after another."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, iterable):
+            return [func(*args) for args in iterable]
+
+    return FakePool
 
 
 class TestMaxRainbow:
@@ -87,6 +110,38 @@ class TestMaxRainbow:
     def test_empty_instance(self):
         rep = max_rainbow(make_instance([[], []], a_size=1, b_size=1))
         assert len(rep.best) == 0 and rep.optimal
+
+    @pytest.mark.parametrize("shift", [0, 1], ids=["identical", "distinct"])
+    def test_classes_wider_than_a_machine_word(self, shift):
+        # two 70-edge perfect matchings of a 70 x 70 universe: candidate masks past bit 63
+        diagonal = [(i, i) for i in range(70)]
+        shifted = [(i, (i + shift) % 70) for i in range(70)]
+        rep = max_rainbow(make_instance([diagonal, shifted], a_size=70, b_size=70))
+        assert len(rep.best) == 2 and rep.optimal and is_rainbow(rep.best)
+
+    @pytest.mark.parametrize(
+        "classes, optimum",
+        [
+            ([[(0, 0), (999_999, 999_998)], [(0, 0), (999_998, 999_999)], [(0, 0), (7, 7)]], 3),
+            ([[(0, 0), (999_999, 999_999)]] * 3, 2),
+        ],
+        ids=["distinct", "identical"],
+    )
+    def test_sparse_instance_in_a_huge_universe(self, classes, optimum):
+        # set-up must scale with the edges, not with a_size and b_size: one
+        # list entry per vertex of the universe would take 8 MB
+        inst = make_instance(classes, a_size=10**6, b_size=10**6)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rep = max_rainbow(inst)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 1_000_000
+        assert len(rep.best) == optimum == len(naive_max_rainbow(inst).best)
+        assert rep.optimal and is_rainbow(rep.best)
 
     def test_node_budget_reported_via_optimal_flag(self):
         inst = gen_drisko(5)  # certified in 34 nodes (test_witness_node_counts_are_pinned)
@@ -138,6 +193,20 @@ class TestMaxRainbow:
             "0b10fa2e65250223a036f1b11d722cf80fb2ff1b6fcb456b68aeeeab8205b04e"
         )
 
+    def test_worker_share_results_are_pinned(self, monkeypatch):
+        # the same draws and budgets, node counts included, split over 2 and 3
+        # workers run in this process: pins each worker's share of the root
+        # moves, the per-worker budget and how the workers' counts are merged
+        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool([]))
+        digest = hashlib.sha256()
+        for inst in _pin_draws():
+            for workers in (2, 3):
+                for limit in (None, 1, 2, 10, 40):
+                    digest.update(_pin_line(inst, limit, nodes=True, workers=workers))
+        assert digest.hexdigest() == (
+            "ed7e23863b0828b5278ca4c67b53adf9368e2230d9b321da22a51f007fd4f0ce"
+        )
+
     @pytest.mark.parametrize(
         "inst, nodes",
         [(gen_drisko(5), 34), (gen_drisko(6), 64), (gen_no_transversal(8), 2_903)],
@@ -185,23 +254,7 @@ class TestMaxRainbow:
 
     def test_pool_size_is_capped_by_root_moves(self, monkeypatch):
         sizes = []
-
-        class FakePool:
-            """Runs the workers' searches in this process, one after another."""
-
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, func, iterable):
-                return [func(*args) for args in iterable]
-
-        monkeypatch.setattr(oracle.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool(sizes))
         inst = gen_drisko(3)  # smallest class has 3 edges: 4 root moves with "skip"
         seq = max_rainbow(inst, workers=1)
         assert sizes == []

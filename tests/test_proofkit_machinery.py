@@ -542,6 +542,43 @@ class TestStepOutcomes:
         assert seen == {"threshold", "pigeonhole", "Augmented", "Extended"}
 
 
+ANY_EDGE = ColouredEdge.of(0, 0, 0)
+SHAPED_ENTRY_POINTS = {
+    "step_outcomes": lambda st: next(step_outcomes(st)),
+    "colour_chain": lambda st: colour_chain(st, st.k),
+    "construct_Nk": construct_Nk,
+    "claim1_switch": lambda st: claim1_switch(st, ANY_EDGE),
+    "claim2_switch": lambda st: claim2_switch(st, ANY_EDGE, ANY_EDGE, ANY_EDGE),
+    "claim3_switch": lambda st: claim3_switch(st, ANY_EDGE, ANY_EDGE, ANY_EDGE),
+}
+
+
+def misshapen_states(st: SwitchState):
+    """st with k one too large, then with each sequence one entry short."""
+    yield replace(st, k=st.k + 1)
+    for name in SEQUENCES:
+        yield replace(st, **{name: getattr(st, name)[:-1]})
+
+
+class TestStateShape:
+    @pytest.mark.parametrize("entry", sorted(SHAPED_ENTRY_POINTS))
+    def test_shape_that_does_not_fit_k_raises_value_error(self, entry):
+        # an O(1) guard, so a hand-built state never reaches an IndexError
+        call = SHAPED_ENTRY_POINTS[entry]
+        rng = random.Random(884)
+        for _ in range(20):
+            forge = StateForge(rng, 8, 2, [1, 1])
+            forge.plant_extension()
+            for st in misshapen_states(forge.freeze()):
+                with pytest.raises(ValueError, match="state shape does not fit k="):
+                    call(st)
+
+    def test_construct_n0_without_pi_raises_value_error(self):
+        st = replace(StateForge(random.Random(885), 6, 0, []).freeze(), pi=())
+        with pytest.raises(ValueError, match="state shape does not fit k=0"):
+            construct_N0(st)
+
+
 class TestTraces:
     def test_trace_verifies(self):
         rng = random.Random(50)
@@ -733,6 +770,16 @@ class TestTraceChain:
         rows.append(list(rows[0]))
         prefix = "" if where == "base" else "step 0: "
         with pytest.raises(ValueError, match=f"malformed trace JSON: {prefix}.*repeated row"):
+            verify(payload)
+
+    @pytest.mark.parametrize("field", ["x_sets", "y_sets"])
+    def test_repeated_pool_index_raises_value_error(self, field):
+        # a repeated index is malformed, not a smaller set
+        payload = two_step_trace()
+        for step in payload["steps"]:
+            pool = step["state"][field][0]
+            pool.append(pool[0])
+        with pytest.raises(ValueError, match=rf"step 0: {field}\[0\]: repeated index"):
             verify(payload)
 
     def test_step_after_an_augmentation_is_rejected(self):
