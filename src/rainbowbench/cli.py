@@ -159,7 +159,36 @@ def solve_cmd(
 # --- experiment ------------------------------------------------------------------
 
 
-def _emit_experiment(report: oracle.SweepReport, fmt: str, out: str | None, witness_dir: str) -> None:
+@main.group("experiment")
+def experiment_group() -> None:
+    """Empirical threshold sweeps; exit 0 on any completed run."""
+
+
+_SWEEP_OPTIONS = (
+    click.option("--m", "m", type=int, required=True),
+    click.option("--mode", type=click.Choice(["exhaustive", "randomized"]), required=True),
+    click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+                 show_default=True),
+    click.option("-o", "--out", "out", default=None, help="Output file (default stdout)."),
+    click.option("--witness-dir", default=".", show_default=True,
+                 help="Where counterexamples are dumped."),
+)
+
+
+def _sweep_options(command):
+    """The options every sweep takes, listed after --n (and mu's --ell)."""
+    for option in reversed(_SWEEP_OPTIONS):
+        command = option(command)
+    return command
+
+
+def _run_sweep(n, ell, m, mode, trials, seed, fmt, out, witness_dir) -> None:
+    try:
+        report = oracle.estimate_mu(n, ell, m, mode, trials, seed)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     if report.counterexample is not None:
         name = (
             f"counterexample_n{report.n}_m{report.m}_ell{report.ell}"
@@ -172,60 +201,24 @@ def _emit_experiment(report: oracle.SweepReport, fmt: str, out: str | None, witn
     if fmt == "csv":
         _write_text(out, oracle.reports_to_csv([report]))
     else:
-        payload = {
-            "n": report.n,
-            "m": report.m,
-            "ell": report.ell,
-            "mode": report.mode,
-            "trials": report.trials,
-            "seed": report.seed,
-            "counterexample_found": report.counterexample_found,
-            "instances_checked": report.instances_checked,
-            "elapsed_ms": report.elapsed_ms,
-        }
-        _write_text(out, core.canonical_json(payload))
-
-
-@main.group("experiment")
-def experiment_group() -> None:
-    """Empirical threshold sweeps; exit 0 on any completed run."""
+        _write_text(out, core.canonical_json(oracle.report_record(report)))
 
 
 @experiment_group.command("f")
 @click.option("--n", "n", type=int, required=True)
-@click.option("--m", "m", type=int, required=True)
-@click.option("--mode", type=click.Choice(["exhaustive", "randomized"]), required=True)
-@click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
-@click.option("--witness-dir", default=".", show_default=True, help="Where counterexamples are dumped.")
-def experiment_f_cmd(n, m, mode, trials, seed, fmt, out, witness_dir) -> None:
+@_sweep_options
+def experiment_f_cmd(**args) -> None:
     """Probe whether n classes of size m force a rainbow matching of size n."""
-    try:
-        report = oracle.estimate_f(n, m, mode, trials, seed)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    _emit_experiment(report, fmt, out, witness_dir)
+    _run_sweep(ell=0, **args)
 
 
 @experiment_group.command("mu")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--ell", type=int, required=True)
-@click.option("--m", "m", type=int, required=True)
-@click.option("--mode", type=click.Choice(["exhaustive", "randomized"]), required=True)
-@click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
-@click.option("--witness-dir", default=".", show_default=True, help="Where counterexamples are dumped.")
-def experiment_mu_cmd(n, ell, m, mode, trials, seed, fmt, out, witness_dir) -> None:
+@_sweep_options
+def experiment_mu_cmd(**args) -> None:
     """Probe whether n classes of size m force a rainbow matching of size n - ell."""
-    try:
-        report = oracle.estimate_mu(n, ell, m, mode, trials, seed)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    _emit_experiment(report, fmt, out, witness_dir)
+    _run_sweep(**args)
 
 
 # --- verify-trace ----------------------------------------------------------------
@@ -309,6 +302,7 @@ def transversal_to_rainbow_cmd(square_path: str, in_path: str, out: str | None) 
     ls = _load_square(square_path)
     try:
         entries = core.int_rows(json.loads(_read_text(in_path)), 2)
+        core.reject_repeats(entries, "repeated entry")
         t = latin.PartialTransversal(frozenset(entries))
         matching = latin.transversal_to_rainbow(ls, t)
     except ValueError as exc:

@@ -185,8 +185,8 @@ def make_instance(
 
     Each class keeps its distinct pairs, sorted. Universe bounds default to
     the smallest bounds containing every endpoint. Raises ValueError on a
-    negative index; the result is not validated otherwise, run
-    validate_instance for that.
+    negative index or universe size; the result is not validated otherwise,
+    run validate_instance for that.
     """
     built = tuple(ColourClass(tuple(sorted({(a, b) for a, b in pairs}))) for pairs in classes)
     a_ends = [a for cls in built for a, _ in cls.pairs]
@@ -194,11 +194,11 @@ def make_instance(
     lowest = min(a_ends + b_ends, default=0)
     if lowest < 0:
         raise ValueError(f"vertex index must be non-negative, got {lowest}")
-    return Instance(
-        classes=built,
-        a_size=a_size if a_size is not None else max(a_ends, default=-1) + 1,
-        b_size=b_size if b_size is not None else max(b_ends, default=-1) + 1,
-    )
+    a_size = a_size if a_size is not None else max(a_ends, default=-1) + 1
+    b_size = b_size if b_size is not None else max(b_ends, default=-1) + 1
+    if min(a_size, b_size) < 0:
+        raise ValueError(f"universe size must be non-negative, got {a_size} x {b_size}")
+    return Instance(classes=built, a_size=a_size, b_size=b_size)
 
 
 def make_matching(triples: Iterable[tuple[int, int, int]]) -> RainbowMatching:

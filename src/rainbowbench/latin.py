@@ -175,15 +175,9 @@ def rainbow_to_transversal(ls: LatinSquare, r: RainbowMatching) -> PartialTransv
 
 def transversal_to_rainbow(ls: LatinSquare, t: PartialTransversal) -> RainbowMatching:
     """Inverse of rainbow_to_transversal; raises ValueError on an invalid transversal."""
-    n = ls.order
     if not is_partial_transversal(ls, t):
         raise ValueError("entries do not form a partial transversal")
-    triples = []
-    for row, col in t.sorted_entries():
-        if not (0 <= row < n and 0 <= col < n):
-            raise ValueError(f"entry ({row},{col}) outside the order-{n} square")
-        triples.append((ls.cells[row][col], col, row))
-    return make_matching(triples)
+    return make_matching((ls.cells[row][col], col, row) for row, col in t.entries)
 
 
 def is_partial_transversal(ls: LatinSquare, t: PartialTransversal) -> bool:

@@ -397,6 +397,11 @@ def estimate_f(
     return estimate_mu(n, 0, m, mode, trials, seed)
 
 
+def report_record(report: SweepReport) -> dict[str, object]:
+    """A sweep report as its CSV_COLUMNS fields, in column order: one CSV row or JSON object."""
+    return {name: getattr(report, name) for name in CSV_COLUMNS}
+
+
 def reports_to_csv(reports: Iterable[SweepReport]) -> str:
     """Render sweep reports in the fixed experiment CSV column order."""
     import csv
@@ -405,17 +410,6 @@ def reports_to_csv(reports: Iterable[SweepReport]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in reports:
-        writer.writerow(
-            [
-                r.n,
-                r.m,
-                r.ell,
-                r.mode,
-                r.trials,
-                r.seed,
-                "true" if r.counterexample_found else "false",
-                r.instances_checked,
-                r.elapsed_ms,
-            ]
-        )
+        # a flag is written as in the JSON record: true / false
+        writer.writerow(str(v).lower() if type(v) is bool else v for v in report_record(r).values())
     return buf.getvalue()

@@ -31,11 +31,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Iterator, NamedTuple
+from typing import AbstractSet, Iterator, Mapping, NamedTuple
 
 from .core import (
     ColouredEdge,
@@ -85,6 +86,11 @@ class SwitchIntegrityError(Exception):
     """A switch produced an invalid matching; the input state was corrupt."""
 
 
+# the shape of a fraction string: checked first, so Fraction never evaluates
+# an exponent ("1e10000000" takes seconds) or divides by zero
+_FRACTION = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
 @dataclass(frozen=True)
 class Epsilon:
     """Exact positive rational slack; all threshold comparisons are bit-exact."""
@@ -97,8 +103,10 @@ class Epsilon:
 
     @classmethod
     def parse(cls, text: str) -> "Epsilon":
-        """Parse "p/q" or "p"."""
-        return cls(Fraction(text.strip()))
+        """Parse "p/q" or "p"; ValueError on any other shape, which Fraction never sees."""
+        if not _FRACTION.fullmatch(text.strip()):
+            raise ValueError(f"eps must be a fraction string p/q or p, got {text!r}")
+        return cls(Fraction(text))
 
     def __str__(self) -> str:
         return str(self.value)
@@ -212,15 +220,30 @@ class SwitchState:
             return None
 
 
+def _class_defect(inst: Instance, t: tuple[int, int, int]) -> str | None:
+    """Why the triple (colour, a, b) is not an edge of its colour class, or None."""
+    c, a, b = t
+    if not 0 <= c < len(inst.classes):
+        return "has a colour outside the instance"
+    if (a, b) not in inst.classes[c].pairs:
+        return "does not belong to its colour class"
+    return None
+
+
+def _require_in_class(inst: Instance, name: str, edge: ColouredEdge) -> None:
+    defect = _class_defect(inst, edge.triple)
+    if defect is not None:
+        raise ValueError(f"{name}={edge!r} {defect}")
+
+
 def _initial_defect(inst: Instance, r: RainbowMatching) -> str | None:
     """Why initial_state rejects r for inst, or None when it accepts it."""
     if not is_rainbow(r):
         return "r is not a rainbow matching"
-    for c, a, b in r.triples:
-        if not 0 <= c < inst.n_colours:
-            return f"edge {_show((c, a, b))} has a colour outside the instance"
-        if (a, b) not in inst.classes[c].pairs:
-            return f"edge {_show((c, a, b))} does not belong to its colour class"
+    for t in r.triples:
+        defect = _class_defect(inst, t)
+        if defect is not None:
+            return f"edge {_show(t)} {defect}"
     if 0 in r.colours():
         return "colour 0 must be unused by r; relabel first"
     return None
@@ -328,115 +351,99 @@ class PropertyReport:
         raise KeyError(name)
 
 
+def _p1(st: SwitchState, mode: Mode) -> str | None:
+    """P1: e_i lies in class pi(i) (state_violations checks that it lies in r)."""
+    for i, e in enumerate(st.e_seq, 1):
+        if e[0] != st.pi[i] or _class_defect(st.inst, e):
+            return f"e_{i}={_show(e)} not in class pi({i})={st.pi[i]}"
+    return None
+
+
+def _p2(st: SwitchState, mode: Mode) -> str | None:
+    """P2: g_i lies in one of the classes pi(0) .. pi(i-1)."""
+    for i, g in enumerate(st.g_seq, 1):
+        if g[0] not in st.pi[:i] or _class_defect(st.inst, g):
+            return f"g_{i}={_show(g)} not in classes pi(0..{i - 1})"
+    return None
+
+
+def _p3(st: SwitchState, mode: Mode) -> str | None:
+    """P3: no endpoint of e_1..e_k lies in X_k or Y_k."""
+    for i, (_, a, b) in enumerate(st.e_seq, 1):
+        if a in st.x_sets[-1]:
+            return f"x_{i}={va(a)!r} lies in X_{st.k}"
+        if b in st.y_sets[-1]:
+            return f"y_{i}={vb(b)!r} lies in Y_{st.k}"
+    return None
+
+
+def _p4(st: SwitchState, mode: Mode) -> str | None:
+    """P4: |X_k| = |Y_k|, and in strict mode both equal ceil(s_k)."""
+    k = st.k
+    if k == 0:
+        return None
+    nx, ny = len(st.x_sets[-1]), len(st.y_sets[-1])
+    if nx != ny:
+        return f"|X_{k}|={nx} != |Y_{k}|={ny}"
+    if mode is Mode.STRICT and nx != (want := math.ceil(s_k(k, st.eps, st.inst.n_colours))):
+        return f"|X_{k}|={nx} != ceil(s_{k})={want}"
+    return None
+
+
+def _p5(st: SwitchState, mode: Mode) -> str | None:
+    """P5: an r-edge of class j inside X_i x Y_i forces a class-j edge from x_i to B minus Y."""
+    y = st._ints.y
+    for i, (x_set, y_set, (_, xi, _)) in enumerate(zip(st.x_sets, st.y_sets, st.e_seq), 1):
+        for c, a, b in st.r.triples:
+            if a in x_set and b in y_set and _class_edge_at(st, c, xi, True, y) is None:
+                return (
+                    f"class {c} meets r in X_{i} x Y_{i} but has no edge "
+                    f"from x_{i}={va(xi)!r} into B minus Y"
+                )
+    return None
+
+
+def _p6(st: SwitchState, mode: Mode) -> str | None:
+    """P6: each w in Y_i minus Y_(i-1) has a class-pi(i-1) partner outside X and z_1..z_(i-1)."""
+    ix = st._ints
+    prev: frozenset[int] = frozenset()
+    for i, y_set in enumerate(st.y_sets, 1):
+        banned = ix.x.union(ix.z[: i - 1])
+        for w in sorted(y_set - prev):
+            if _class_edge_at(st, st.pi[i - 1], w, False, banned) is None:
+                return f"w={vb(w)!r} in Y_{i} minus Y_{i - 1} has no partner in class pi({i - 1})"
+        prev = y_set
+    return None
+
+
+def _p7(st: SwitchState, mode: Mode) -> str | None:
+    """P7: if g_i lies in class pi(j) with 1 <= j < i, z_i avoids X and z_1..z_j."""
+    ix = st._ints
+    for i, (colour, zi, _) in enumerate(st.g_seq, 1):
+        if colour in st.pi[1:i]:
+            j = st.pi.index(colour)
+            if zi in ix.x or zi in ix.z[:j]:
+                return f"z_{i}={va(zi)!r} collides with X or z_1..z_{j}"
+    return None
+
+
+_PROPERTY_CHECKS = (_p1, _p2, _p3, _p4, _p5, _p6, _p7)  # in PROPERTY_NAMES order
+
+
 def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyReport:
     """Check P1-P7, returning one PropertyCheck per property with a concrete witness.
 
-    P4 compares against the exact formula only in strict mode (ceiling taken,
-    see s_k); relaxed mode only requires |X_k| = |Y_k|. All other properties
-    are mode-independent.
+    Each check reports its first violation. P4 compares against the exact
+    formula only in strict mode (ceiling taken, see s_k); relaxed mode only
+    requires |X_k| = |Y_k|. All other properties are mode-independent.
     """
     bad = state_violations(st)
     if bad:
         raise ValueError("structurally invalid state: " + "; ".join(bad))
-    inst, k = st.inst, st.k
-    ix = st._ints
-    n = inst.n_colours
-
-    # P1: e_i in r and in class pi(i)
-    p1_ok, p1_w = True, None
-    for i in range(1, k + 1):
-        e = st.e_seq[i - 1]
-        if e[0] != st.pi[i] or e[1:] not in inst.classes[st.pi[i]].pairs:
-            p1_ok, p1_w = False, f"e_{i}={_show(e)} not in class pi({i})={st.pi[i]}"
-            break
-
-    # P2: g_i in the union of classes pi(0)..pi(i-1)
-    p2_ok, p2_w = True, None
-    for i in range(1, k + 1):
-        g = st.g_seq[i - 1]
-        prior = set(st.pi[:i])
-        if g[0] not in prior or g[1:] not in inst.classes[g[0]].pairs:
-            p2_ok, p2_w = False, f"g_{i}={_show(g)} not in classes pi(0..{i - 1})"
-            break
-
-    # P3: endpoints of e_1..e_k avoid X_k and Y_k
-    p3_ok, p3_w = True, None
-    if k >= 1:
-        Xk, Yk = st.x_sets[k - 1], st.y_sets[k - 1]
-        for i in range(1, k + 1):
-            _, a, b = st.e_seq[i - 1]
-            if a in Xk:
-                p3_ok, p3_w = False, f"x_{i}={va(a)!r} lies in X_{k}"
-                break
-            if b in Yk:
-                p3_ok, p3_w = False, f"y_{i}={vb(b)!r} lies in Y_{k}"
-                break
-
-    # P4: |X_k| = |Y_k| (= ceil(s_k) in strict mode)
-    p4_ok, p4_w = True, None
-    if k >= 1:
-        nx, ny = len(st.x_sets[k - 1]), len(st.y_sets[k - 1])
-        if nx != ny:
-            p4_ok, p4_w = False, f"|X_{k}|={nx} != |Y_{k}|={ny}"
-        elif mode is Mode.STRICT:
-            want = math.ceil(s_k(k, st.eps, n))
-            if nx != want:
-                p4_ok, p4_w = False, f"|X_{k}|={nx} != ceil(s_{k})={want}"
-
-    # P5: r-edge of class j inside X_i x Y_i forces a class-j edge from x_i to B \ Y
-    p5_ok, p5_w = True, None
-    for i in range(1, k + 1):
-        if not p5_ok:
-            break
-        Xi, Yi = st.x_sets[i - 1], st.y_sets[i - 1]
-        xi = st.e_seq[i - 1][1]
-        for c, a, b in st.r.triples:
-            if a in Xi and b in Yi:
-                if _class_edge_at(st, c, xi, True, ix.y) is None:
-                    p5_ok, p5_w = (
-                        False,
-                        f"class {c} meets r in X_{i} x Y_{i} but has no edge "
-                        f"from x_{i}={va(xi)!r} into B minus Y",
-                    )
-                    break
-
-    # P6: each w in Y_i \ Y_{i-1} has v outside X u {z_1..z_{i-1}} with vw in class pi(i-1)
-    p6_ok, p6_w = True, None
-    for i in range(1, k + 1):
-        if not p6_ok:
-            break
-        prev = st.y_sets[i - 2] if i >= 2 else frozenset()
-        banned = ix.x.union(ix.z[: i - 1])
-        for w in sorted(st.y_sets[i - 1] - prev):
-            if _class_edge_at(st, st.pi[i - 1], w, False, banned) is None:
-                p6_ok, p6_w = (
-                    False,
-                    f"w={vb(w)!r} in Y_{i} minus Y_{i - 1} has no partner in class pi({i - 1})",
-                )
-                break
-
-    # P7: g_i in class pi(j) (j >= 1) forces z_i outside X u {z_1..z_j}
-    p7_ok, p7_w = True, None
-    for i in range(1, k + 1):
-        if not p7_ok:
-            break
-        colour, zi, _ = st.g_seq[i - 1]
-        for j in range(1, i):
-            if colour == st.pi[j]:
-                if zi in ix.x or zi in ix.z[:j]:
-                    p7_ok, p7_w = False, f"z_{i}={va(zi)!r} collides with X or z_1..z_{j}"
-                break
-
-    checks = (
-        PropertyCheck("P1", p1_ok, p1_w),
-        PropertyCheck("P2", p2_ok, p2_w),
-        PropertyCheck("P3", p3_ok, p3_w),
-        PropertyCheck("P4", p4_ok, p4_w),
-        PropertyCheck("P5", p5_ok, p5_w),
-        PropertyCheck("P6", p6_ok, p6_w),
-        PropertyCheck("P7", p7_ok, p7_w),
+    witnesses = [check(st, mode) for check in _PROPERTY_CHECKS]
+    return PropertyReport(
+        tuple(PropertyCheck(name, w is None, w) for name, w in zip(PROPERTY_NAMES, witnesses))
     )
-    return PropertyReport(checks)
 
 
 def colour_chain(st: SwitchState, i: int) -> list[int]:
@@ -492,6 +499,19 @@ def _apply_exchange(
     return result
 
 
+def _require_g(st: SwitchState, g: ColouredEdge, claim: str) -> None:
+    """The premise claim1_switch and claim2_switch share: k >= 1, and g is a
+    class-pi(k) edge starting outside X and z_1..z_k."""
+    _require_shape(st)
+    if st.k < 1:
+        raise ValueError(f"{claim} needs k >= 1")
+    if g.colour != st.pi[st.k]:
+        raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[st.k]}")
+    _require_in_class(st.inst, "g", g)
+    if g.a.index in st._ints.xz:
+        raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
+
+
 def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     """Grow r by one using a class-pi(k) edge into the doubly-unsaturated region.
 
@@ -499,18 +519,10 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     and its B-endpoint is unsaturated. The exchange removes e_k and the chain
     e-edges and adds g_k, the chain g-edges and g.
     """
-    _require_shape(st)
-    k = st.k
-    if k < 1:
-        raise ValueError("claim1_switch needs k >= 1")
-    ix = st._ints
-    if g.colour != st.pi[k] or g.edge.pair not in st.inst.classes[g.colour].pairs:
-        raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[k]}")
-    if g.a.index in ix.xz:
-        raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
-    if g.b.index in ix.y:
+    _require_g(st, g, "claim1_switch")
+    if g.b.index in st._ints.y:
         raise ValueError(f"g={g!r} must end outside Y")
-    removed, added = _chain_members(st, k)
+    removed, added = _chain_members(st, st.k)
     return _apply_exchange(st, removed, added + [g.triple])
 
 
@@ -524,15 +536,8 @@ def claim2_switch(
     exchange removes e_k, the chain e-edges and e, and adds g_k, the chain
     g-edges, e_bar and g.
     """
-    _require_shape(st)
+    _require_g(st, g, "claim2_switch")
     k = st.k
-    if k < 1:
-        raise ValueError("claim2_switch needs k >= 1")
-    ix = st._ints
-    if g.colour != st.pi[k] or g.edge.pair not in st.inst.classes[g.colour].pairs:
-        raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[k]}")
-    if g.a.index in ix.xz:
-        raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
     if g.b.index not in st.y_sets[k - 1]:
         raise ValueError(f"g={g!r} must end in Y_{k}")
     if e not in st.r or e.b != g.b:
@@ -543,9 +548,8 @@ def claim2_switch(
         raise ValueError(f"e's colour {e.colour} must avoid the pi image")
     if e_bar.colour != e.colour:
         raise ValueError(f"e_bar colour {e_bar.colour} does not match e's colour {e.colour}")
-    if e_bar.edge.pair not in st.inst.classes[e_bar.colour].pairs:
-        raise ValueError(f"e_bar={e_bar!r} is not an edge of its class")
-    if e_bar.a.index != st.e_seq[k - 1][1] or e_bar.b.index in ix.y:
+    _require_in_class(st.inst, "e_bar", e_bar)
+    if e_bar.a.index != st.e_seq[k - 1][1] or e_bar.b.index in st._ints.y:
         raise ValueError(f"e_bar={e_bar!r} must join x_{k} to B minus Y")
     removed, added = _chain_members(st, k)
     return _apply_exchange(st, removed + [e.triple], added + [e_bar.triple, g.triple])
@@ -571,41 +575,30 @@ def claim3_switch(
         raise ValueError(f"f's colour {f.colour} must avoid the pi image")
     if zw.b != f.b:
         raise ValueError(f"zw={zw!r} must share f's B-endpoint {f.b!r}")
-    if not 0 <= zw.colour < st.inst.n_colours:
-        raise ValueError(f"zw={zw!r} has a colour outside the instance")
-    if zw.edge.pair not in st.inst.classes[zw.colour].pairs:
-        raise ValueError(f"zw={zw!r} is not an edge of its class")
+    _require_in_class(st.inst, "zw", zw)
     p = st.pi_index(zw.colour)
     if p is None:
         raise ValueError(
             f"subcase undeterminable: zw's colour {zw.colour} is outside the pi image"
         )
-    w, z_a = f.b, zw.a.index
+    w = f.b
     if p == k and k >= 1:
-        # fresh-pool subcase: w must avoid Y_k and all y_i, zw must start outside X u z's
+        # fresh-pool subcase: w must avoid Y_k and all y_i
         if w.index in st.y_sets[k - 1] or w.index in ix.ys:
             raise ValueError(f"subcase undeterminable: w={w!r} not in the fresh pool shape")
-        if z_a in ix.xz:
-            raise ValueError(f"zw={zw!r} must start outside X and z_1..z_k")
-        removed, added = _chain_members(st, k)
-    elif p == 0:
-        # degenerate: zw lies in class 0, chainless exchange
-        if z_a in ix.x:
-            raise ValueError(f"zw={zw!r} must start outside X")
-        removed, added = [], []
-    else:
-        # w in Y_{p+1} \ Y_p, zw in class pi(p)
+    elif p >= 1:
+        # increment subcase: w in Y_{p+1} \ Y_p
         if w.index not in st.y_sets[p]:
             raise ValueError(f"subcase undeterminable: w={w!r} not in Y_{p + 1}")
-        if p >= 1 and w.index in st.y_sets[p - 1]:
+        if w.index in st.y_sets[p - 1]:
             raise ValueError(f"w={w!r} already in Y_{p}; zw names the wrong increment")
-        if z_a in ix.x or z_a in ix.z[:p]:
-            raise ValueError(f"zw={zw!r} must start outside X and z_1..z_{p}")
-        removed, added = _chain_members(st, p)
+    # every subcase, the degenerate p = 0 included: zw starts outside X and z_1..z_p
+    if zw.a.index in ix.x or zw.a.index in ix.z[:p]:
+        raise ValueError(f"zw={zw!r} must start outside X and z_1..z_{p}")
+    removed, added = _chain_members(st, p) if p else ([], [])
     if f_bar.colour != f.colour:
         raise ValueError(f"f_bar colour {f_bar.colour} does not match f's colour {f.colour}")
-    if f_bar.edge.pair not in st.inst.classes[f_bar.colour].pairs:
-        raise ValueError(f"f_bar={f_bar!r} is not an edge of its class")
+    _require_in_class(st.inst, "f_bar", f_bar)
     if f_bar.a.index in ix.xz or f_bar.a == zw.a:
         raise ValueError(f"f_bar={f_bar!r} must start outside X, z_1..z_k and zw's endpoint")
     if f_bar.b.index in ix.y:
@@ -624,25 +617,22 @@ def _n_required(st: SwitchState, mode: Mode) -> int:
     return 1 if mode is Mode.RELAXED else max(1, math.ceil(_pool_formula(st)))
 
 
-def _fresh_pool(st: SwitchState, mode: Mode) -> frozenset[int]:
-    """The B-indices of the fresh pool N_k of the current state, for every k.
+def _fresh_pool(st: SwitchState, mode: Mode) -> dict[int, int]:
+    """The fresh pool N_k of the current state, for every k, as B-index -> partner A-index.
 
     Saturated B-vertices outside Y_k and the used y_i with a class-pi(k)
-    partner outside X and z_1..z_k. Strict mode keeps the _n_required
-    smallest B-indices.
+    partner outside X and z_1..z_k, each mapped to its smallest such
+    partner. Strict mode keeps the _n_required smallest B-indices.
     """
     ix, k = st._ints, st.k
     banned_b = st.y_sets[k - 1].union(ix.ys) if k >= 1 else frozenset()
-    pool = sorted(
-        {
-            b
-            for a, b in st.inst.classes[st.pi[k]].pairs
-            if a not in ix.xz and b in ix.y and b not in banned_b
-        }
-    )
+    pool: dict[int, int] = {}
+    for a, b in st.inst.classes[st.pi[k]].pairs:  # sorted, so the first a is the smallest
+        if a not in ix.xz and b in ix.y and b not in banned_b:
+            pool.setdefault(b, a)
     if mode is Mode.STRICT:
-        pool = pool[: _n_required(st, mode)]
-    return frozenset(pool)
+        pool = dict(sorted(pool.items())[: _n_required(st, mode)])
+    return pool
 
 
 def construct_N0(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex]:
@@ -766,23 +756,22 @@ def _class_edge_at(
     return None
 
 
-def _zw_for(st: SwitchState, w: int, n_pool: AbstractSet[int]) -> tuple[int, int, int] | None:
+def _zw_for(st: SwitchState, w: int, n_pool: Mapping[int, int]) -> tuple[int, int, int] | None:
     """The partner edge into a pool B-index w, by the two-case rule, as a triple.
 
-    Fresh-pool case (w in N_k): through class pi(k), from outside X and
-    z_1..z_k. Increment case (w in Y_k): for the smallest i with w in Y_i,
+    Fresh-pool case (w in N_k): through class pi(k), from the partner n_pool
+    holds. Increment case (w in Y_k): for the smallest i with w in Y_i,
     through class pi(i-1), from outside X and z_1..z_{i-1}. N_k avoids Y_k,
     so at most one case applies.
     """
     ix, k = st._ints, st.k
     if w in n_pool:
-        colour, banned = st.pi[k], ix.xz
-    elif k >= 1 and w in st.y_sets[k - 1]:
-        i = next(i for i in range(1, k + 1) if w in st.y_sets[i - 1])
-        colour, banned = st.pi[i - 1], ix.x.union(ix.z[: i - 1])
-    else:
+        return st.pi[k], n_pool[w], w
+    if k == 0 or w not in st.y_sets[k - 1]:
         return None
-    pair = _class_edge_at(st, colour, w, False, banned)
+    i = next(i for i in range(1, k + 1) if w in st.y_sets[i - 1])
+    colour = st.pi[i - 1]
+    pair = _class_edge_at(st, colour, w, False, ix.x.union(ix.z[: i - 1]))
     return None if pair is None else (colour, *pair)
 
 
@@ -817,7 +806,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
 
 def _claim3_augment(
     st: SwitchState,
-    n_pool: AbstractSet[int],
+    n_pool: Mapping[int, int],
     x_prime: AbstractSet[int],
     y_prime: AbstractSet[int],
 ) -> RainbowMatching | None:
@@ -862,7 +851,7 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
             f"pool size (1/2 + eps)*n + 1 - 2k = {_pool_formula(st)}", required, len(n_pool)
         )
     ix = st._ints
-    y_prime = st.y_sets[st.k - 1] | n_pool if st.k >= 1 else n_pool
+    y_prime = st.y_sets[st.k - 1].union(n_pool) if st.k >= 1 else n_pool.keys()
     x_prime = {ix.r_at_b[b][1] for b in y_prime if b in ix.r_at_b}
     augmented = _claim3_augment(st, n_pool, x_prime, y_prime)
     if augmented is not None:
@@ -951,16 +940,12 @@ def _state_payload(st: SwitchState) -> dict:
     }
 
 
-# the shape of str(Fraction): checked first, so Fraction never evaluates an
-# exponent ("1e10000000" takes seconds) or divides by zero
-_FRACTION = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-
-
 def _eps_from_json(value: object) -> Epsilon:
     """eps as _state_payload writes it, str(eps.value); ValueError on anything else."""
-    if not (type(value) is str and _FRACTION.fullmatch(value) and str(Fraction(value)) == value):
-        raise ValueError(f"eps must be a canonical fraction string, got {value!r}")
-    return Epsilon(Fraction(value))
+    with suppress(ValueError):
+        if type(value) is str and str(eps := Epsilon.parse(value)) == value:
+            return eps
+    raise ValueError(f"eps must be a canonical fraction string, got {value!r}")
 
 
 def _json_index(value: object) -> int:
@@ -1125,7 +1110,7 @@ def verify_trace_json(text: str) -> list[str]:
             )
         else:
             for t in out.matching.triples:
-                if not (0 <= t[0] < inst.n_colours and t[1:] in inst.classes[t[0]].pairs):
+                if _class_defect(inst, t) is not None:
                     failures.append(f"step {idx}: augmented edge {_show(t)} not in its class")
                     break
     return failures

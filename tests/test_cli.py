@@ -92,6 +92,14 @@ class TestSolve:
         assert result.exit_code == 2
         assert "non-negative" in result.output
 
+    def test_negative_universe_size_exits_two(self, tmp_path):
+        # used to pass validation and report certified_optimal: true
+        path = tmp_path / "inst.json"
+        path.write_text('{"n_colours": 1, "a_size": -3, "b_size": -3, "classes": [[]]}')
+        result = run("solve", "--in", str(path), "--target", "1", "--oracle-fallback")
+        assert result.exit_code == 2
+        assert "universe size must be non-negative" in result.output
+
     def test_non_integer_size_exits_two(self, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text('{"n_colours": 1, "a_size": 2.9, "b_size": true, "classes": [[[0, 0]]]}')
@@ -271,6 +279,15 @@ class TestVerifyTrace:
         assert result.exit_code == 2
         assert "non-negative" in result.output
 
+    def test_negative_universe_size_exits_two(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        payload["instance"]["b_size"] = -3
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "universe size must be non-negative" in result.output
+
     def test_non_integer_state_field_exits_two(self, tmp_path):
         payload = json.loads(self._trace_text())
         payload["base_state"]["t"] = float(payload["base_state"]["t"])
@@ -356,6 +373,16 @@ class TestConvert:
         back = run("convert", "rainbow-to-transversal", "--square", str(sq), "--in", str(mfile))
         assert back.exit_code == 0
         assert sorted(json.loads(back.output)) == sorted(entries)
+
+    def test_repeated_transversal_entry_exits_two(self, tmp_path):
+        # used to be folded into one entry, exit 0
+        sq = tmp_path / "sq.txt"
+        sq.write_text(format_latin_text(gen_cyclic(5)))
+        tfile = tmp_path / "t.json"
+        tfile.write_text("[[0, 0], [0, 0]]")
+        result = run("convert", "transversal-to-rainbow", "--square", str(sq), "--in", str(tfile))
+        assert result.exit_code == 2
+        assert "repeated entry [0, 0]" in result.output
 
     @pytest.mark.parametrize("text", ['{"01": 5}', '["01"]', "[[0, 1.0]]", "[[true, 0]]"])
     def test_transversal_rows_must_be_integer_arrays(self, tmp_path, text):

@@ -79,6 +79,13 @@ class TestValidateInstance:
         with pytest.raises(ValueError, match="non-negative"):
             instance_from_json('{"n_colours": 1, "a_size": 2, "b_size": 2, "classes": [[[-1, 0]]]}')
 
+    def test_negative_universe_size_rejected_on_construction(self):
+        for a_size, b_size in ((-3, -3), (1, -1), (-1, None)):
+            with pytest.raises(ValueError, match="universe size must be non-negative"):
+                make_instance([[(0, 0)]], a_size=a_size, b_size=b_size)
+        with pytest.raises(ValueError, match="universe size must be non-negative"):
+            instance_from_json('{"n_colours": 1, "a_size": -3, "b_size": -3, "classes": [[]]}')
+
     def test_negative_index_in_hand_built_class_is_flagged(self):
         inst = Instance((ColourClass(((-1, 0),)), ColourClass(((0, -2),))), 2, 2)
         violations = validate_instance(inst)

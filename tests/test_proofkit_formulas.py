@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,17 @@ class TestEpsilon:
             Epsilon.parse("0")
         with pytest.raises(ValueError):
             Epsilon.parse("-1/2")
+
+    def test_exponent_is_never_evaluated(self):
+        # Fraction("1e10000000") computes 10**10000000, seconds of CPU
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="eps must be a fraction string"):
+            Epsilon.parse("1e10000000")
+        assert time.perf_counter() - start < 2
+
+    def test_zero_denominator_raises_value_error(self):
+        with pytest.raises(ValueError, match="eps must be a fraction string"):
+            Epsilon.parse("1/0")
 
 
 class TestSmallestT:

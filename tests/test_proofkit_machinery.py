@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -23,6 +24,7 @@ from rainbowbench.proofkit import (
     Extended,
     Mode,
     PigeonholeFailure,
+    SwitchIntegrityError,
     SwitchState,
     ThresholdInfeasible,
     Trace,
@@ -284,6 +286,50 @@ class TestClaim3Switch:
             claim3_switch(st, f, f_bar, replace(zw, colour=colour))
 
 
+class TestColourOutsideTheInstance:
+    # each of these indexed inst.classes by the colour before any range check
+    def test_claim1_g(self):
+        st = replace(worked_claim1_state(), pi=(0, 7))
+        with pytest.raises(ValueError, match="colour outside the instance"):
+            claim1_switch(st, ColouredEdge.of(7, 3, 2))
+
+    def test_claim2_e_bar(self):
+        inst = make_instance([[(6, 2)], [(0, 2), (3, 1)]], a_size=7, b_size=4)
+        st = SwitchState(
+            inst=inst,
+            r=make_matching([(1, 0, 2), (5, 2, 1)]),
+            eps=EPS1,
+            t=1,
+            k=1,
+            e_seq=((1, 0, 2),),
+            g_seq=((0, 6, 2),),
+            x_sets=(frozenset({2}),),
+            y_sets=(frozenset({1}),),
+            pi=(0, 1),
+        )
+        g, e, e_bar = ColouredEdge.of(1, 3, 1), ColouredEdge.of(5, 2, 1), ColouredEdge.of(5, 0, 3)
+        with pytest.raises(ValueError, match="colour outside the instance"):
+            claim2_switch(st, g, e, e_bar)
+
+    def test_claim3_f_bar(self):
+        inst = make_instance([[(4, 1)], []], a_size=5, b_size=4)
+        st = SwitchState(
+            inst=inst,
+            r=make_matching([(5, 2, 1)]),
+            eps=EPS1,
+            t=1,
+            k=0,
+            e_seq=(),
+            g_seq=(),
+            x_sets=(),
+            y_sets=(),
+            pi=(0,),
+        )
+        f, f_bar, zw = ColouredEdge.of(5, 2, 1), ColouredEdge.of(5, 3, 3), ColouredEdge.of(0, 4, 1)
+        with pytest.raises(ValueError, match="colour outside the instance"):
+            claim3_switch(st, f, f_bar, zw)
+
+
 class TestPoolConstruction:
     def base_state(self, f0_pairs, n=4):
         classes = [f0_pairs] + [[(c, c)] for c in range(1, n)]
@@ -540,6 +586,102 @@ class TestStepOutcomes:
                     assert extend_state(st, mode) == first
                     seen.add(type(first).__name__)
         assert seen == {"threshold", "pigeonhole", "Augmented", "Extended"}
+
+
+def _with_entry(st: SwitchState, name: str, i: int, value) -> SwitchState:
+    seq = getattr(st, name)
+    return replace(st, **{name: seq[: i - 1] + (value,) + seq[i:]})
+
+
+def checker_states(seed: int, count: int):
+    """Forged states, each followed by single-field mutations of one step i.
+
+    The mutations: g_i recoloured (possibly outside the instance), Y_i enlarged
+    by a saturated B-index, X_i and Y_i both enlarged by the ends of one r-edge,
+    pi(i) moved to a colour outside the pi image, z_i moved onto an X_i vertex
+    or onto an earlier z, and X_k shrunk by its smallest index.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        forge = random_forge(rng, k_range=(0, 3), min_pool=rng.randint(0, 1))
+        planter = rng.choice(
+            (forge.plant_extension, forge.plant_claim1, forge.add_pool_witness, None)
+        )
+        if planter is not None:
+            planter()
+        forge.add_escapes(rng.randint(0, 2))
+        forge.add_distractors(rng.randint(0, 3))
+        st = forge.freeze()
+        yield st
+        if st.k == 0:
+            continue
+        i = rng.randint(1, st.k)
+        c, z, y = st.g_seq[i - 1]
+        yield _with_entry(st, "g_seq", i, (rng.randrange(st.inst.n_colours + 2), z, y))
+        saturated_b = sorted({b for _, _, b in st.r.triples} - st.y_sets[i - 1])
+        if saturated_b:
+            b = rng.choice(saturated_b)
+            yield _with_entry(st, "y_sets", i, st.y_sets[i - 1] | {b})
+            a = next(a for _, a, rb in st.r.triples if rb == b)
+            grown = _with_entry(st, "x_sets", i, st.x_sets[i - 1] | {a})
+            yield _with_entry(grown, "y_sets", i, st.y_sets[i - 1] | {b})
+        outside = sorted(set(range(1, st.inst.n_colours)) - set(st.pi))
+        if outside:
+            yield _with_entry(st, "pi", i + 1, rng.choice(outside))
+        if st.x_sets[i - 1]:
+            yield _with_entry(st, "g_seq", i, (c, min(st.x_sets[i - 1]), y))
+        if i >= 2:
+            yield _with_entry(st, "g_seq", i, (c, st.g_seq[rng.randrange(i - 1)][1], y))
+        if st.x_sets[-1]:
+            shrunk = st.x_sets[-1] - {min(st.x_sets[-1])}
+            yield _with_entry(st, "x_sets", st.k, shrunk)
+
+
+def _first_outcome(st: SwitchState, mode: Mode):
+    try:
+        out = next(step_outcomes(st, mode), None)
+    except (ValueError, ChainError, PigeonholeFailure, SwitchIntegrityError,
+            ThresholdInfeasible) as exc:
+        return [type(exc).__name__, str(exc)]
+    if out is None:
+        return None
+    if isinstance(out, Augmented):
+        return ["augmented", list(out.matching.triples)]
+    child = out.state
+    return ["extended", child.e_seq[-1], child.g_seq[-1], sorted(child.x_sets[-1]),
+            sorted(child.y_sets[-1]), child.pi[-1]]
+
+
+def _property_rows(st: SwitchState, mode: Mode):
+    try:
+        report = verify_properties(st, mode)
+    except ValueError as exc:
+        return ["ValueError", str(exc)]
+    return [[c.name, c.ok, c.witness] for c in report.checks]
+
+
+class TestCheckerPin:
+    def test_reports_and_first_outcomes_are_pinned(self):
+        # sha256 over, per forged or mutated state and per mode: the
+        # verify_properties report (name, ok, witness) or its error, and the
+        # first step_outcomes result or its error; recorded before P1-P7 and
+        # the fresh pool were restated, so any change in a witness string,
+        # a verdict or a step fails
+        digest = hashlib.sha256()
+        states, failed = 0, set()
+        for st in checker_states(890, 300):
+            states += 1
+            for mode in Mode:
+                rows = _property_rows(st, mode)
+                if rows[0] != "ValueError":
+                    failed.update((mode, name) for name, ok, _ in rows if not ok)
+                line = [mode.value, rows, _first_outcome(st, mode)]
+                digest.update((json.dumps(line) + "\n").encode())
+        assert states == 1681
+        assert failed == {(mode, name) for mode in Mode for name in proofkit.PROPERTY_NAMES}
+        assert digest.hexdigest() == (
+            "198172c342a13d41f540c3c19c3aedc127b58f9a0c6e8aaef7c78c977b508a3d"
+        )
 
 
 ANY_EDGE = ColouredEdge.of(0, 0, 0)
