@@ -7,8 +7,11 @@ candidates are one integer bitmask over its own sorted pairs, and a child
 clears the bits of the edges that meet the one just chosen. The branch is the
 bundle with the fewest candidate edges, "skip this bundle" is tried last, and
 the admissible bound is size + min(sum of min(capacity, candidates), a_size -
-size, b_size - size). naive_max_rainbow is a deliberately separate
-enumeration used for oracle-vs-oracle equivalence checks.
+size, b_size - size). Once a search is expensive it also prunes symmetric
+root moves (orbital branching, Ostrowski, Linderoth, Rossi and Smriglio, Math.
+Prog. 2011) with automorphisms that symmetry.root_orbits has verified; see
+max_rainbow. naive_max_rainbow is a deliberately separate enumeration used for
+oracle-vs-oracle equivalence checks.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Iterable, Literal
 
 from .core import Instance, RainbowMatching, make_instance, make_matching
 from .gen import gen_random_instance
+from .symmetry import root_orbits
 
 Mode = Literal["exhaustive", "randomized"]
 
@@ -73,6 +77,8 @@ class SearchReport:
 _Bundle = tuple[tuple[tuple[int, int], ...], list[int]]
 # the weight field of a live bundle, see _Searcher.dfs
 _WEIGHT = itemgetter(4)
+# nodes a worker spends before it looks for symmetric root moves, see _Searcher.dfs
+_ORBIT_NODES = 4096
 
 
 def _masks_at(pairs: tuple[tuple[int, int], ...], side: int) -> dict[int, int]:
@@ -146,7 +152,8 @@ class _Searcher:
         edge its next colour and clears every mask's edges that meet it. At
         the root this worker takes only the moves i with i % workers ==
         worker, and i becomes the task that the best selection found below
-        it is tagged with.
+        it is tagged with; a one-colour root bundle's edge moves are pruned
+        by their orbits once _ORBIT_NODES are spent, see max_rainbow.
         """
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
             self.stopped = True
@@ -172,12 +179,18 @@ class _Searcher:
         colour = colours[-cap]
         at_a, at_b = self.at_a, self.at_b
         worker, workers = share or (0, 1)
+        reps = None
         for i in range(count + 1):
             low = left & -left
             left ^= low
             if i % workers != worker:
                 continue
             if share is not None:
+                if low and cap == 1:
+                    if reps is None and self.nodes >= _ORBIT_NODES:
+                        reps = root_orbits(self.bundles, t)
+                    if reps is not None and reps[i] < i:
+                        continue
                 self.task = i
             if not low:
                 self.dfs(rest, chosen)
@@ -238,6 +251,18 @@ def max_rainbow(
     count: the best selection with the lowest root move wins, which is the
     one a sequential search finds first. Node counts depend on the worker
     count; optimal is true only when every worker exhausted its share.
+
+    Orbital branching: when the root bundle is one colour and a worker has
+    spent _ORBIT_NODES (4,096) nodes by one of its root edge moves, it gets
+    the root edges' orbits from symmetry.root_orbits, once, and skips from
+    then on every edge move i whose orbit holds a lower index ("skip this
+    bundle" is never pruned). An automorphism g fixing the root colour maps
+    the subtree "the root colour takes e" onto "it takes g(e)", so the first
+    optimum-sized selection in search order lies under a move never skipped:
+    best is the unpruned search's and only nodes_explored changes. Each
+    worker prunes its own share independently. A search of fewer than 4,096
+    nodes runs exactly as without the trigger. optimal means exhausted up to
+    verified automorphisms.
     """
     start = time.perf_counter()
     groups: dict[tuple[tuple[int, int], ...], list[int]] = {}

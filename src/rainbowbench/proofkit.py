@@ -418,11 +418,12 @@ def _p6(st: SwitchState, mode: Mode) -> str | None:
 
 def _p7(st: SwitchState, mode: Mode) -> str | None:
     """P7: if g_i lies in class pi(j) with 1 <= j < i, z_i avoids X and z_1..z_j."""
-    ix = st._ints
+    z = st._ints.z
     for i, (colour, zi, _) in enumerate(st.g_seq, 1):
         if colour in st.pi[1:i]:
             j = st.pi.index(colour)
-            if zi in ix.x or zi in ix.z[:j]:
+            # a z_i in X is a structural violation, rejected before any property runs
+            if zi in z[:j]:
                 return f"z_{i}={va(zi)!r} collides with X or z_1..z_{j}"
     return None
 

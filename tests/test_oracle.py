@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import time
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowbench.core import is_rainbow, make_instance, validate_instance
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
-from rainbowbench.latin import gen_cyclic, latin_to_instance
+from rainbowbench.latin import gen_cyclic, gen_random_latin, latin_to_instance
 from rainbowbench import oracle
 from rainbowbench.oracle import (
     CSV_COLUMNS,
@@ -219,9 +220,15 @@ class TestMaxRainbow:
         assert rep.nodes_explored == nodes
 
     def test_no_transversal_10_node_count_is_pinned(self):
+        # root move 0 takes 6,290 nodes; its orbit holds every other edge move
         rep = max_rainbow(gen_no_transversal(10), workers=1)
         assert rep.optimal and len(rep.best) == 9
-        assert rep.nodes_explored == 62_830
+        assert rep.nodes_explored == 6_292
+
+    def test_no_transversal_12_certifies_under_a_node_budget(self):
+        # about 1.57M nodes without orbital branching
+        rep = max_rainbow(gen_no_transversal(12), SearchBudget.nodes(200_000))
+        assert rep.optimal and len(rep.best) == 11 and is_rainbow(rep.best)
 
     @pytest.mark.parametrize(
         "inst", [gen_drisko(8), _relabelled(gen_drisko(7), 7)], ids=["drisko8", "drisko7-relabelled"]
@@ -262,6 +269,59 @@ class TestMaxRainbow:
         assert len(sizes) == 1 and sizes[0] <= 4
         assert par.best == seq.best
         assert par.optimal
+
+
+def _forced_trigger_cases():
+    """(instance, known optimum or None): the pin draws, relabelled witnesses and random squares."""
+    for inst in _pin_draws():
+        yield inst, None
+    for n in (4, 6, 8):
+        yield _relabelled(gen_no_transversal(n), n), n - 1
+    for n in range(3, 8):
+        yield _relabelled(gen_drisko(n), n), n - 1
+    for n in range(2, 9):
+        for seed in (1, 2):
+            yield latin_to_instance(gen_random_latin(n, seed)), None
+
+
+def _naive_is_small(inst):
+    # naive_max_rainbow's guard admits latin8, whose 9**8 selections take
+    # minutes to enumerate; this keeps 260 of the 314 cases at under 1 s
+    return inst.n_colours <= 8 and math.prod(len(cls) + 1 for cls in inst.classes) <= 20_000
+
+
+class TestOrbitalBranching:
+    def test_forced_trigger_keeps_best_and_optimal(self, monkeypatch):
+        # orbits computed at the first root move of every search, one worker
+        # and 2 or 3 workers run in this process: best and optimal equal the
+        # search without the trigger, which none of these searches reaches
+        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool([]))
+        pruned = 0
+        for inst, optimum in _forced_trigger_cases():
+            plain = max_rainbow(inst)
+            assert plain.nodes_explored < oracle._ORBIT_NODES
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_ORBIT_NODES", 0)
+                forced = [max_rainbow(inst, workers=w) for w in (1, 2, 3)]
+            for rep in forced:
+                assert (rep.best, rep.optimal) == (plain.best, plain.optimal)
+            assert plain.optimal and is_rainbow(plain.best)
+            if optimum is not None:
+                assert len(plain.best) == optimum
+            elif _naive_is_small(inst):
+                assert len(plain.best) == len(naive_max_rainbow(inst).best)
+            pruned += forced[0].nodes_explored < plain.nodes_explored
+        assert pruned >= 3  # the relabelled cyclic witnesses at least
+
+    def test_orbits_are_asked_for_once_and_only_for_a_one_colour_root(self, monkeypatch):
+        calls = []
+        orbits = oracle.root_orbits
+        monkeypatch.setattr(oracle, "root_orbits", lambda *args: calls.append(args) or orbits(*args))
+        monkeypatch.setattr(oracle, "_ORBIT_NODES", 0)
+        max_rainbow(gen_drisko(6))  # each bundle holds five identical colours
+        assert calls == []
+        max_rainbow(gen_no_transversal(6))
+        assert len(calls) == 1
 
 
 class TestNaiveMaxRainbow:
