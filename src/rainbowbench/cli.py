@@ -21,39 +21,48 @@ class DataError(click.ClickException):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write text to path, creating its missing parent directories; None or - is stdout."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_instance(path: str) -> core.Instance:
-    inst = _instance_from_text(_read_text(path), path)
-    violations = core.validate_instance(inst)
-    if violations:
-        raise DataError(
-            f"invalid instance in {path}: " + "; ".join(str(v) for v in violations)
-        )
-    return inst
-
-
-def _instance_from_text(text: str, label: str) -> core.Instance:
+def _checked(fn, *args, where: str = ""):
+    """fn(*args), with a ValueError (arguments or data fn rejects) exiting 2 after where."""
     try:
-        return core.instance_from_json(text)
+        return fn(*args)
     except ValueError as exc:
-        raise DataError(f"{label}: {exc}") from exc
+        raise DataError(f"{where}{exc}") from exc
+
+
+def _load(path: str, parse, validate=None, what: str = ""):
+    """parse(text of path); a file that cannot be read or parsed, or a value with
+    violations from validate (if given), exits 2 naming the file."""
+    value = _checked(parse, _read_text(path), where=f"{path}: ")
+    violations = validate(value) if validate else []
+    if violations:
+        raise DataError(f"invalid {what} in {path}: " + "; ".join(map(str, violations)))
+    return value
+
+
+def _load_instance(path: str) -> core.Instance:
+    return _load(path, core.instance_from_json, core.validate_instance, "instance")
+
+
+def _load_square(path: str) -> latin.LatinSquare:
+    return _load(path, latin.parse_latin_text, latin.validate_latin, "Latin square")
 
 
 @click.group()
@@ -74,10 +83,7 @@ def gen_group() -> None:
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
 def gen_drisko_cmd(n: int, out: str | None) -> None:
     """Two bundles of n-1 size-n matchings on a 2n-cycle; optimum n-1."""
-    try:
-        inst = gen.gen_drisko(n)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    inst = _checked(gen.gen_drisko, n)
     _write_text(out, core.instance_to_json(inst))
 
 
@@ -86,10 +92,7 @@ def gen_drisko_cmd(n: int, out: str | None) -> None:
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
 def gen_cyclic_cmd(n: int, out: str | None) -> None:
     """Coloured-graph form of the cyclic Latin square of order n."""
-    try:
-        inst = latin.latin_to_instance(latin.gen_cyclic(n))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    inst = latin.latin_to_instance(_checked(latin.gen_cyclic, n))
     _write_text(out, core.instance_to_json(inst))
 
 
@@ -104,10 +107,7 @@ def gen_random_cmd(
     n: int, m: int, seed: int, a_size: int | None, b_size: int | None, out: str | None
 ) -> None:
     """n independent uniform random matchings of size m."""
-    try:
-        inst = gen.gen_random_instance(n, m, a_size, b_size, seed)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    inst = _checked(gen.gen_random_instance, n, m, a_size, b_size, seed)
     _write_text(out, core.instance_to_json(inst))
 
 
@@ -185,18 +185,14 @@ def _sweep_options(command):
 
 
 def _run_sweep(n, ell, m, mode, trials, seed, fmt, out, witness_dir) -> None:
-    try:
-        report = oracle.estimate_mu(n, ell, m, mode, trials, seed)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    report = _checked(oracle.estimate_mu, n, ell, m, mode, trials, seed)
     if report.counterexample is not None:
         name = (
             f"counterexample_n{report.n}_m{report.m}_ell{report.ell}"
             f"_{report.mode}_seed{report.seed}.json"
         )
         path = Path(witness_dir) / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(core.instance_to_json(report.counterexample))
+        _write_text(str(path), core.instance_to_json(report.counterexample))
         click.echo(f"counterexample written to {path}", err=True)
     if fmt == "csv":
         _write_text(out, oracle.reports_to_csv([report]))
@@ -229,11 +225,7 @@ def experiment_mu_cmd(**args) -> None:
 @click.pass_context
 def verify_trace_cmd(ctx: click.Context, in_path: str) -> None:
     """Re-check every state snapshot and augmented matching of a recorded trace."""
-    text = _read_text(in_path)
-    try:
-        failures = proofkit.verify_trace_json(text)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    failures = _load(in_path, proofkit.verify_trace_json)
     if failures:
         for line in failures:
             click.echo(line, err=True)
@@ -249,17 +241,6 @@ def convert_group() -> None:
     """Conversions between Latin square text, Instance JSON and matchings."""
 
 
-def _load_square(path: str) -> latin.LatinSquare:
-    try:
-        ls = latin.parse_latin_text(_read_text(path))
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    violations = latin.validate_latin(ls)
-    if violations:
-        raise DataError(f"invalid Latin square in {path}: " + "; ".join(str(v) for v in violations))
-    return ls
-
-
 @convert_group.command("latin-to-instance")
 @click.option("--in", "in_path", required=True, help="Latin square text file (- for stdin).")
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
@@ -273,10 +254,7 @@ def latin_to_instance_cmd(in_path: str, out: str | None) -> None:
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
 def instance_to_latin_cmd(in_path: str, out: str | None) -> None:
     inst = _load_instance(in_path)
-    try:
-        ls = latin.instance_to_latin(inst)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    ls = _checked(latin.instance_to_latin, inst)
     _write_text(out, latin.format_latin_text(ls))
 
 
@@ -286,11 +264,7 @@ def instance_to_latin_cmd(in_path: str, out: str | None) -> None:
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
 def rainbow_to_transversal_cmd(square_path: str, in_path: str, out: str | None) -> None:
     ls = _load_square(square_path)
-    try:
-        matching = core.matching_from_json(_read_text(in_path))
-        t = latin.rainbow_to_transversal(ls, matching)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    t = _load(in_path, lambda text: latin.rainbow_to_transversal(ls, core.matching_from_json(text)))
     _write_text(out, json.dumps([list(e) for e in t.sorted_entries()]) + "\n")
 
 
@@ -300,13 +274,9 @@ def rainbow_to_transversal_cmd(square_path: str, in_path: str, out: str | None) 
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
 def transversal_to_rainbow_cmd(square_path: str, in_path: str, out: str | None) -> None:
     ls = _load_square(square_path)
-    try:
-        entries = core.int_rows(json.loads(_read_text(in_path)), 2)
-        core.reject_repeats(entries, "repeated entry")
-        t = latin.PartialTransversal(frozenset(entries))
-        matching = latin.transversal_to_rainbow(ls, t)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    matching = _load(
+        in_path, lambda text: latin.transversal_to_rainbow(ls, latin.transversal_from_json(text))
+    )
     _write_text(out, core.matching_to_json(matching))
 
 

@@ -349,6 +349,14 @@ def free_colour_zero(
 # --- canonical JSON formats ---------------------------------------------------
 
 
+def json_value(text: str) -> object:
+    """The one JSON decoder: json.loads, with nesting too deep to decode a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
 def json_int(value: object) -> int:
     """A decoded JSON integer; ValueError on anything else (bool, float, str are not coerced)."""
     if type(value) is not int:
@@ -459,8 +467,8 @@ def instance_to_json(inst: Instance) -> str:
 
 def instance_from_json(text: str) -> Instance:
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json_value(text)
+    except ValueError as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     return instance_from_payload(payload)
 
@@ -495,7 +503,7 @@ def matching_to_json(r: RainbowMatching) -> str:
 
 def matching_from_json(text: str) -> RainbowMatching:
     try:
-        triples = matching_rows(json.loads(text))
+        triples = matching_rows(json_value(text))
     except ValueError as exc:
         raise ValueError(f"malformed matching JSON: {exc}") from exc
     return make_matching(triples)

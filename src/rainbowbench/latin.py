@@ -15,8 +15,12 @@ from typing import Iterable
 from .core import (
     Instance,
     RainbowMatching,
+    int_rows,
+    is_rainbow,
+    json_value,
     make_instance,
     make_matching,
+    reject_repeats,
 )
 
 
@@ -152,10 +156,6 @@ def rainbow_to_transversal(ls: LatinSquare, r: RainbowMatching) -> PartialTransv
     Raises ValueError when r is not a valid rainbow matching of that instance.
     """
     n = ls.order
-    rows: set[int] = set()
-    cols: set[int] = set()
-    symbols: set[int] = set()
-    entries: set[tuple[int, int]] = set()
     for ce in r.sorted_edges():
         col, row = ce.edge.pair
         if not (0 <= col < n and 0 <= row < n and 0 <= ce.colour < n):
@@ -164,13 +164,9 @@ def rainbow_to_transversal(ls: LatinSquare, r: RainbowMatching) -> PartialTransv
             raise ValueError(
                 f"edge {ce!r} disagrees with cell ({row},{col}) holding symbol {ls.cells[row][col]}"
             )
-        if row in rows or col in cols or ce.colour in symbols:
-            raise ValueError(f"not a rainbow matching: {ce!r} repeats a row, column or symbol")
-        rows.add(row)
-        cols.add(col)
-        symbols.add(ce.colour)
-        entries.add((row, col))
-    return PartialTransversal(frozenset(entries))
+    if not is_rainbow(r):
+        raise ValueError("not a rainbow matching: it repeats a row, column or symbol")
+    return PartialTransversal(frozenset((row, col) for _, col, row in r.triples))
 
 
 def transversal_to_rainbow(ls: LatinSquare, t: PartialTransversal) -> RainbowMatching:
@@ -181,17 +177,12 @@ def transversal_to_rainbow(ls: LatinSquare, t: PartialTransversal) -> RainbowMat
 
 
 def is_partial_transversal(ls: LatinSquare, t: PartialTransversal) -> bool:
-    """True iff rows, columns and symbols of the entries are pairwise distinct."""
-    rows = [row for row, _ in t.entries]
-    cols = [col for _, col in t.entries]
-    if any(not (0 <= row < ls.order and 0 <= col < ls.order) for row, col in t.entries):
+    """True iff the entries lie in the square and, as edges of latin_to_instance(ls),
+    form a rainbow matching: their rows, columns and symbols are pairwise distinct."""
+    n = ls.order
+    if any(not (0 <= row < n and 0 <= col < n) for row, col in t.entries):
         return False
-    symbols = [ls.cells[row][col] for row, col in t.entries]
-    return (
-        len(set(rows)) == len(rows)
-        and len(set(cols)) == len(cols)
-        and len(set(symbols)) == len(symbols)
-    )
+    return is_rainbow(make_matching((ls.cells[row][col], col, row) for row, col in t.entries))
 
 
 def gen_cyclic(n: int) -> LatinSquare:
@@ -275,3 +266,14 @@ def parse_latin_text(text: str) -> LatinSquare:
             raise ValueError(f"row {line!r} has {len(row)} symbols, expected {n}")
         rows.append(row)
     return LatinSquare.from_rows(rows)
+
+
+def transversal_from_json(text: str) -> PartialTransversal:
+    """A PartialTransversal from a JSON array of distinct [row, column] entries.
+
+    Raises ValueError on anything else; a repeated entry is malformed, not a
+    smaller transversal.
+    """
+    entries = int_rows(json_value(text), 2)
+    reject_repeats(entries, "repeated entry")
+    return PartialTransversal(frozenset(entries))

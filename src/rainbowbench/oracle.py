@@ -259,10 +259,14 @@ def max_rainbow(
     bundle" is never pruned). An automorphism g fixing the root colour maps
     the subtree "the root colour takes e" onto "it takes g(e)", so the first
     optimum-sized selection in search order lies under a move never skipped:
-    best is the unpruned search's and only nodes_explored changes. Each
-    worker prunes its own share independently. A search of fewer than 4,096
-    nodes runs exactly as without the trigger. optimal means exhausted up to
-    verified automorphisms.
+    best is the unpruned search's and only nodes_explored changes. A worker
+    counts only its own nodes, and it skips a move whose orbit holds a lower
+    index in whichever share that index lies; the owner of an orbit's lowest
+    move never skips it. Its first root edge move comes before its trigger,
+    so every worker searches one: where the root edges form one orbit, W
+    workers search W subtrees that one would cover. A search of fewer than
+    4,096 nodes runs exactly as without the trigger. optimal means exhausted
+    up to verified automorphisms.
     """
     start = time.perf_counter()
     groups: dict[tuple[tuple[int, int], ...], list[int]] = {}

@@ -28,7 +28,6 @@ checks and set truncations; the exchange algebra is identical.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from contextlib import suppress
@@ -49,6 +48,7 @@ from .core import (
     int_rows,
     is_rainbow,
     json_int,
+    json_value,
     make_matching,
     matching_rows,
     neighbourhood_along,  # unused here, but perfbench's tracer patches proofkit.neighbourhood_along
@@ -272,29 +272,31 @@ def initial_state(inst: Instance, r: RainbowMatching, eps: Epsilon) -> SwitchSta
     )
 
 
-def _require_shape(st: SwitchState) -> None:
-    """ValueError unless e_seq, g_seq, x_sets and y_sets have k entries and pi k + 1.
-
-    An O(1) guard for the engine's entry points, which index these by k or a
-    pi-index; state_violations makes the full structural check.
-    """
+def _shape_defect(st: SwitchState) -> str | None:
+    """Why e_seq, g_seq, x_sets and y_sets do not have k entries and pi k + 1, or None."""
     k = st.k
     lengths = (len(st.e_seq), len(st.g_seq), len(st.x_sets), len(st.y_sets), len(st.pi))
     if lengths != (k, k, k, k, k + 1):
-        raise ValueError(
+        return (
             f"state shape does not fit k={k}: e_seq, g_seq, x_sets, y_sets and pi "
             f"have {', '.join(map(str, lengths))} entries"
         )
+    return None
+
+
+def _require_shape(st: SwitchState) -> None:
+    """ValueError on a _shape_defect: an O(1) guard for the entry points that index by k or pi."""
+    if (defect := _shape_defect(st)) is not None:
+        raise ValueError(defect)
 
 
 def state_violations(st: SwitchState) -> list[str]:
     """Structural checks on the sequence shapes, independent of P1-P7."""
+    if (defect := _shape_defect(st)) is not None:
+        return [defect]
     out: list[str] = []
     k = st.k
-    if not (len(st.e_seq) == len(st.g_seq) == len(st.x_sets) == len(st.y_sets) == k):
-        out.append(f"sequence lengths do not match k={k}")
-        return out
-    if len(st.pi) != k + 1 or st.pi[0] != 0:
+    if st.pi[0] != 0:
         out.append(f"pi must map 0..k with pi(0)=0, got {st.pi}")
     if len(set(st.pi)) != len(st.pi):
         out.append(f"pi is not injective: {st.pi}")
@@ -984,19 +986,20 @@ def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     )
 
 
+def _report_payload(report: PropertyReport) -> dict:
+    return {c.name: {"ok": c.ok, "witness": c.witness} for c in report.checks}
+
+
 def trace_to_json(trace: Trace) -> str:
     """Serialize a trace with full state snapshots and property reports."""
     steps = []
     for out in trace.steps:
         if isinstance(out, Extended):
-            report = verify_properties(out.state, trace.mode)
             steps.append(
                 {
                     "kind": "extended",
                     "state": _state_payload(out.state),
-                    "properties": {
-                        c.name: {"ok": c.ok, "witness": c.witness} for c in report.checks
-                    },
+                    "properties": _report_payload(verify_properties(out.state, trace.mode)),
                 }
             )
         else:
@@ -1015,14 +1018,18 @@ def trace_to_json(trace: Trace) -> str:
     return canonical_json(payload)
 
 
-def _step_from_payload(inst: Instance, step) -> StepOutcome:
+def _step_from_payload(inst: Instance, step) -> tuple[StepOutcome, object]:
+    """The step's outcome, and for an extended step its recorded property report."""
     if not isinstance(step, dict):
         raise TypeError(f"expected an object, got {type(step).__name__}")
     kind = step.get("kind")
     if kind == "extended":
-        return Extended(_state_from_payload(inst, step["state"]))
+        out = Extended(_state_from_payload(inst, step["state"]))
+        if not isinstance(recorded := step["properties"], dict):
+            raise TypeError(f"properties must be an object, got {type(recorded).__name__}")
+        return out, recorded
     if kind == "augmented":
-        return Augmented(make_matching(matching_rows(step["matching"])))
+        return Augmented(make_matching(matching_rows(step["matching"]))), None
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -1047,15 +1054,17 @@ def verify_trace_json(text: str) -> list[str]:
     The base must be a k = 0 state, and every step must be the outcome
     extend_state derives from the previous state. Each extended step must
     also continue the previous state (k rises by one; e_seq, g_seq, x_sets,
-    y_sets and pi each gain one entry; r, eps and t stay the base's) and
-    satisfy P1-P7. An augmented step must end the trace with a valid rainbow
-    matching one larger than the base's r. Returns failure strings naming the
-    step index and the violated property, link or matching defect; empty
-    means the trace verifies. Raises ValueError on malformed JSON, including
-    an invalid instance and structurally invalid states.
+    y_sets and pi each gain one entry; r, eps and t stay the base's), satisfy
+    P1-P7, and record the property report verify_properties gives. An
+    augmented step must end the trace with a valid rainbow matching one
+    larger than the base's r. Returns failure strings naming the step index
+    and the violated property, link or matching defect; empty means the
+    trace verifies. Raises ValueError on malformed JSON, including JSON
+    nested too deeply, an invalid instance, structurally invalid states and
+    an extended step without a properties object.
     """
     try:
-        payload = json.loads(text)
+        payload = json_value(text)
         mode = Mode(payload["mode"])
         inst = instance_from_payload(payload["instance"])
         violations = validate_instance(inst)
@@ -1081,7 +1090,7 @@ def verify_trace_json(text: str) -> list[str]:
     prev: SwitchState | Augmented = base
     for idx, step in enumerate(steps):
         try:
-            out = _step_from_payload(inst, step)
+            out, recorded = _step_from_payload(inst, step)
             report = verify_properties(out.state, mode) if isinstance(out, Extended) else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed trace JSON: step {idx}: {exc}") from exc
@@ -1099,6 +1108,10 @@ def verify_trace_json(text: str) -> list[str]:
             links = _chain_breaks(base, prev, out.state)
             failures += [f"step {idx}: chain broken: {link}" for link in links]
             failures += [f"step {idx}: {n} fails ({report[n].witness})" for n in report.failed()]
+            if recorded != _report_payload(report):
+                failures.append(
+                    f"step {idx}: recorded property report differs from the checked one"
+                )
             prev = out.state
             continue
         prev = out

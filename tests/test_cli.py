@@ -9,8 +9,11 @@ from rainbowbench.cli import main
 from rainbowbench.core import free_colour_zero, instance_from_json
 from rainbowbench.gen import gen_random_instance
 from rainbowbench.latin import format_latin_text, gen_cyclic
-from rainbowbench.proofkit import Epsilon, run_switch_trace, trace_to_json
+from rainbowbench.proofkit import PROPERTY_NAMES, Epsilon, run_switch_trace, trace_to_json
 from rainbowbench.solver import greedy_rainbow
+
+# the property report trace_to_json records for a state that passes P1-P7
+ALL_OK = {name: {"ok": True, "witness": None} for name in PROPERTY_NAMES}
 
 
 def run(*args, **kwargs):
@@ -30,6 +33,11 @@ class TestGen:
         b = run("gen", "random", "--n", "3", "--m", "5", "--seed", "7")
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
+
+    def test_out_creates_missing_parent_directories(self, tmp_path):
+        out = tmp_path / "new" / "dir" / "inst.json"
+        assert run("gen", "drisko", "--n", "3", "-o", str(out)).exit_code == 0
+        assert out.read_text() == run("gen", "drisko", "--n", "3").output
 
     def test_drisko_guard_exits_two(self):
         result = run("gen", "drisko", "--n", "1")
@@ -229,7 +237,9 @@ class TestVerifyTrace:
 
     def test_step_repeating_the_base_exits_one(self, tmp_path):
         payload = json.loads(self._trace_text())
-        payload["steps"] = [{"kind": "extended", "state": payload["base_state"]}]
+        payload["steps"] = [
+            {"kind": "extended", "state": payload["base_state"], "properties": ALL_OK}
+        ]
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(payload))
         result = run("verify-trace", "--in", str(path))
@@ -327,6 +337,24 @@ class TestVerifyTrace:
         assert result.exit_code == 2
         assert "repeated row" in result.output
 
+    def test_forged_property_report_exits_one(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        payload["steps"][0]["properties"]["P3"] = {"ok": False, "witness": "forged"}
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 1
+        assert "step 0: recorded property report differs from the checked one" in result.output
+
+    def test_missing_property_report_exits_two(self, tmp_path):
+        payload = json.loads(self._trace_text())
+        del payload["steps"][0]["properties"]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "malformed trace JSON: step 0" in result.output
+
     def test_empty_trace_exits_zero(self, tmp_path):
         payload = json.loads(self._trace_text())
         payload["steps"] = []
@@ -402,3 +430,53 @@ class TestConvert:
         result = run("convert", "rainbow-to-transversal", "--square", str(sq), "--in", str(mfile))
         assert result.exit_code == 2
         assert "repeated row" in result.output
+
+
+class TestMalformedInputFiles:
+    """A file that cannot be read or decoded exits 2 with an Error: line, never a traceback."""
+
+    COMMANDS = {
+        "solve": ("solve", "--target", "1"),
+        "verify-trace": ("verify-trace",),
+        "instance-to-latin": ("convert", "instance-to-latin"),
+        "rainbow-to-transversal": ("convert", "rainbow-to-transversal", "--square", "SQUARE"),
+        "transversal-to-rainbow": ("convert", "transversal-to-rainbow", "--square", "SQUARE"),
+    }
+
+    def invoke(self, tmp_path, command, content):
+        square = tmp_path / "sq.txt"
+        square.write_text(format_latin_text(gen_cyclic(5)))
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        args = [str(square) if a == "SQUARE" else a for a in self.COMMANDS[command]]
+        return run(*args, "--in", str(path))
+
+    @staticmethod
+    def assert_data_error(result, *parts):
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ")
+        assert all(part in result.output for part in parts)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_json_nested_too_deeply_exits_two(self, tmp_path, command):
+        result = self.invoke(tmp_path, command, b"[" * 200_000)
+        self.assert_data_error(result, "in.json: ", "JSON nested too deeply")
+
+    @pytest.mark.parametrize("command", ["solve", "verify-trace", "instance-to-latin"])
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, command):
+        result = self.invoke(tmp_path, command, b'{"mode": "\xff\xfe"}')
+        self.assert_data_error(result, "cannot read", "in.json", "codec can't decode")
+
+    def test_stdin_that_is_not_utf8_exits_two(self):
+        result = run("solve", "--in", "-", "--target", "1", input=b"\xff\xfe")
+        self.assert_data_error(result, "cannot read -", "codec can't decode")
+
+    def test_unwritable_witness_dir_exits_two(self, tmp_path):
+        regular = tmp_path / "file"
+        regular.write_text("")
+        result = run(
+            "experiment", "f", "--n", "2", "--m", "2", "--mode", "exhaustive",
+            "--witness-dir", str(regular / "sub"),
+        )
+        self.assert_data_error(result, "cannot write", "Not a directory")

@@ -123,6 +123,43 @@ def test_guard_sees_indented_dumps(tmp_path):
     assert indented_dumps(probe) == [3, 4]
 
 
+def json_decodes(path: Path) -> list[int]:
+    """Line of every loads(...) or load(...) call, bare or through a module attribute."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("loads", "load"):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_only_core_decodes_json():
+    # core.json_value is the one decoder, so JSON nested too deeply is a ValueError everywhere
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "core" and (lines := json_decodes(path))
+    }
+    assert offenders == {}
+
+
+def test_guard_sees_json_decodes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import json\n"
+        "from json import loads\n"
+        "a = json.loads(text)\n"
+        "b = loads(text)\n"
+        "c = json.load(stream)\n"
+        "d = core.json_value(text)\n"
+        "e = json.dumps(a)\n"
+    )
+    assert json_decodes(probe) == [3, 4, 5]
+
+
 def test_switch_state_fields_are_integers():
     # Vertex and ColouredEdge values are built at the public boundary only
     hints = typing.get_type_hints(SwitchState)

@@ -151,6 +151,13 @@ class TestMaxRainbow:
         assert rep.nodes_explored <= 20
         assert is_rainbow(rep.best)
 
+    def test_time_budget_stops_at_the_first_clock_check(self):
+        # the clock is read every 1024 nodes, so a spent time budget stops there
+        rep = max_rainbow(gen_no_transversal(10), SearchBudget(max_time=1e-9))
+        assert rep.nodes_explored == 1024
+        assert not rep.optimal
+        assert is_rainbow(rep.best)
+
     def test_deterministic_counters(self):
         inst = gen_drisko(4)
         a = max_rainbow(inst)

@@ -51,6 +51,8 @@ from rainbowbench.oracle import max_rainbow
 from rainbowbench.solver import greedy_rainbow
 
 EPS1 = Epsilon.parse("1")
+# the property report trace_to_json records for a state that passes P1-P7
+ALL_OK = {name: {"ok": True, "witness": None} for name in proofkit.PROPERTY_NAMES}
 
 
 def worked_claim1_state() -> SwitchState:
@@ -107,6 +109,59 @@ class TestVerifyProperties:
             forge = random_forge(rng)
             forge.add_distractors(rng.randint(0, 5))
             assert verify_properties(forge.freeze()).all_ok
+
+
+def two_step_state() -> SwitchState:
+    return StateForge(random.Random(1), 9, 2, [1, 1], chain_src=[0, 1]).freeze()
+
+
+class TestStateViolations:
+    # one mutation per structural rule; the state is otherwise the valid worked one
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda st: replace(st, k=2),
+                "state shape does not fit k=2: e_seq, g_seq, x_sets, y_sets and pi "
+                "have 1, 1, 1, 1, 2 entries",
+            ),
+            (lambda st: replace(st, pi=(1, 0)), "pi must map 0..k with pi(0)=0, got (1, 0)"),
+            (lambda st: replace(st, pi=(0, 0)), "pi is not injective: (0, 0)"),
+            (lambda st: replace(st, pi=(0, 5)), "pi or r uses a colour outside the instance's 0..1"),
+            (lambda st: replace(st, e_seq=((1, 3, 1),)), "e_1=a3b1@1 is not an edge of r"),
+            (lambda st: replace(st, g_seq=((0, 2, 0),)),
+             "g_1=a2b0@0 does not share its B-endpoint with e_1=a1b1@1"),
+            (lambda st: replace(st, g_seq=((0, 1, 1),)), "z_1=a1 is saturated by r"),
+            (lambda st: replace(st, x_sets=(frozenset({3}),)),
+             "X_1 is not a subset of the saturated A-side"),
+            (lambda st: replace(st, y_sets=(frozenset({2}),)),
+             "Y_1 is not a subset of the saturated B-side"),
+        ],
+        ids=["shape", "pi-zero", "pi-injective", "colour-range", "e-in-r", "g-shares-b",
+             "z-saturated", "x-subset", "y-subset"],
+    )
+    def test_each_rule_names_its_violation(self, mutate, message):
+        st = worked_claim1_state()
+        assert state_violations(st) == []
+        assert message in state_violations(mutate(st))
+
+    @pytest.mark.parametrize("name, message", [
+        ("e_seq", "e_i are not pairwise distinct"),
+        ("g_seq", "g_i are not pairwise distinct"),
+    ])
+    def test_repeated_sequence_entry(self, name, message):
+        st = two_step_state()
+        assert state_violations(st) == []
+        first = getattr(st, name)[0]
+        assert message in state_violations(replace(st, **{name: (first, first)}))
+
+    def test_shape_defect_is_the_engines_shape_error(self):
+        # state_violations and the entry-point guard state one shape rule
+        st = replace(worked_claim1_state(), y_sets=())
+        (defect,) = state_violations(st)
+        with pytest.raises(ValueError) as info:
+            colour_chain(st, 1)
+        assert str(info.value) == defect
 
 
 class TestColourChain:
@@ -284,6 +339,173 @@ class TestClaim3Switch:
         colour = -1 if offset is None else st.inst.n_colours + offset
         with pytest.raises(ValueError, match="colour outside the instance"):
             claim3_switch(st, f, f_bar, replace(zw, colour=colour))
+
+
+def worked_claim2_state() -> SwitchState:
+    """TestClaim2Switch's worked state: claim2_switch(st, a5b2@1, a2b2@2, a1b3@2) grows r."""
+    inst = make_instance([[(4, 1)], [(1, 1), (5, 2)], [(2, 2), (1, 3)]], a_size=6, b_size=4)
+    return SwitchState(
+        inst=inst,
+        r=make_matching([(1, 1, 1), (2, 2, 2)]),
+        eps=EPS1,
+        t=1,
+        k=1,
+        e_seq=((1, 1, 1),),
+        g_seq=((0, 4, 1),),
+        x_sets=(frozenset({2}),),
+        y_sets=(frozenset({2}),),
+        pi=(0, 1),
+    )
+
+
+def worked_claim3_state(pool: bool) -> SwitchState:
+    """TestClaim3Switch's worked states: claim3_switch(st, a2b2@2, a4b3@2, zw) grows r,
+    with zw = a3b2@1 from the fresh pool (pool) or a3b2@0, the degenerate subcase."""
+    zw_colour = 1 if pool else 0
+    classes = [[(5, 1)], [(1, 1)], [(2, 2), (4, 3)]]
+    classes[zw_colour].append((3, 2))
+    x = frozenset() if pool else frozenset({2})
+    return SwitchState(
+        inst=make_instance(classes, a_size=6, b_size=4),
+        r=make_matching([(1, 1, 1), (2, 2, 2)]),
+        eps=EPS1,
+        t=1,
+        k=1,
+        e_seq=((1, 1, 1),),
+        g_seq=((0, 5, 1),),
+        x_sets=(x,),
+        y_sets=(x,),
+        pi=(0, 1),
+    )
+
+
+def increment_claim3_case() -> tuple[SwitchState, ColouredEdge, ColouredEdge, ColouredEdge]:
+    """A k = 2 state whose only pool increment is Y_2 minus Y_1, with its claim 3 witness."""
+    forge = StateForge(random.Random(3), 8, 2, [0, 1])
+    f, f_bar, zw = forge.plant_claim3("increment")
+    return forge.freeze(), f, f_bar, zw
+
+
+def b3_saturated(st: SwitchState) -> SwitchState:
+    """st with a fourth class whose r-edge a0b3 saturates b3."""
+    classes = [cls.pairs for cls in st.inst.classes] + [[(0, 3)]]
+    return replace(
+        st,
+        inst=make_instance(classes, a_size=st.inst.a_size, b_size=st.inst.b_size),
+        r=make_matching([*st.r.triples, (3, 0, 3)]),
+    )
+
+
+E = ColouredEdge.of
+K0 = dict(k=0, e_seq=(), g_seq=(), x_sets=(), y_sets=(), pi=(0,))
+CLAIM2 = (E(1, 5, 2), E(2, 2, 2), E(2, 1, 3))  # g, e, e_bar of the worked claim 2 state
+CLAIM3 = (E(2, 2, 2), E(2, 4, 3))  # f, f_bar of both worked claim 3 states
+
+
+def _claim3_increment(mutate):
+    st, f, f_bar, zw = increment_claim3_case()
+    return claim3_switch(mutate(st, zw.b.index), f, f_bar, zw)
+
+
+PREMISES = {
+    "k-at-least-1": (
+        lambda: claim1_switch(replace(worked_claim1_state(), **K0), E(1, 3, 2)),
+        "claim1_switch needs k >= 1",
+    ),
+    "g-outside-X": (
+        lambda: claim1_switch(worked_claim1_state(), E(1, 1, 1)),
+        "g=a1b1@1 must start outside X and z_1..z_k",
+    ),
+    "claim1-g-outside-Y": (
+        lambda: claim1_switch(worked_claim2_state(), E(1, 5, 2)),
+        "g=a5b2@1 must end outside Y",
+    ),
+    "claim2-g-in-Yk": (
+        lambda: claim2_switch(replace(worked_claim2_state(), y_sets=(frozenset(),)), *CLAIM2),
+        "g=a5b2@1 must end in Y_1",
+    ),
+    "e-adjacent-to-g": (
+        lambda: claim2_switch(worked_claim2_state(), CLAIM2[0], E(1, 1, 1), CLAIM2[2]),
+        "e=a1b1@1 must be the r-edge adjacent to g",
+    ),
+    "e-in-Xk-x-Yk": (
+        lambda: claim2_switch(replace(worked_claim2_state(), x_sets=(frozenset(),)), *CLAIM2),
+        "e=a2b2@2 must lie between X_1 and Y_1",
+    ),
+    "e-colour-outside-pi": (
+        lambda: claim2_switch(
+            replace(worked_claim2_state(), r=make_matching([(1, 1, 1), (0, 2, 2)])),
+            CLAIM2[0], E(0, 2, 2), E(0, 1, 3),
+        ),
+        "e's colour 0 must avoid the pi image",
+    ),
+    "f-in-r": (
+        lambda: claim3_switch(worked_claim3_state(False), E(2, 4, 3), E(2, 4, 3), E(0, 3, 2)),
+        "f=a4b3@2 must be an edge of r",
+    ),
+    "f-colour-outside-pi": (
+        lambda: claim3_switch(worked_claim3_state(False), E(1, 1, 1), E(2, 4, 3), E(0, 5, 1)),
+        "f's colour 1 must avoid the pi image",
+    ),
+    "zw-shares-w": (
+        lambda: claim3_switch(worked_claim3_state(False), *CLAIM3, E(0, 5, 1)),
+        "zw=a5b1@0 must share f's B-endpoint b2",
+    ),
+    "pool-w-outside-Yk": (
+        lambda: claim3_switch(
+            replace(worked_claim3_state(True), y_sets=(frozenset({2}),)), *CLAIM3, E(1, 3, 2)
+        ),
+        "subcase undeterminable: w=b2 not in the fresh pool shape",
+    ),
+    "increment-w-in-Yp+1": (
+        lambda: _claim3_increment(
+            lambda st, w: replace(st, y_sets=(st.y_sets[0], st.y_sets[1] - {w}))
+        ),
+        "not in Y_2",
+    ),
+    "increment-w-outside-Yp": (
+        lambda: _claim3_increment(
+            lambda st, w: replace(st, y_sets=(st.y_sets[0] | {w}, st.y_sets[1]))
+        ),
+        "already in Y_1; zw names the wrong increment",
+    ),
+    "zw-outside-z": (
+        lambda: claim3_switch(
+            replace(worked_claim3_state(True), g_seq=((0, 3, 1),)), *CLAIM3, E(1, 3, 2)
+        ),
+        "zw=a3b2@1 must start outside X and z_1..z_1",
+    ),
+    "f-bar-colour": (
+        lambda: claim3_switch(worked_claim3_state(False), CLAIM3[0], E(0, 5, 1), E(0, 3, 2)),
+        "f_bar colour 0 does not match f's colour 2",
+    ),
+    "f-bar-outside-X": (
+        lambda: claim3_switch(worked_claim3_state(False), CLAIM3[0], E(2, 2, 2), E(0, 3, 2)),
+        "f_bar=a2b2@2 must start outside X, z_1..z_k and zw's endpoint",
+    ),
+    "f-bar-outside-Y": (
+        lambda: claim3_switch(b3_saturated(worked_claim3_state(False)), *CLAIM3, E(0, 3, 2)),
+        "f_bar=a4b3@2 must end outside Y",
+    ),
+}
+
+
+class TestClaimPremises:
+    def test_worked_calls_succeed(self):
+        # each mutation below breaks exactly one premise of these calls
+        assert len(claim1_switch(worked_claim1_state(), E(1, 3, 2))) == 2
+        assert len(claim2_switch(worked_claim2_state(), *CLAIM2)) == 3
+        for pool, zw in ((True, E(1, 3, 2)), (False, E(0, 3, 2))):
+            assert len(claim3_switch(worked_claim3_state(pool), *CLAIM3, zw)) == 3
+        st, f, f_bar, zw = increment_claim3_case()
+        assert len(claim3_switch(st, f, f_bar, zw)) == len(st.r) + 1
+
+    @pytest.mark.parametrize("premise", sorted(PREMISES))
+    def test_each_premise_is_rejected(self, premise):
+        call, message = PREMISES[premise]
+        with pytest.raises(ValueError) as info:
+            call()
+        assert message in str(info.value)
 
 
 class TestColourOutsideTheInstance:
@@ -809,7 +1031,9 @@ class TestTraceChain:
 
     def test_step_equal_to_the_base_is_rejected(self):
         payload = two_step_trace()
-        payload["steps"] = [{"kind": "extended", "state": payload["base_state"]}]
+        payload["steps"] = [
+            {"kind": "extended", "state": payload["base_state"], "properties": ALL_OK}
+        ]
         assert "step 0: chain broken: k = 0, expected 1" in verify(payload)
 
     def test_repeated_step_is_rejected(self):
@@ -1063,6 +1287,39 @@ class TestTraceChain:
         payload = two_step_trace()
         payload["steps"] = {"kind": "extended"}
         with pytest.raises(ValueError, match="steps must be a list"):
+            verify(payload)
+
+
+class TestRecordedReports:
+    # trace_to_json records each extended step's P1-P7 report; verify-trace
+    # recomputes it and the two must agree
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda report: report.update(P3={"ok": False, "witness": "forged"}),
+            lambda report: report.update(P9={"ok": True, "witness": None}),
+            lambda report: report.pop("P7"),
+        ],
+        ids=["forged-P3", "extra-key", "missing-key"],
+    )
+    def test_recorded_report_must_be_the_checked_one(self, forge):
+        payload = two_step_trace()
+        forge(payload["steps"][1]["properties"])
+        assert verify(payload) == [
+            "step 1: recorded property report differs from the checked one"
+        ]
+
+    def test_missing_properties_object_is_malformed(self):
+        payload = two_step_trace()
+        del payload["steps"][0]["properties"]
+        with pytest.raises(ValueError, match="malformed trace JSON: step 0: 'properties'"):
+            verify(payload)
+
+    @pytest.mark.parametrize("properties", [[], None, "ok"])
+    def test_properties_that_are_not_an_object_are_malformed(self, properties):
+        payload = two_step_trace()
+        payload["steps"][0]["properties"] = properties
+        with pytest.raises(ValueError, match="step 0: properties must be an object"):
             verify(payload)
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rainbowbench.core import free_colour_zero, is_rainbow, make_instance, matching_to_json
-from rainbowbench.gen import gen_drisko, gen_random_instance
+from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
 from rainbowbench.oracle import SearchBudget, max_rainbow
 from rainbowbench.proofkit import Epsilon, run_switch_trace, trace_to_json
 from rainbowbench import solver
@@ -140,6 +140,15 @@ class TestAugment:
             "5323599552857f8043d106ea04a907a75a92444e55fa9961b4c87d23ad755eb4"
         )
 
+    def test_node_budget_cuts_the_search_off(self):
+        # the augmenting matching lies one state below the root
+        inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=2)
+        r = greedy_rainbow(inst, 0)
+        assert len(r) == 7
+        assert augment(inst, r, SearchBudget.nodes(1)) is None
+        found = augment(inst, r, SearchBudget.nodes(2))
+        assert len(found) == 8 and is_rainbow(found)
+
     def test_full_matching_cannot_grow(self):
         inst = make_instance([[(0, 0)], [(1, 1)]])
         from rainbowbench.core import make_matching
@@ -190,6 +199,13 @@ class TestSolve:
         monkeypatch.setattr(solver, "augment", lambda *a: calls.append(a) or real(*a))
         res = solve(gen_drisko(3), target=3, budget=BUDGET)
         assert len(calls) == res.augment_steps + 1
+
+    def test_oracle_cut_short_keeps_the_constructive_matching(self):
+        # one node finds nothing, so the greedy 9 of the no-transversal square stays
+        res = solve(gen_no_transversal(10), 10, SearchBudget.nodes(1))
+        assert res.method == "oracle"
+        assert len(res.matching) == 9 and is_rainbow(res.matching)
+        assert not res.certified_optimal
 
     def test_certified_only_by_oracle(self):
         inst = gen_random_instance(3, 5, seed=0)
