@@ -139,12 +139,8 @@ def solve_cmd(
 ) -> None:
     """Greedy + augmentation (+ optional exact oracle); exit 0 iff target met."""
     inst = _load_instance(in_path)
-    if target > inst.n_colours:
-        raise DataError(f"target {target} exceeds n_colours {inst.n_colours}")
     budget = oracle.SearchBudget(budget_nodes, budget_seconds)
-    result = solver.solve(
-        inst, target, budget, seed=seed, oracle_fallback=oracle_fallback, workers=workers
-    )
+    result = _checked(solver.solve, inst, target, budget, seed, oracle_fallback, workers)
     payload = {
         "size": len(result.matching),
         "method": result.method,

@@ -36,9 +36,6 @@ class LatinSquare:
         matrix = tuple(tuple(int(x) for x in row) for row in rows)
         return cls(order=len(matrix), cells=matrix)
 
-    def symbol(self, row: int, col: int) -> int:
-        return self.cells[row][col]
-
 
 @dataclass(frozen=True)
 class PartialTransversal:

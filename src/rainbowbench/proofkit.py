@@ -183,6 +183,9 @@ class SwitchState:
     triples. x_sets[i-1] / y_sets[i-1] are X_i / Y_i, as sets of A-indices and
     B-indices. pi[i] is the colour of e_i with pi[0] = 0. t is the step bound
     derived from eps; strict mode is meaningful only for k within it.
+
+    Every entry point indexes by k and pi, so building a state whose
+    sequences do not have k entries each, and pi k + 1, raises ValueError.
     """
 
     inst: Instance
@@ -195,6 +198,15 @@ class SwitchState:
     x_sets: tuple[frozenset[int], ...]
     y_sets: tuple[frozenset[int], ...]
     pi: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        k = self.k
+        lengths = tuple(map(len, (self.e_seq, self.g_seq, self.x_sets, self.y_sets, self.pi)))
+        if lengths != (k, k, k, k, k + 1):
+            raise ValueError(
+                f"state shape does not fit k={k}: e_seq, g_seq, x_sets, y_sets and pi "
+                f"have {', '.join(map(str, lengths))} entries"
+            )
 
     @cached_property
     def _ints(self) -> _Ints:
@@ -272,28 +284,12 @@ def initial_state(inst: Instance, r: RainbowMatching, eps: Epsilon) -> SwitchSta
     )
 
 
-def _shape_defect(st: SwitchState) -> str | None:
-    """Why e_seq, g_seq, x_sets and y_sets do not have k entries and pi k + 1, or None."""
-    k = st.k
-    lengths = (len(st.e_seq), len(st.g_seq), len(st.x_sets), len(st.y_sets), len(st.pi))
-    if lengths != (k, k, k, k, k + 1):
-        return (
-            f"state shape does not fit k={k}: e_seq, g_seq, x_sets, y_sets and pi "
-            f"have {', '.join(map(str, lengths))} entries"
-        )
-    return None
-
-
-def _require_shape(st: SwitchState) -> None:
-    """ValueError on a _shape_defect: an O(1) guard for the entry points that index by k or pi."""
-    if (defect := _shape_defect(st)) is not None:
-        raise ValueError(defect)
-
-
 def state_violations(st: SwitchState) -> list[str]:
-    """Structural checks on the sequence shapes, independent of P1-P7."""
-    if (defect := _shape_defect(st)) is not None:
-        return [defect]
+    """Structural checks on the entries of a state, independent of P1-P7.
+
+    The shape (k entries per sequence, k + 1 in pi) needs no check here:
+    SwitchState raises ValueError when it is built with any other.
+    """
     out: list[str] = []
     k = st.k
     if st.pi[0] != 0:
@@ -457,7 +453,6 @@ def colour_chain(st: SwitchState, i: int) -> list[int]:
     reached. Strict decrease guarantees termination; raises ChainError when a
     g-edge's class is not among the earlier pi values.
     """
-    _require_shape(st)
     if not 1 <= i <= st.k:
         raise ValueError(f"need 1 <= i <= k={st.k}, got {i}")
     chain: list[int] = []
@@ -505,7 +500,6 @@ def _apply_exchange(
 def _require_g(st: SwitchState, g: ColouredEdge, claim: str) -> None:
     """The premise claim1_switch and claim2_switch share: k >= 1, and g is a
     class-pi(k) edge starting outside X and z_1..z_k."""
-    _require_shape(st)
     if st.k < 1:
         raise ValueError(f"{claim} needs k >= 1")
     if g.colour != st.pi[st.k]:
@@ -569,7 +563,6 @@ def claim3_switch(
     (w in Y_{p+1} minus Y_p) starts it at p, and class 0 degenerates to the
     chainless exchange removing f and adding f_bar and zw.
     """
-    _require_shape(st)
     k = st.k
     ix = st._ints
     if f not in st.r:
@@ -644,7 +637,6 @@ def construct_N0(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex
     Strict mode truncates to ceil((1/2 + eps)*n + 1) vertices, smallest
     B-indices first; relaxed mode returns every qualifying vertex.
     """
-    _require_shape(st)
     if st.k != 0:
         raise ValueError(f"construct_N0 needs k = 0, got k = {st.k}")
     return frozenset(vb(b) for b in _fresh_pool(st, mode))
@@ -657,7 +649,6 @@ def construct_Nk(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex
     outside X and z_1..z_k in class pi(k). Strict mode truncates to
     ceil((1/2 + eps)*n + 1 - 2k), smallest B-indices first.
     """
-    _require_shape(st)
     if st.k < 1:
         raise ValueError(f"construct_Nk needs k >= 1, got k = {st.k}")
     return frozenset(vb(b) for b in _fresh_pool(st, mode))
@@ -842,7 +833,6 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
     the fresh pool is smaller than the mode threshold, which is expected for
     strict mode at desk-scale n.
     """
-    _require_shape(st)
     augmented = _claim12_augment(st)
     if augmented is not None:
         yield Augmented(augmented)

@@ -24,7 +24,6 @@ from .proofkit import (
     step_outcomes,
 )
 
-MAX_AUGMENT_DEPTH = 8
 AUGMENT_EPS = Epsilon.parse("1")  # relaxed mode: eps sets only the state's t
 
 
@@ -65,12 +64,13 @@ class _BudgetExhausted(Exception):
 
 
 class _AugmentSearch:
-    """Depth-capped DFS over relaxed switch states.
+    """DFS over relaxed switch states.
 
     One node = one visited state. Unlike extend_state, which takes only the
     first outcome of step_outcomes, the search branches over every Extended
     outcome. Sibling outcomes extend by distinct r-edges, so no state is
-    reached twice. The time budget is checked every 256 nodes.
+    reached twice. Each extension adds a colour of r outside pi to pi, so no
+    path is longer than n - 1 steps. Both budgets are checked at every node.
     """
 
     def __init__(self, budget: SearchBudget) -> None:
@@ -84,19 +84,16 @@ class _AugmentSearch:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _BudgetExhausted
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.perf_counter() > self.deadline:
-                raise _BudgetExhausted
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise _BudgetExhausted
 
-    def dfs(self, st: SwitchState, depth: int) -> RainbowMatching | None:
+    def dfs(self, st: SwitchState) -> RainbowMatching | None:
         self._tick()
         try:
             for outcome in step_outcomes(st):
                 if isinstance(outcome, Augmented):
                     return outcome.matching
-                if depth == 0:
-                    return None
-                found = self.dfs(outcome.state, depth - 1)
+                found = self.dfs(outcome.state)
                 if found is not None:
                     return found
         except ThresholdInfeasible:
@@ -112,22 +109,22 @@ def augment(
     """Search for a rainbow matching of size |r| + 1 via switch exchanges.
 
     Each unused colour in ascending order is relabelled to colour 0, and the
-    relaxed-mode state space rooted at r is searched once, depth first, with
-    sequences capped at min(n - 1, 8) steps. Exploration order is
-    deterministic; the node budget counts the distinct states visited over the
-    whole call. None means not found within budget, never a proof of
-    optimality.
+    relaxed-mode state space rooted at r is searched once, depth first; each
+    step extends pi by a colour of r outside it, so every path ends within
+    n - 1 steps. Exploration order is deterministic; the node budget counts
+    the distinct states visited over the whole call, and both budgets are
+    checked at every state. None means not found within budget, never a
+    proof of optimality.
     """
     if not 0 <= len(r) < inst.n_colours:
         return None
     unused = sorted(set(range(inst.n_colours)) - set(r.colours()))
-    max_depth = min(inst.n_colours - 1, MAX_AUGMENT_DEPTH)
     search = _AugmentSearch(budget)
     try:
         for c0 in unused:
             inst0 = swap_colours(inst, 0, c0)
             r0 = swap_matching_colours(r, 0, c0)
-            found = search.dfs(initial_state(inst0, r0, AUGMENT_EPS), max_depth)
+            found = search.dfs(initial_state(inst0, r0, AUGMENT_EPS))
             if found is not None:
                 return swap_matching_colours(found, 0, c0)
     except _BudgetExhausted:

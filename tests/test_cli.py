@@ -80,6 +80,13 @@ class TestSolve:
         assert result.exit_code == 2
         assert option[0] in result.output
 
+    def test_target_above_n_colours_exits_two(self, tmp_path):
+        path = tmp_path / "inst.json"
+        run("gen", "random", "--n", "8", "--m", "3", "-o", str(path))
+        result = run("solve", "--in", str(path), "--target", "9")
+        assert result.exit_code == 2
+        assert "Error: target 9 exceeds n_colours 8" in result.output
+
     def test_drisko3_target2_exits_zero(self, tmp_path):
         path = tmp_path / "inst.json"
         run("gen", "drisko", "--n", "3", "-o", str(path))

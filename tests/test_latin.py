@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bruteforce import max_partial_transversal
-from rainbowbench.core import make_matching, validate_instance
+from rainbowbench.core import make_instance, make_matching, validate_instance
 from rainbowbench.latin import (
     LatinSquare,
     PartialTransversal,
@@ -35,6 +35,49 @@ class TestValidateLatin:
     def test_out_of_range_symbol(self):
         violations = validate_latin(LatinSquare.from_rows([[0, 1], [1, 2]]))
         assert any(v.code == "range" for v in violations)
+
+
+class TestRejections:
+    # one case per rejection branch of the module
+    @pytest.mark.parametrize(
+        "square, code, message",
+        [
+            (LatinSquare(order=0, cells=()), "shape", "order must be >= 1, got 0"),
+            (LatinSquare.from_rows([[0, 1], [1]]), "shape", "cells are not an n x n matrix"),
+            (LatinSquare.from_rows([[0, 0], [1, 1]]), "row_repeat",
+             "row 0 repeats symbol 0 (cols 0 and 1)"),
+        ],
+        ids=["order-zero", "ragged", "row-repeat"],
+    )
+    def test_violation(self, square, code, message):
+        first = validate_latin(square)[0]
+        assert (first.code, first.message) == (code, message)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: instance_to_latin(make_instance([[(0, 0)]], a_size=2, b_size=1)),
+             "not a Latin-type instance: n_colours=1, universe 2x1"),
+            (lambda: instance_to_latin(make_instance([[(0, 0), (1, 1)], [(0, 0), (1, 0)]])),
+             "cell row 0 col 0 covered by colours 0 and 1"),
+            (lambda: instance_to_latin(make_instance([[(0, 0)], [(1, 1)]])),
+             "cell row 0 col 1 not covered by any colour"),
+            (lambda: instance_to_latin(make_instance([[(0, 0), (1, 0)], [(0, 1), (1, 1)]])),
+             "instance does not encode a Latin square: row 0 repeats symbol 0 (cols 0 and 1)"),
+            (lambda: rainbow_to_transversal(gen_cyclic(2), make_matching([(0, 2, 0)])),
+             "edge a2b0@0 outside the order-2 square"),
+            (lambda: transversal_to_rainbow(gen_cyclic(2), PartialTransversal(frozenset({(2, 0)}))),
+             "entries do not form a partial transversal"),
+            (lambda: parse_latin_text("x\n0\n"), "first line must be the order, got 'x'"),
+            (lambda: parse_latin_text("2\n0 1\n1\n"), "row '1' has 1 symbols, expected 2"),
+        ],
+        ids=["universe", "cell-covered-twice", "cell-uncovered", "not-latin", "edge-outside",
+             "entry-outside", "order-line", "short-row"],
+    )
+    def test_value_error(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestLatinToInstance:

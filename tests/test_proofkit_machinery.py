@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -120,11 +120,6 @@ class TestStateViolations:
     @pytest.mark.parametrize(
         "mutate, message",
         [
-            (
-                lambda st: replace(st, k=2),
-                "state shape does not fit k=2: e_seq, g_seq, x_sets, y_sets and pi "
-                "have 1, 1, 1, 1, 2 entries",
-            ),
             (lambda st: replace(st, pi=(1, 0)), "pi must map 0..k with pi(0)=0, got (1, 0)"),
             (lambda st: replace(st, pi=(0, 0)), "pi is not injective: (0, 0)"),
             (lambda st: replace(st, pi=(0, 5)), "pi or r uses a colour outside the instance's 0..1"),
@@ -137,7 +132,7 @@ class TestStateViolations:
             (lambda st: replace(st, y_sets=(frozenset({2}),)),
              "Y_1 is not a subset of the saturated B-side"),
         ],
-        ids=["shape", "pi-zero", "pi-injective", "colour-range", "e-in-r", "g-shares-b",
+        ids=["pi-zero", "pi-injective", "colour-range", "e-in-r", "g-shares-b",
              "z-saturated", "x-subset", "y-subset"],
     )
     def test_each_rule_names_its_violation(self, mutate, message):
@@ -154,14 +149,6 @@ class TestStateViolations:
         assert state_violations(st) == []
         first = getattr(st, name)[0]
         assert message in state_violations(replace(st, **{name: (first, first)}))
-
-    def test_shape_defect_is_the_engines_shape_error(self):
-        # state_violations and the entry-point guard state one shape rule
-        st = replace(worked_claim1_state(), y_sets=())
-        (defect,) = state_violations(st)
-        with pytest.raises(ValueError) as info:
-            colour_chain(st, 1)
-        assert str(info.value) == defect
 
 
 class TestColourChain:
@@ -906,41 +893,45 @@ class TestCheckerPin:
         )
 
 
-ANY_EDGE = ColouredEdge.of(0, 0, 0)
-SHAPED_ENTRY_POINTS = {
-    "step_outcomes": lambda st: next(step_outcomes(st)),
-    "colour_chain": lambda st: colour_chain(st, st.k),
-    "construct_Nk": construct_Nk,
-    "claim1_switch": lambda st: claim1_switch(st, ANY_EDGE),
-    "claim2_switch": lambda st: claim2_switch(st, ANY_EDGE, ANY_EDGE, ANY_EDGE),
-    "claim3_switch": lambda st: claim3_switch(st, ANY_EDGE, ANY_EDGE, ANY_EDGE),
-}
-
-
-def misshapen_states(st: SwitchState):
-    """st with k one too large, then with each sequence one entry short."""
-    yield replace(st, k=st.k + 1)
-    for name in SEQUENCES:
-        yield replace(st, **{name: getattr(st, name)[:-1]})
+def misshapen_changes(st: SwitchState) -> list[dict]:
+    """Field changes giving st k one too large, then each sequence one entry short."""
+    return [{"k": st.k + 1}] + [{name: getattr(st, name)[:-1]} for name in SEQUENCES]
 
 
 class TestStateShape:
-    @pytest.mark.parametrize("entry", sorted(SHAPED_ENTRY_POINTS))
-    def test_shape_that_does_not_fit_k_raises_value_error(self, entry):
-        # an O(1) guard, so a hand-built state never reaches an IndexError
-        call = SHAPED_ENTRY_POINTS[entry]
+    # SwitchState checks its shape when it is built, so every entry point that
+    # indexes by k or pi meets only states that fit, never an IndexError
+    def test_shape_that_does_not_fit_k_cannot_be_built(self):
         rng = random.Random(884)
         for _ in range(20):
             forge = StateForge(rng, 8, 2, [1, 1])
             forge.plant_extension()
-            for st in misshapen_states(forge.freeze()):
-                with pytest.raises(ValueError, match="state shape does not fit k="):
-                    call(st)
+            st = forge.freeze()
+            values = {f.name: getattr(st, f.name) for f in fields(SwitchState)}
+            for change in misshapen_changes(st):
+                with pytest.raises(ValueError, match="state shape does not fit k=") as built:
+                    SwitchState(**{**values, **change})
+                with pytest.raises(ValueError) as replaced:
+                    replace(st, **change)
+                assert str(replaced.value) == str(built.value)
 
-    def test_construct_n0_without_pi_raises_value_error(self):
-        st = replace(StateForge(random.Random(885), 6, 0, []).freeze(), pi=())
-        with pytest.raises(ValueError, match="state shape does not fit k=0"):
-            construct_N0(st)
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"k": 2}, "k=2: e_seq, g_seq, x_sets, y_sets and pi have 1, 1, 1, 1, 2 entries"),
+            ({"y_sets": ()}, "k=1: e_seq, g_seq, x_sets, y_sets and pi have 1, 1, 1, 0, 2 entries"),
+        ],
+        ids=["k-too-large", "y-sets-short"],
+    )
+    def test_shape_error_text(self, change, message):
+        with pytest.raises(ValueError) as info:
+            replace(worked_claim1_state(), **change)
+        assert str(info.value) == "state shape does not fit " + message
+
+    def test_k0_state_without_pi_cannot_be_built(self):
+        st = StateForge(random.Random(885), 6, 0, []).freeze()
+        with pytest.raises(ValueError, match="state shape does not fit k=0: .* have 0, 0, 0, 0, 0"):
+            replace(st, pi=())
 
 
 class TestTraces:
@@ -1274,8 +1265,25 @@ class TestTraceChain:
     def test_structurally_invalid_step_raises_value_error(self):
         payload = two_step_trace()
         payload["steps"][1]["state"]["k"] = 3
-        with pytest.raises(ValueError, match="step 1: structurally invalid state"):
+        with pytest.raises(ValueError, match="step 1: state shape does not fit k=3"):
             verify(payload)
+
+    @pytest.mark.parametrize(
+        "tamper, failure",
+        [
+            (lambda rows: rows.__setitem__(-1, [0, 5, 5]), "augmented matching is not rainbow"),
+            (lambda rows: rows.pop(), "augmented matching has size 3, expected 4"),
+            (lambda rows: rows.__setitem__(0, [0, 9, 7]), "augmented edge a9b7@0 not in its class"),
+        ],
+        ids=["repeated-colour", "dropped-row", "edge-outside-its-class"],
+    )
+    def test_augmented_step_defects(self, tamper, failure):
+        payload = augmented_trace()
+        tamper(payload["steps"][0]["matching"])
+        assert verify(payload) == [
+            "step 0: augmented matching differs from the engine's step",
+            f"step 0: {failure}",
+        ]
 
     def test_colour_outside_the_instance_raises_value_error(self):
         payload = two_step_trace()

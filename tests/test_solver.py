@@ -114,7 +114,7 @@ class TestAugment:
         assert resolved >= 0.95 * gaps
 
     def test_failing_search_builds_one_state_per_unused_colour(self, monkeypatch):
-        # one depth-capped DFS per unused colour, so one root state each
+        # one DFS per unused colour, so one root state each
         inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=1)
         r = greedy_rainbow(inst)
         assert len(r) < inst.n_colours
@@ -127,7 +127,7 @@ class TestAugment:
     def test_found_or_not_found_is_pinned(self):
         # sha256 over (seed, size of the augmented matching or "-") for 200
         # tight-universe greedy starts, recorded under iterative deepening;
-        # any order of search over the same capped state space must agree
+        # any order of search over the same state space must agree
         digest = hashlib.sha256()
         found = 0
         for seed in range(200):
@@ -148,6 +148,15 @@ class TestAugment:
         assert augment(inst, r, SearchBudget.nodes(1)) is None
         found = augment(inst, r, SearchBudget.nodes(2))
         assert len(found) == 8 and is_rainbow(found)
+
+    def test_time_budget_is_checked_at_every_state(self):
+        # the augmenting matching lies one state below the root, so only a
+        # deadline checked at the first state stops this search
+        inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=2)
+        r = greedy_rainbow(inst, 0)
+        assert augment(inst, r, SearchBudget(max_time=1e-9)) is None
+        res = solve(inst, 8, SearchBudget(max_time=1e-9), oracle_fallback=False)
+        assert res.method == "greedy" and res.matching == r
 
     def test_full_matching_cannot_grow(self):
         inst = make_instance([[(0, 0)], [(1, 1)]])
