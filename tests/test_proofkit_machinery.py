@@ -898,9 +898,33 @@ def misshapen_changes(st: SwitchState) -> list[dict]:
     return [{"k": st.k + 1}] + [{name: getattr(st, name)[:-1]} for name in SEQUENCES]
 
 
+ANY_EDGE = ColouredEdge.of(0, 0, 0)
+SHAPED_ENTRY_POINTS = {
+    "step_outcomes": lambda st: next(step_outcomes(st)),
+    "colour_chain": lambda st: colour_chain(st, st.k),
+    "construct_Nk": construct_Nk,
+    "claim1_switch": lambda st: claim1_switch(st, ANY_EDGE),
+    "claim2_switch": lambda st: claim2_switch(st, ANY_EDGE, ANY_EDGE, ANY_EDGE),
+    "claim3_switch": lambda st: claim3_switch(st, ANY_EDGE, ANY_EDGE, ANY_EDGE),
+}
+
+
 class TestStateShape:
     # SwitchState checks its shape when it is built, so every entry point that
     # indexes by k or pi meets only states that fit, never an IndexError
+    @pytest.mark.parametrize("entry", sorted(SHAPED_ENTRY_POINTS))
+    def test_shape_that_does_not_fit_k_raises_value_error(self, entry):
+        # the ValueError comes from building the state, before the entry point runs
+        call = SHAPED_ENTRY_POINTS[entry]
+        rng = random.Random(884)
+        for _ in range(20):
+            forge = StateForge(rng, 8, 2, [1, 1])
+            forge.plant_extension()
+            st = forge.freeze()
+            for change in misshapen_changes(st):
+                with pytest.raises(ValueError, match="state shape does not fit k="):
+                    call(replace(st, **change))
+
     def test_shape_that_does_not_fit_k_cannot_be_built(self):
         rng = random.Random(884)
         for _ in range(20):
