@@ -99,7 +99,8 @@ def gen_cyclic_cmd(n: int, out: str | None) -> None:
 @gen_group.command("random")
 @click.option("--n", "n", type=int, required=True, help="Number of colour classes.")
 @click.option("--m", "m", type=int, required=True, help="Size of every class.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the draws; -s draws what s draws.")
 @click.option("--a-size", type=int, default=None, help="A-universe size (default n + m).")
 @click.option("--b-size", type=int, default=None, help="B-universe size (default n + m).")
 @click.option("-o", "--out", "out", default=None, help="Output file (default stdout).")
@@ -121,7 +122,8 @@ def gen_random_cmd(
 )
 @click.option("--budget-nodes", type=click.IntRange(min=1), default=100000, show_default=True)
 @click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of greedy's tie order; -s orders as s does.")
 @click.option("--oracle-fallback/--no-oracle-fallback", default=False, show_default=True)
 @click.option(
     "--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Oracle workers."
@@ -164,7 +166,8 @@ _SWEEP_OPTIONS = (
     click.option("--m", "m", type=int, required=True),
     click.option("--mode", type=click.Choice(["exhaustive", "randomized"]), required=True),
     click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True,
+                 help="Seed of the instance draws; -s draws what s draws."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                  show_default=True),
     click.option("-o", "--out", "out", default=None, help="Output file (default stdout)."),

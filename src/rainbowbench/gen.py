@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
+from math import ceil, log
 
 from .core import Instance, make_instance
 from .latin import gen_cyclic, latin_to_instance
@@ -47,7 +49,9 @@ def gen_random_instance(
 
     Each class is sampled by choosing m A-vertices, m B-vertices, and a random
     bijection between them. Universe bounds default to n + m per side, which
-    leaves room for unsaturated vertices on both sides. Deterministic per seed.
+    leaves room for unsaturated vertices on both sides. Deterministic per seed:
+    the draws are those of random.Random(seed).sample, restated by _sample and
+    pinned by a test, so a seed and its negation give the same instance.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -59,10 +63,41 @@ def gen_random_instance(
         b_size = n + m
     if m > min(a_size, b_size):
         raise ValueError(f"class size {m} infeasible in a {a_size}x{b_size} universe")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     classes: list[list[tuple[int, int]]] = []
     for _ in range(n):
-        a_verts = sorted(rng.sample(range(a_size), m))
-        b_verts = rng.sample(range(b_size), m)  # random set in random order = random bijection
+        a_verts = sorted(_sample(bits, a_size, m))
+        b_verts = _sample(bits, b_size, m)  # random set in random order = random bijection
         classes.append(list(zip(a_verts, b_verts)))
     return make_instance(classes, a_size=a_size, b_size=b_size)
+
+
+def _sample(bits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """rng.sample(range(n), k), drawing the same words in the same order; bits = rng.getrandbits.
+
+    CPython's two branches are kept: a shrinking pool while an n-list is smaller
+    than a k-set, else redraws against the indices already chosen. Each index
+    below size is drawn as _randbelow_with_getrandbits draws it:
+    bits(size.bit_length()), redrawn while it is >= size.
+    """
+    result: list[int] = []
+    if n <= 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0):
+        pool = list(range(n))
+        for i in range(k):
+            size = n - i
+            w = size.bit_length()
+            j = bits(w)
+            while j >= size:
+                j = bits(w)
+            result.append(pool[j])
+            pool[j] = pool[size - 1]  # the unchosen stay in pool[:size - 1]
+        return result
+    w = n.bit_length()
+    selected: set[int] = set()
+    for _ in range(k):
+        j = bits(w)
+        while j >= n or j in selected:
+            j = bits(w)
+        selected.add(j)
+        result.append(j)
+    return result

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     Instance,
@@ -40,12 +41,11 @@ def greedy_rainbow(inst: Instance, seed: int = 0) -> RainbowMatching:
 
     Colours are processed in ascending class-size order (seeded shuffle breaks
     ties), edges inside a colour in lexicographic order; each colour takes its
-    first conflict-free edge, if any.
+    first conflict-free edge, if any. The shuffle depends only on (seed,
+    n_colours), so _tie_order caches it.
     """
-    rng = random.Random(seed)
-    order = list(range(inst.n_colours))
-    rng.shuffle(order)
-    order.sort(key=lambda c: len(inst.classes[c]))  # stable: seeded tie-break survives
+    # sorted is stable: the seeded tie-break survives
+    order = sorted(_tie_order(seed, inst.n_colours), key=lambda c: len(inst.classes[c]))
     used_a: set[int] = set()
     used_b: set[int] = set()
     chosen: list[tuple[int, int, int]] = []
@@ -57,6 +57,18 @@ def greedy_rainbow(inst: Instance, seed: int = 0) -> RainbowMatching:
                 chosen.append((c, a, b))
                 break
     return make_matching(chosen)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _tie_order(seed: int, n: int) -> tuple[int, ...]:
+    """random.Random(seed).shuffle of range(n), as a tuple: the cached value cannot change.
+
+    Typed, since -5 == -5.0 as keys but Random seeds an int by its absolute
+    value and a float by its hash.
+    """
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
 
 
 class _BudgetExhausted(Exception):

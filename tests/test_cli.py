@@ -34,6 +34,13 @@ class TestGen:
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
 
+    def test_random_seed_and_its_negation_draw_alike(self):
+        # random.Random seeds an int by its absolute value, as the --seed help says
+        a = run("gen", "random", "--n", "3", "--m", "5", "--seed", "5")
+        b = run("gen", "random", "--n", "3", "--m", "5", "--seed", "-5")
+        assert a.exit_code == b.exit_code == 0
+        assert a.output == b.output
+
     def test_out_creates_missing_parent_directories(self, tmp_path):
         out = tmp_path / "new" / "dir" / "inst.json"
         assert run("gen", "drisko", "--n", "3", "-o", str(out)).exit_code == 0

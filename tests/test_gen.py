@@ -1,8 +1,11 @@
+import hashlib
+import math
 import random
 
 import pytest
 
-from rainbowbench.core import validate_instance
+from rainbowbench import gen
+from rainbowbench.core import instance_to_json, validate_instance
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
 from rainbowbench.oracle import max_rainbow, naive_max_rainbow
 
@@ -83,3 +86,47 @@ class TestRandomInstance:
     def test_infeasible_sizes(self):
         with pytest.raises(ValueError):
             gen_random_instance(2, 5, a_size=3, b_size=9, seed=0)
+
+    def test_draw_stream_is_pinned(self):
+        # sha256 over instance_to_json of gen_random_instance, recorded while each
+        # class was drawn by random.Random.sample: the sweep-heavy and tight shapes,
+        # sample's set branch (a universe much larger than the class), both sides of
+        # its pool/set boundary at k = 5 (21 | 22) and k = 6 (85 | 86), k equal to
+        # the universe, and negative, float and str seeds
+        shapes = [
+            (n, math.ceil(3 * n / 2) + 1, None, None, seed)
+            for n in (3, 4, 5)
+            for seed in range(100)
+        ]
+        shapes += [(8, 9, 9, 9, seed) for seed in range(100)]
+        shapes += [(4, m, 200, 200, seed) for m in range(1, 7) for seed in range(10)]
+        shapes += [(3, 3, 10**6, 10**6, seed) for seed in range(5)]
+        for k, small in ((5, 21), (6, 85)):
+            for seed in range(10):
+                shapes += [
+                    (3, k, small, small, seed),
+                    (3, k, small + 1, small + 1, seed),
+                    (3, k, small, small + 1, seed),
+                ]
+        shapes += [(4, m, m, m, seed) for m in (1, 5, 6, 9) for seed in range(5)]
+        shapes += [(3, 4, None, None, seed) for seed in (-5, -1, 2.5, -2.5, "rainbow")]
+        digest = hashlib.sha256()
+        for shape in shapes:
+            digest.update(instance_to_json(gen_random_instance(*shape)).encode())
+        assert digest.hexdigest() == (
+            "5469f7d3c8b6850c68da2b79255ec99a7eaa520bd3cba739574be29f81ac2cf9"
+        )
+
+
+class TestSample:
+    def test_draws_what_random_sample_draws(self):
+        # same result and same words consumed, in both of sample's branches: the
+        # set branch is taken at k <= 5 from n = 22 and at k = 6 from n = 86
+        for n in range(1, 121):
+            for k in sorted({0, 1, 5, 6, n // 2, n}):
+                if k > n:
+                    continue
+                for seed in range(20):
+                    ours, stdlib = random.Random(seed), random.Random(seed)
+                    assert gen._sample(ours.getrandbits, n, k) == stdlib.sample(range(n), k)
+                    assert ours.getstate() == stdlib.getstate()

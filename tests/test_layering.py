@@ -160,6 +160,43 @@ def test_guard_sees_json_decodes(tmp_path):
     assert json_decodes(probe) == [3, 4, 5]
 
 
+def sample_calls(path: Path) -> list[int]:
+    """Line of every sample(...) call, bare or through a module or generator attribute."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "sample":
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_no_module_calls_sample():
+    # gen._sample is the one statement of how a class is drawn
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (lines := sample_calls(path))
+    }
+    assert offenders == {}
+
+
+def test_guard_sees_sample_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import random\n"
+        "from random import sample\n"
+        "a = rng.sample(range(5), 2)\n"
+        "b = random.Random(seed).sample(range(5), 2)\n"
+        "c = sample(range(5), 2)\n"
+        "d = _sample(rng.getrandbits, 5, 2)\n"
+        "e = rng.choices(range(5), k=2)\n"
+    )
+    assert sample_calls(probe) == [3, 4, 5]
+
+
 def test_switch_state_fields_are_integers():
     # Vertex and ColouredEdge values are built at the public boundary only
     hints = typing.get_type_hints(SwitchState)

@@ -49,6 +49,41 @@ class TestGreedy:
         assert greedy_rainbow(inst, 3) == greedy_rainbow(inst, 3)
 
 
+class TestTieOrder:
+    @staticmethod
+    def shuffled(seed, n):
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        return tuple(order)
+
+    def test_is_a_fresh_seeded_shuffle(self):
+        for seed in (0, 1, 3, 7, -7, 2**40, 37 * 2**32 + 5):
+            for n in (0, 1, 2, 5, 8, 9, 30):
+                assert solver._tie_order(seed, n) == self.shuffled(seed, n)
+
+    def test_same_seed_at_different_n(self):
+        for n in (9, 5, 9, 30, 5):
+            assert solver._tie_order(11, n) == self.shuffled(11, n)
+
+    def test_cached_value_is_a_tuple(self):
+        first = solver._tie_order(4, 12)
+        assert isinstance(first, tuple)
+        assert solver._tie_order(4, 12) is first
+
+    def test_negative_float_seed_is_not_read_as_its_int(self):
+        # Random seeds -5 by its absolute value and -5.0 by its hash
+        assert solver._tie_order(-5, 12) == self.shuffled(5, 12)
+        assert solver._tie_order(-5.0, 12) == self.shuffled(-5.0, 12)
+        assert self.shuffled(-5.0, 12) != self.shuffled(5, 12)
+
+    def test_greedy_reads_the_cached_order(self):
+        inst = gen_random_instance(6, 4, seed=3)
+        greedy_rainbow(inst, 123_456)
+        hits = solver._tie_order.cache_info().hits
+        assert greedy_rainbow(inst, 123_456) == greedy_rainbow(inst, 123_456)
+        assert solver._tie_order.cache_info().hits == hits + 2
+
+
 class TestAugment:
     def test_immediate_unused_colour_edge(self):
         # an unused colour with an edge between unsaturated vertices gives an
