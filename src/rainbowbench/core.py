@@ -103,8 +103,8 @@ class ColourClass:
     """One colour class: a matching (no two edges share a vertex).
 
     pairs holds the distinct (a_index, b_index) endpoint pairs in sorted
-    order, as make_instance builds them; the colour is the class's position
-    in Instance.classes.
+    order, as make_instance and gen_random_instance (the one other builder)
+    build them; the colour is the class's position in Instance.classes.
     """
 
     pairs: tuple[tuple[int, int], ...]

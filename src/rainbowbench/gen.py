@@ -6,7 +6,7 @@ import random
 from collections.abc import Callable
 from math import ceil, log
 
-from .core import Instance, make_instance
+from .core import ColourClass, Instance, make_instance
 from .latin import gen_cyclic, latin_to_instance
 
 
@@ -52,6 +52,7 @@ def gen_random_instance(
     leaves room for unsaturated vertices on both sides. Deterministic per seed:
     the draws are those of random.Random(seed).sample, restated by _sample and
     pinned by a test, so a seed and its negation give the same instance.
+    Classes are built canonical, as make_instance would build them, without its checks.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -64,24 +65,27 @@ def gen_random_instance(
     if m > min(a_size, b_size):
         raise ValueError(f"class size {m} infeasible in a {a_size}x{b_size} universe")
     bits = random.Random(seed).getrandbits
-    classes: list[list[tuple[int, int]]] = []
+    classes: list[ColourClass] = []
     for _ in range(n):
         a_verts = sorted(_sample(bits, a_size, m))
         b_verts = _sample(bits, b_size, m)  # random set in random order = random bijection
-        classes.append(list(zip(a_verts, b_verts)))
-    return make_instance(classes, a_size=a_size, b_size=b_size)
+        # distinct ascending A-ends in range(a_size), B-ends in range(b_size): make_instance's pairs
+        classes.append(ColourClass(tuple(zip(a_verts, b_verts))))
+    return Instance(tuple(classes), a_size, b_size)
 
 
 def _sample(bits: Callable[[int], int], n: int, k: int) -> list[int]:
     """rng.sample(range(n), k), drawing the same words in the same order; bits = rng.getrandbits.
 
     CPython's two branches are kept: a shrinking pool while an n-list is smaller
-    than a k-set, else redraws against the indices already chosen. Each index
-    below size is drawn as _randbelow_with_getrandbits draws it:
+    than a k-set, else redraws against the indices already chosen. CPython's
+    threshold 21 + (4 ** ceil(log(3k, 4)) if k > 5 else 0) is never below 21,
+    so n <= 21 (every sweep draw) is tested first, without the log. Each
+    index below size is drawn as _randbelow_with_getrandbits draws it:
     bits(size.bit_length()), redrawn while it is >= size.
     """
     result: list[int] = []
-    if n <= 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0):
+    if n <= 21 or k > 5 and n <= 21 + 4 ** ceil(log(3 * k, 4)):
         pool = list(range(n))
         for i in range(k):
             size = n - i

@@ -1,13 +1,45 @@
+import ast
 import hashlib
+import inspect
 import math
 import random
+import textwrap
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rainbowbench import gen
-from rainbowbench.core import instance_to_json, validate_instance
+from rainbowbench.core import instance_to_json, make_instance, validate_instance
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
 from rainbowbench.oracle import max_rainbow, naive_max_rainbow
+
+
+def pinned_shapes() -> list[tuple]:
+    """gen_random_instance arguments (n, m, a_size, b_size, seed) that the draw-stream pin covers."""
+    shapes = [
+        (n, math.ceil(3 * n / 2) + 1, None, None, seed)
+        for n in (3, 4, 5)
+        for seed in range(100)
+    ]
+    shapes += [(8, 9, 9, 9, seed) for seed in range(100)]
+    shapes += [(4, m, 200, 200, seed) for m in range(1, 7) for seed in range(10)]
+    shapes += [(3, 3, 10**6, 10**6, seed) for seed in range(5)]
+    for k, small in ((5, 21), (6, 85)):
+        for seed in range(10):
+            shapes += [
+                (3, k, small, small, seed),
+                (3, k, small + 1, small + 1, seed),
+                (3, k, small, small + 1, seed),
+            ]
+    shapes += [(4, m, m, m, seed) for m in (1, 5, 6, 9) for seed in range(5)]
+    shapes += [(3, 4, None, None, seed) for seed in (-5, -1, 2.5, -2.5, "rainbow")]
+    return shapes
+
+
+def assert_built_canonical(inst) -> None:
+    pairs = [inst.class_pairs(c) for c in range(inst.n_colours)]
+    assert inst == make_instance(pairs, inst.a_size, inst.b_size)
+    assert validate_instance(inst) == []
 
 
 class TestDrisko:
@@ -93,29 +125,29 @@ class TestRandomInstance:
         # sample's set branch (a universe much larger than the class), both sides of
         # its pool/set boundary at k = 5 (21 | 22) and k = 6 (85 | 86), k equal to
         # the universe, and negative, float and str seeds
-        shapes = [
-            (n, math.ceil(3 * n / 2) + 1, None, None, seed)
-            for n in (3, 4, 5)
-            for seed in range(100)
-        ]
-        shapes += [(8, 9, 9, 9, seed) for seed in range(100)]
-        shapes += [(4, m, 200, 200, seed) for m in range(1, 7) for seed in range(10)]
-        shapes += [(3, 3, 10**6, 10**6, seed) for seed in range(5)]
-        for k, small in ((5, 21), (6, 85)):
-            for seed in range(10):
-                shapes += [
-                    (3, k, small, small, seed),
-                    (3, k, small + 1, small + 1, seed),
-                    (3, k, small, small + 1, seed),
-                ]
-        shapes += [(4, m, m, m, seed) for m in (1, 5, 6, 9) for seed in range(5)]
-        shapes += [(3, 4, None, None, seed) for seed in (-5, -1, 2.5, -2.5, "rainbow")]
         digest = hashlib.sha256()
-        for shape in shapes:
+        for shape in pinned_shapes():
             digest.update(instance_to_json(gen_random_instance(*shape)).encode())
         assert digest.hexdigest() == (
             "5469f7d3c8b6850c68da2b79255ec99a7eaa520bd3cba739574be29f81ac2cf9"
         )
+
+    def test_direct_build_is_what_make_instance_builds(self):
+        for shape in pinned_shapes():
+            assert_built_canonical(gen_random_instance(*shape))
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.data(),
+        st.one_of(st.integers(-(2**40), 2**40), st.floats(allow_nan=False), st.text(max_size=4)),
+    )
+    def test_direct_build_is_what_make_instance_builds_for_any_shape(
+        self, n, a_size, b_size, data, seed
+    ):
+        m = data.draw(st.integers(1, min(a_size, b_size)))
+        assert_built_canonical(gen_random_instance(n, m, a_size, b_size, seed))
 
 
 class TestSample:
@@ -130,3 +162,14 @@ class TestSample:
                     ours, stdlib = random.Random(seed), random.Random(seed)
                     assert gen._sample(ours.getrandbits, n, k) == stdlib.sample(range(n), k)
                     assert ours.getstate() == stdlib.getstate()
+
+    def test_branch_test_is_cpythons(self):
+        # the pool/set test in _sample, read from its source, against the one in
+        # random.Random.sample: setsize = 21, plus 4 ** ceil(log(3k, 4)) when k > 5
+        tree = ast.parse(textwrap.dedent(inspect.getsource(gen._sample)))
+        test = next(node.test for node in ast.walk(tree) if isinstance(node, ast.If))
+        ours = eval(f"lambda n, k: {ast.unparse(test)}", {"ceil": math.ceil, "log": math.log})
+        for n in range(1, 2001):
+            for k in range(n + 1):
+                setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+                assert ours(n, k) == (n <= setsize), (n, k)

@@ -87,6 +87,45 @@ def test_guard_sees_direct_matching_constructions(tmp_path):
     assert matching_constructions(probe) == [3, 4]
 
 
+def instance_constructions(path: Path) -> list[int]:
+    """Line of every direct Instance(...) or ColourClass(...) call, bare or through a module attribute."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("Instance", "ColourClass"):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_only_core_and_gen_construct_instances_directly():
+    # make_instance keeps each class's pairs sorted and distinct and checks the
+    # indices; gen_random_instance draws pairs that are already so
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem not in ("core", "gen") and (lines := instance_constructions(path))
+    }
+    assert offenders == {}
+
+
+def test_guard_sees_direct_instance_constructions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import core\n"
+        "from .core import ColourClass, Instance, make_instance\n"
+        "a = Instance((), 0, 0)\n"
+        "b = core.Instance((), 0, 0)\n"
+        "c = ColourClass(())\n"
+        "d = core.ColourClass(())\n"
+        "e = make_instance([])\n"
+        "f = gen_random_instance(1, 1)\n"
+    )
+    assert instance_constructions(probe) == [3, 4, 5, 6]
+
+
 def indented_dumps(path: Path) -> list[int]:
     """Line of every dumps(...) call, bare or through a module attribute, given an indent."""
     out = []
