@@ -235,16 +235,17 @@ def validate_instance(inst: Instance) -> list[Violation]:
             violations.append(
                 Violation("unsorted_pairs", idx, f"colour {idx} pairs are not sorted and distinct")
             )
-        seen_a: dict[int, str] = {}
-        seen_b: dict[int, str] = {}
+        # vertex -> other end of the first edge at it; labels only for violations
+        seen_a: dict[int, int] = {}
+        seen_b: dict[int, int] = {}
         for ai, bi in cls.pairs:
-            edge = f"a{ai}b{bi}"
             if ai in seen_a:
                 violations.append(
                     Violation(
                         "not_a_matching",
                         idx,
-                        f"colour {idx} is not a matching: {seen_a[ai]} and {edge} share a{ai}",
+                        f"colour {idx} is not a matching: "
+                        f"a{ai}b{seen_a[ai]} and a{ai}b{bi} share a{ai}",
                     )
                 )
             if bi in seen_b:
@@ -252,17 +253,19 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     Violation(
                         "not_a_matching",
                         idx,
-                        f"colour {idx} is not a matching: {seen_b[bi]} and {edge} share b{bi}",
+                        f"colour {idx} is not a matching: "
+                        f"a{seen_b[bi]}b{bi} and a{ai}b{bi} share b{bi}",
                     )
                 )
-            seen_a.setdefault(ai, edge)
-            seen_b.setdefault(bi, edge)
+            seen_a.setdefault(ai, bi)
+            seen_b.setdefault(bi, ai)
             if not 0 <= ai < inst.a_size:
                 violations.append(
                     Violation(
                         "vertex_out_of_range",
                         idx,
-                        f"colour {idx} edge {edge}: a{ai} outside universe of size {inst.a_size}",
+                        f"colour {idx} edge a{ai}b{bi}: "
+                        f"a{ai} outside universe of size {inst.a_size}",
                     )
                 )
             if not 0 <= bi < inst.b_size:
@@ -270,7 +273,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     Violation(
                         "vertex_out_of_range",
                         idx,
-                        f"colour {idx} edge {edge}: b{bi} outside universe of size {inst.b_size}",
+                        f"colour {idx} edge a{ai}b{bi}: "
+                        f"b{bi} outside universe of size {inst.b_size}",
                     )
                 )
     return violations

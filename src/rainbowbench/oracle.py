@@ -7,11 +7,14 @@ candidates are one integer bitmask over its own sorted pairs, and a child
 clears the bits of the edges that meet the one just chosen. The branch is the
 bundle with the fewest candidate edges, "skip this bundle" is tried last, and
 the admissible bound is size + min(sum of min(capacity, candidates), a_size -
-size, b_size - size). Once a search is expensive it also prunes symmetric
-root moves (orbital branching, Ostrowski, Linderoth, Rossi and Smriglio, Math.
-Prog. 2011) with automorphisms that symmetry.root_orbits has verified; see
-max_rainbow. naive_max_rainbow is a deliberately separate enumeration used for
-oracle-vs-oracle equivalence checks.
+size, b_size - size). A node is counted and bounded by its parent before any
+call, and only a node that beats the bound is searched by a recursive call;
+node counts are those of a search that calls every child. Once a search is
+expensive it also prunes symmetric root moves (orbital branching, Ostrowski,
+Linderoth, Rossi and Smriglio, Math. Prog. 2011) with automorphisms that
+symmetry.root_orbits has verified; see max_rainbow. naive_max_rainbow is a
+deliberately separate enumeration used for oracle-vs-oracle equivalence
+checks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import random
 import time
 from dataclasses import dataclass
 from io import StringIO
-from operator import itemgetter
 from typing import Iterable, Literal
 
 from .core import Instance, RainbowMatching, make_instance, make_matching
@@ -75,8 +77,6 @@ class SearchReport:
 
 # (pairs ascending, colours ascending): identical classes searched as one
 _Bundle = tuple[tuple[tuple[int, int], ...], list[int]]
-# the weight field of a live bundle, see _Searcher.dfs
-_WEIGHT = itemgetter(4)
 # nodes a worker spends before it looks for symmetric root moves, see _Searcher.dfs
 _ORBIT_NODES = 4096
 
@@ -94,15 +94,18 @@ class _Searcher:
 
     Bundle t is bundles[t], numbered by its lowest colour; at_a[t] and
     at_b[t] are its _masks_at, dicts so that set-up scales with the edges,
-    not with the universe.
+    not with the universe; side is min(a_size, b_size). The parent enters a
+    node before any call: the node-budget stop, the count, the clock read
+    and the best update, then the bound. dfs is called only for a node that
+    beats the bound, so the counts, the stops and best are those of a search
+    that calls every child. _search enters the root.
     """
 
     __slots__ = (
         "bundles",
         "at_a",
         "at_b",
-        "a_size",
-        "b_size",
+        "side",
         "max_nodes",
         "deadline",
         "nodes",
@@ -116,21 +119,19 @@ class _Searcher:
     def __init__(
         self,
         bundles: list[_Bundle],
-        a_size: int,
-        b_size: int,
+        side: int,
         max_nodes: int | None,
         deadline: float | None,
     ) -> None:
         self.bundles = bundles
         self.at_a = [_masks_at(p, 0) for p, _ in bundles]
         self.at_b = [_masks_at(p, 1) for p, _ in bundles]
-        self.a_size = a_size
-        self.b_size = b_size
+        self.side = side
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.nodes = 0
         self.stopped = False
-        self.best_size = -1
+        self.best_size = 0
         self.best_sel: list[tuple[int, int, int]] = []
         self.best_task = -1
         self.task = -1
@@ -139,73 +140,79 @@ class _Searcher:
         self,
         bundles: list[tuple[int, int, int, int, int]],
         chosen: list[tuple[int, int, int]],
+        room: int,
         share: tuple[int, int] | None = None,
     ) -> None:
-        """Search below one node; share = (worker, workers) marks the root.
+        """Branch at one entered node; share = (worker, workers) marks the root.
 
         bundles holds (count, t, mask, cap, weight) per bundle t with a
         candidate left: mask is its edges disjoint from chosen, count their
-        number, cap how many more it may take, weight min(cap, count). The
-        branch is the least tuple (fewest candidates, ties to the lowest
-        colour); its moves are its set bits upward, then "skip", which drops
-        it. Taking bit j leaves it the bits above j and cap - 1, gives the
-        edge its next colour and clears every mask's edges that meet it. At
-        the root this worker takes only the moves i with i % workers ==
-        worker, and i becomes the task that the best selection found below
-        it is tagged with; a one-colour root bundle's edge moves are pruned
-        by their orbits once _ORBIT_NODES are spent, see max_rainbow.
+        number, cap how many more it may take, weight min(cap, count); room
+        is the sum of the weights. The branch is the least tuple (fewest
+        candidates, ties to the lowest colour); its moves are its set bits
+        upward, then "skip", which drops it. Taking bit j leaves it the bits
+        above j and cap - 1, gives the edge its next colour and clears every
+        mask's edges that meet it. A child's bound is its size + min(room,
+        side - size). At the root this worker takes only the moves i with
+        i % workers == worker, and i becomes the task that the best
+        selection found below it is tagged with; a one-colour root bundle's
+        edge moves are pruned by their orbits once _ORBIT_NODES are spent,
+        see max_rainbow.
         """
-        if self.max_nodes is not None and self.nodes >= self.max_nodes:
-            self.stopped = True
-            return
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.perf_counter() > self.deadline:
-                self.stopped = True
-                return
-        size = len(chosen)
-        if size > self.best_size:
-            self.best_size = size
-            self.best_sel = list(chosen)
-            self.best_task = self.task
-        room = sum(map(_WEIGHT, bundles))
-        bound = size + min(room, self.a_size - size, self.b_size - size)
-        if bound <= self.best_size:
-            return
         branch = min(bundles)
-        count, t, left, cap, _ = branch
+        count, t, left, cap, weight = branch
         rest = [u for u in bundles if u is not branch]
         pairs, colours = self.bundles[t]
         colour = colours[-cap]
         at_a, at_b = self.at_a, self.at_b
-        worker, workers = share or (0, 1)
+        size = len(chosen)
+        # side - size of a child that takes an edge
+        head = self.side - (size + 1)
         reps = None
         for i in range(count + 1):
             low = left & -left
             left ^= low
-            if i % workers != worker:
-                continue
             if share is not None:
+                worker, workers = share
+                if i % workers != worker:
+                    continue
                 if low and cap == 1:
                     if reps is None and self.nodes >= _ORBIT_NODES:
                         reps = root_orbits(self.bundles, t)
                     if reps is not None and reps[i] < i:
                         continue
                 self.task = i
+            if self.max_nodes is not None and self.nodes >= self.max_nodes:
+                self.stopped = True
+                return
+            self.nodes += 1
+            if self.deadline is not None and self.nodes % 1024 == 0:
+                if time.perf_counter() > self.deadline:
+                    self.stopped = True
+                    return
             if not low:
-                self.dfs(rest, chosen)
+                # best_size >= size already: skipping adds no edge
+                if size + min(room - weight, head + 1) > self.best_size:
+                    self.dfs(rest, chosen, room - weight)
                 return
             a, b = pairs[low.bit_length() - 1]
-            # the filter below recounts every mask it keeps
             kept = rest + [(0, t, left, cap - 1, 0)] if cap > 1 else rest
             child = []
+            child_room = 0
             for _, u_t, u_mask, u_cap, _ in kept:
                 m = u_mask & ~(at_a[u_t].get(a, 0) | at_b[u_t].get(b, 0))
                 if m:
                     n = m.bit_count()
-                    child.append((n, u_t, m, u_cap, min(n, u_cap)))
+                    w = n if n < u_cap else u_cap
+                    child_room += w
+                    child.append((n, u_t, m, u_cap, w))
             chosen.append((colour, a, b))
-            self.dfs(child, chosen)
+            if size >= self.best_size:
+                self.best_size = size + 1
+                self.best_sel = list(chosen)
+                self.best_task = self.task
+            if size + 1 + min(child_room, head) > self.best_size:
+                self.dfs(child, chosen, child_room)
             chosen.pop()
             if self.stopped:
                 return
@@ -221,12 +228,18 @@ def _search(
 ) -> tuple[int, int, list[tuple[int, int, int]], int, bool]:
     """One worker's search from the root: (best_size, best_task, best_sel, nodes, stopped)."""
     deadline = None if max_time is None else time.perf_counter() + max_time
-    s = _Searcher(bundles, a_size, b_size, max_nodes, deadline)
+    s = _Searcher(bundles, min(a_size, b_size), max_nodes, deadline)
     root = [
         (len(p), t, (1 << len(p)) - 1, len(c), min(len(p), len(c)))
         for t, (p, c) in enumerate(bundles)
     ]
-    s.dfs(root, [], share)
+    # the root's own entry: the empty selection, bounded above 0 by any bundle
+    if max_nodes is not None and max_nodes <= 0:
+        s.stopped = True
+    else:
+        s.nodes = 1
+        if root:
+            s.dfs(root, [], sum(u[4] for u in root), share)
     return s.best_size, s.best_task, s.best_sel, s.nodes, s.stopped
 
 
@@ -242,7 +255,10 @@ def max_rainbow(
     colours are both searched; with distinct classes each bundle is one
     colour. The branch is the bundle with the fewest candidates, and a node's
     bound is size + min(sum over bundles of min(capacity, candidates),
-    a_size - size, b_size - size).
+    a_size - size, b_size - size). A node is counted and bounded by its
+    parent before any call, and only a node that beats the bound is
+    expanded, so nodes_explored counts every node visited, pruned ones
+    included, as a search that calls every child would.
 
     Worker w of W searches the root bundle's moves i with i % W == w, with
     the full budget each; workers=1 is worker 0 of 1, the plain sequential

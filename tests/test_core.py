@@ -95,6 +95,25 @@ class TestValidateInstance:
         ]
         assert violations[0].message == "colour 0 edge a-1b0: a-1 outside universe of size 2"
 
+    def test_violation_messages_are_pinned(self):
+        # a vertex met three times: both later edges are named against the first
+        cases = [
+            ([(0, 0), (0, 1), (0, 2)], "colour 0 is not a matching: a0b0 and a0b{} share a0"),
+            ([(0, 1), (1, 1), (2, 1)], "colour 0 is not a matching: a0b1 and a{}b1 share b1"),
+        ]
+        for pairs, template in cases:
+            messages = [v.message for v in validate_instance(make_instance([pairs]))]
+            assert messages == [template.format(1), template.format(2)]
+        inst = make_instance([[(0, 5), (7, 1)]], a_size=3, b_size=3)
+        assert [(v.code, v.message) for v in validate_instance(inst)] == [
+            ("vertex_out_of_range", "colour 0 edge a0b5: b5 outside universe of size 3"),
+            ("vertex_out_of_range", "colour 0 edge a7b1: a7 outside universe of size 3"),
+        ]
+        inst = Instance((ColourClass(((2, 2),)), ColourClass(((1, 1), (0, 0)))), 3, 3)
+        assert [(v.code, v.colour, v.message) for v in validate_instance(inst)] == [
+            ("unsorted_pairs", 1, "colour 1 pairs are not sorted and distinct"),
+        ]
+
     def test_hand_built_class_must_be_sorted_and_distinct(self):
         for pairs in (((1, 1), (0, 0)), ((0, 0), (0, 0))):
             inst = Instance((ColourClass(((2, 2),)), ColourClass(pairs)), 3, 3)

@@ -158,6 +158,37 @@ class TestMaxRainbow:
         assert not rep.optimal
         assert is_rainbow(rep.best)
 
+    @staticmethod
+    def _assert_budget_boundary(inst):
+        # N = the nodes of an unlimited search: a budget of N still certifies
+        # it and N - 1 stops at the last node, also where that node is
+        # counted and pruned in its parent without a call
+        full = max_rainbow(inst)
+        n = full.nodes_explored
+        at = max_rainbow(inst, SearchBudget.nodes(n))
+        assert (at.best, at.optimal, at.nodes_explored) == (full.best, True, n)
+        assert not max_rainbow(inst, SearchBudget.nodes(n - 1)).optimal
+
+    def test_node_budget_boundary(self):
+        for inst in [*_pin_draws(), gen_drisko(5), gen_drisko(6), gen_no_transversal(8)]:
+            self._assert_budget_boundary(inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(duplicated_families())
+    def test_node_budget_boundary_on_duplicate_classes(self, inst):
+        self._assert_budget_boundary(inst)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_pruned_children_cost_no_call(self, monkeypatch, n):
+        # 1,211 calls for 2,903 nodes (n = 8) and 2,579 for 6,292 (n = 10)
+        calls = []
+        dfs = oracle._Searcher.dfs
+        monkeypatch.setattr(
+            oracle._Searcher, "dfs", lambda self, *args: calls.append(1) or dfs(self, *args)
+        )
+        rep = max_rainbow(gen_no_transversal(n))
+        assert 2 * len(calls) <= rep.nodes_explored
+
     def test_deterministic_counters(self):
         inst = gen_drisko(4)
         a = max_rainbow(inst)
