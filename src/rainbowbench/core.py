@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -376,17 +377,26 @@ def int_rows(rows: object, width: int) -> list[tuple[int, ...]]:
     """
     if not isinstance(rows, list):
         raise ValueError(f"expected an array of rows, got {rows!r}")
-    for row in rows:
-        if not (isinstance(row, list) and len(row) == width and all(type(v) is int for v in row)):
-            raise ValueError(f"expected an array of {width} integers, got {row!r}")
-    return [tuple(row) for row in rows]
+    if not (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {width}
+        and set(map(type, chain.from_iterable(rows))) <= {int}
+    ):
+        for row in rows:  # the whole-array checks failed: name the first row at fault
+            if not (isinstance(row, list) and len(row) == width
+                    and all(type(v) is int for v in row)):
+                raise ValueError(f"expected an array of {width} integers, got {row!r}")
+    return list(map(tuple, rows))
 
 
 def reject_repeats(rows: Sequence[Hashable], what: str) -> None:
     """ValueError "<what> <row as JSON>" naming the first repeated row or index, if any."""
     if len(set(rows)) < len(rows):
-        repeated = next(t for i, t in enumerate(rows) if t in rows[:i])
-        raise ValueError(f"{what} {json.dumps(repeated)}")
+        seen: set[Hashable] = set()
+        for t in rows:
+            if t in seen:
+                raise ValueError(f"{what} {json.dumps(t)}")
+            seen.add(t)
 
 
 def matching_rows(rows: object) -> list[tuple[int, ...]]:
@@ -402,18 +412,32 @@ def matching_rows(rows: object) -> list[tuple[int, ...]]:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _int_rows_layout(rows: list[list], nl: str) -> str | None:
-    """_encode(rows, nl) when rows are equal-width, non-empty rows of ints; None otherwise.
+@lru_cache(maxsize=256)
+def _template(shape: int | tuple, nl: str) -> str:
+    """The %d template of a list at nl; shape: a list of ints' length, or its lists' shapes."""
+    inner = nl + "  "
+    parts = ["%d"] * shape if type(shape) is int else [_template(s, inner) for s in shape]
+    return "[" + inner + ("," + inner).join(parts) + nl + "]" if parts else "[]"
 
-    One str.format call fills in every value.
+
+def _int_rows_layout(rows: list[list], nl: str) -> str | None:
+    """_encode(rows, nl) when rows are int rows, or lists of int rows; None otherwise.
+
+    Types are checked over whole arrays first ("%d" would print True as 1);
+    then one %-format fills every value into the template of rows' shape.
     """
-    widths = set(map(len, rows))
-    values = list(chain.from_iterable(rows))
-    if len(widths) != 1 or not values or set(map(type, values)) != {int}:
+    cells = list(chain.from_iterable(rows))
+    kinds = set(map(type, cells))
+    if kinds <= {int}:
+        shape, values = tuple(map(len, rows)), cells
+    elif kinds == {list}:
+        values = list(chain.from_iterable(cells))
+        if not set(map(type, values)) <= {int}:
+            return None
+        shape = tuple(tuple(map(len, block)) for block in rows)
+    else:
         return None
-    inner, row_nl = nl + "  ", nl + "    "
-    row = "[" + row_nl + ("," + row_nl).join(["{}"] * widths.pop()) + inner + "]"
-    return ("[" + inner + ("," + inner).join([row] * len(rows)) + nl + "]").format(*values)
+    return _template(shape, nl) % tuple(values)
 
 
 def _encode(obj: object, nl: str) -> str:
@@ -460,7 +484,7 @@ def instance_payload(inst: Instance) -> dict:
         "n_colours": inst.n_colours,
         "a_size": inst.a_size,
         "b_size": inst.b_size,
-        "classes": [[list(p) for p in cls.pairs] for cls in inst.classes],
+        "classes": [list(map(list, cls.pairs)) for cls in inst.classes],
     }
 
 

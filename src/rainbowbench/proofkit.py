@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 import re
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import AbstractSet, Iterator, Mapping, NamedTuple
 
 from .core import (
@@ -427,6 +427,8 @@ def _p7(st: SwitchState, mode: Mode) -> str | None:
 
 
 _PROPERTY_CHECKS = (_p1, _p2, _p3, _p4, _p5, _p6, _p7)  # in PROPERTY_NAMES order
+# a passed check is the same value in every report, so reports share these
+_PASSED = tuple(PropertyCheck(name, True) for name in PROPERTY_NAMES)
 
 
 def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyReport:
@@ -440,9 +442,10 @@ def verify_properties(st: SwitchState, mode: Mode = Mode.RELAXED) -> PropertyRep
     if bad:
         raise ValueError("structurally invalid state: " + "; ".join(bad))
     witnesses = [check(st, mode) for check in _PROPERTY_CHECKS]
-    return PropertyReport(
-        tuple(PropertyCheck(name, w is None, w) for name, w in zip(PROPERTY_NAMES, witnesses))
+    checks = (
+        c if w is None else PropertyCheck(c.name, False, w) for c, w in zip(_PASSED, witnesses)
     )
+    return PropertyReport(tuple(checks))
 
 
 def colour_chain(st: SwitchState, i: int) -> list[int]:
@@ -858,8 +861,11 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
         if g_next is None:
             continue
         yield Extended(
-            replace(
-                st,
+            SwitchState(
+                st.inst,
+                st.r,
+                st.eps,
+                st.t,
                 k=st.k + 1,
                 e_seq=st.e_seq + (e_next,),
                 g_seq=st.g_seq + (g_next,),
@@ -921,23 +927,31 @@ def run_switch_trace(
 
 def _state_payload(st: SwitchState) -> dict:
     return {
-        "r": [list(t) for t in st.r.triples],
+        "r": list(map(list, st.r.triples)),
         "eps": str(st.eps.value),
         "t": st.t,
         "k": st.k,
-        "e_seq": [list(t) for t in st.e_seq],
-        "g_seq": [list(t) for t in st.g_seq],
-        "x_sets": [sorted(s) for s in st.x_sets],
-        "y_sets": [sorted(s) for s in st.y_sets],
+        "e_seq": list(map(list, st.e_seq)),
+        "g_seq": list(map(list, st.g_seq)),
+        "x_sets": list(map(sorted, st.x_sets)),
+        "y_sets": list(map(sorted, st.y_sets)),
         "pi": list(st.pi),
     }
 
 
+@lru_cache(maxsize=16)
+def _canonical_eps(text: str) -> Epsilon | None:
+    """Epsilon.parse(text) if text is str(eps.value), else None; cached, as traces repeat eps."""
+    with suppress(ValueError):
+        if str(eps := Epsilon.parse(text)) == text:
+            return eps
+    return None
+
+
 def _eps_from_json(value: object) -> Epsilon:
     """eps as _state_payload writes it, str(eps.value); ValueError on anything else."""
-    with suppress(ValueError):
-        if type(value) is str and str(eps := Epsilon.parse(value)) == value:
-            return eps
+    if type(value) is str and (eps := _canonical_eps(value)) is not None:
+        return eps
     raise ValueError(f"eps must be a canonical fraction string, got {value!r}")
 
 
@@ -996,7 +1010,7 @@ def trace_to_json(trace: Trace) -> str:
             steps.append(
                 {
                     "kind": "augmented",
-                    "matching": [list(t) for t in out.matching.triples],
+                    "matching": list(map(list, out.matching.triples)),
                 }
             )
     payload = {

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,6 +22,7 @@ from rainbowbench.core import (
     make_instance,
     make_matching,
     matching_from_json,
+    matching_rows,
     matching_to_json,
     neighbourhood_along,
     saturated_sets,
@@ -244,10 +246,33 @@ class TestJsonFormats:
             with pytest.raises(ValueError, match="malformed matching JSON"):
                 matching_from_json(text)
 
+    @pytest.mark.parametrize(
+        "bad", [[1, 2], [1, 2, 3, 4], [1, True, 2], [1, 2.0, 3], "123", 7, None],
+        ids=["short", "long", "bool", "float", "str", "int", "null"],
+    )
+    def test_first_row_at_fault_is_named(self, bad):
+        # the whole-array checks fail together; the message names the first bad row
+        rows = [[0, 0, 0], bad, [1, 1, "1"]]
+        with pytest.raises(ValueError) as info:
+            matching_rows(rows)
+        assert str(info.value) == f"expected an array of 3 integers, got {bad!r}"
+
     def test_repeated_matching_row_rejected(self):
         # a repeated row is malformed, not a smaller matching
         with pytest.raises(ValueError, match=r"malformed matching JSON: repeated row \[0, 1, 1\]"):
             matching_from_json("[[0, 1, 1], [0, 1, 1]]")
+
+    def test_late_repeat_among_many_rows_is_rejected_in_linear_time(self):
+        # a scan of every row's predecessors takes minutes on 10**5 rows
+        rows = [[i, i, i] for i in range(199_999)] + [[7, 7, 7]]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^repeated row \[7, 7, 7\]$"):
+            matching_rows(rows)
+        assert time.perf_counter() - start < 1
+
+    def test_first_repeat_is_named(self):
+        with pytest.raises(ValueError, match=r"^repeated row \[2, 2, 2\]$"):
+            matching_rows([[1, 1, 1], [2, 2, 2], [3, 3, 3], [2, 2, 2], [1, 1, 1]])
 
     def test_repeated_instance_pair_rejected(self):
         # a repeated pair is malformed, not a smaller class
@@ -308,8 +333,19 @@ JSON_SCALARS = (
 JSON_ROWS = st.lists(
     st.one_of(st.integers(), st.lists(st.integers(), max_size=4)), max_size=5
 ) | st.lists(st.lists(st.integers(min_value=-9, max_value=99), min_size=3, max_size=3), max_size=5)
+# lists of int rows, as an instance's classes: equal or ragged widths, empty
+# blocks and rows, and bool leaves, which the integer layout must not print as ints
+JSON_BLOCKS = st.lists(
+    st.integers(0, 3).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(), min_size=width, max_size=width), max_size=4
+        )
+    )
+    | st.lists(st.lists(st.integers() | st.booleans(), max_size=3), max_size=4),
+    max_size=4,
+)
 JSON_VALUES = st.recursive(
-    JSON_SCALARS | JSON_ROWS,
+    JSON_SCALARS | JSON_ROWS | JSON_BLOCKS,
     lambda children: (
         st.lists(children, max_size=4) | st.dictionaries(JSON_TEXT, children, max_size=4)
     ),
@@ -327,6 +363,10 @@ class TestCanonicalJson:
     @example([[1, 2], 3])
     @example([[True, 1], [0, 1]])
     @example({"a": [[0, 1, 2], [3, 4, 5]], "b": {"c": [], "d": [{}]}, "e": [None, False]})
+    @example([[[0, 1]], []])
+    @example([[[0, 1]], [[2, 3], [4, 5]]])
+    @example([[[True, 1]]])
+    @example([[[0, 1]], [[2]]])
     def test_matches_json_dumps_indent_2(self, obj):
         assert canonical_json(obj) == json.dumps(obj, indent=2) + "\n"
 

@@ -1021,6 +1021,30 @@ class TestTraces:
             initial_state(inst, make_matching([(0, 0, 0)]), EPS1)
 
 
+class TestTracePin:
+    def test_trace_json_is_pinned_and_verifies(self):
+        # sha256 over trace_to_json of 400 engine runs from greedy starts that
+        # fall short on tight 8 x 9 instances in a 9 x 9 universe; recorded
+        # before the integer layout and the decoders were restated, so any
+        # change in a byte of trace JSON fails here
+        digest = hashlib.sha256()
+        traces, seed = 0, 0
+        while traces < 400:
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            seed += 1
+            r = greedy_rainbow(inst, 0)
+            if len(r) == 8:
+                continue
+            inst0, r0, _ = free_colour_zero(inst, r)
+            text = trace_to_json(run_switch_trace(inst0, r0, EPS1, max_steps=8))
+            assert verify_trace_json(text) == []
+            digest.update(text.encode())
+            traces += 1
+        assert digest.hexdigest() == (
+            "c56dace3cbc2fff6aa3c28957b3e975ded96ebb7e2429bad0db018801b00005d"
+        )
+
+
 def two_step_trace() -> dict:
     """A serialized engine run with two extended steps (k = 1, 2) and no augmentation."""
     inst = gen_random_instance(5, 6, a_size=6, b_size=6, seed=6)
@@ -1090,6 +1114,29 @@ class TestTraceChain:
             state["eps"] = eps
         with pytest.raises(ValueError, match="eps must be a canonical fraction string"):
             verify(payload)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [1, 1.0, True, "1.0", " 1 ", "2/2", "01", "1/0", "1e0", None],
+        ids=["int", "float", "bool", "decimal", "padded", "unreduced", "leading-zero",
+             "zero-denominator", "exponent", "null"],
+    )
+    def test_eps_parse_cache_keeps_the_check(self, eps):
+        # parses are cached by string: a rejected eps stays rejected on a second
+        # call, and a value that is not a str is rejected before the cache
+        payload = two_step_trace()
+        payload["base_state"]["eps"] = eps
+        lookups = proofkit._canonical_eps.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="eps must be a canonical fraction string"):
+                verify(payload)
+        after = proofkit._canonical_eps.cache_info()
+        looked_up = after.hits + after.misses - lookups.hits - lookups.misses
+        assert looked_up == (2 if isinstance(eps, str) else 0)
+
+    def test_cached_eps_equals_a_fresh_parse(self):
+        for _ in range(2):
+            assert proofkit._eps_from_json("1/2") == Epsilon.parse("1/2")
 
     def test_eps_exponent_is_never_evaluated(self):
         # Fraction("1e10000000") computes 10**10000000, seconds of CPU, before any check
