@@ -8,6 +8,7 @@ identical arguments including --seed.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -115,13 +116,20 @@ def gen_random_cmd(
 # --- solve -----------------------------------------------------------------------
 
 
+def _not_nan(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    # FloatRange lets nan through, and no clock reading is ever past a nan deadline
+    if value is not None and math.isnan(value):
+        raise click.BadParameter(f"{value} is not a number.")
+    return value
+
+
 @main.command("solve")
 @click.option("--in", "in_path", required=True, help="Instance JSON file (- for stdin).")
 @click.option(
     "--target", type=click.IntRange(min=1), required=True, help="Rainbow matching size to reach."
 )
 @click.option("--budget-nodes", type=click.IntRange(min=1), default=100000, show_default=True)
-@click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True), default=None)
+@click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True), callback=_not_nan)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed of greedy's tie order; -s orders as s does.")
 @click.option("--oracle-fallback/--no-oracle-fallback", default=False, show_default=True)

@@ -9,6 +9,7 @@ matching and a size-n rainbow matching corresponds to a transversal.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,6 +18,7 @@ from .core import (
     RainbowMatching,
     int_rows,
     is_rainbow,
+    json_int,
     json_value,
     make_instance,
     make_matching,
@@ -33,7 +35,8 @@ class LatinSquare:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "LatinSquare":
-        matrix = tuple(tuple(int(x) for x in row) for row in rows)
+        """The square with these rows; ValueError on a cell that is not an int (bool included)."""
+        matrix = tuple(tuple(json_int(x) for x in row) for row in rows)
         return cls(order=len(matrix), cells=matrix)
 
 
@@ -243,25 +246,27 @@ def format_latin_text(ls: LatinSquare) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the symbols format_latin_text writes; int() alone would also take '+1', '1_0' and '١'
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def parse_latin_text(text: str) -> LatinSquare:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty Latin square text")
-    try:
-        n = int(lines[0].strip())
-    except ValueError as exc:
-        raise ValueError(f"first line must be the order, got {lines[0]!r}") from exc
+    if not _DECIMAL.fullmatch(lines[0].strip()):
+        raise ValueError(f"first line must be the order, got {lines[0]!r}")
+    n = int(lines[0].strip())
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after the order line, got {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ValueError(f"non-integer symbol in row {line!r}") from exc
-        if len(row) != n:
-            raise ValueError(f"row {line!r} has {len(row)} symbols, expected {n}")
-        rows.append(row)
+        tokens = line.split()
+        if not all(map(_DECIMAL.fullmatch, tokens)):
+            raise ValueError(f"non-integer symbol in row {line!r}")
+        if len(tokens) != n:
+            raise ValueError(f"row {line!r} has {len(tokens)} symbols, expected {n}")
+        rows.append([int(tok) for tok in tokens])
     return LatinSquare.from_rows(rows)
 
 

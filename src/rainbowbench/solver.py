@@ -75,37 +75,39 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _AugmentSearch:
-    """DFS over relaxed switch states.
+def augment(
+    inst: Instance, r: RainbowMatching, budget: SearchBudget = SearchBudget.unlimited()
+) -> RainbowMatching | None:
+    """Search for a rainbow matching of size |r| + 1 via switch exchanges.
 
-    One node = one visited state. Unlike extend_state, which takes only the
-    first outcome of step_outcomes, the search branches over every Extended
-    outcome. Sibling outcomes extend by distinct r-edges, so no state is
-    reached twice. Each extension adds a colour of r outside pi to pi, so no
-    path is longer than n - 1 steps. Both budgets are checked at every node.
+    Each unused colour in ascending order is relabelled to colour 0, and the
+    relaxed-mode state space rooted at r is searched depth first. Unlike
+    extend_state, which takes only the first outcome of step_outcomes, the
+    search branches over every Extended outcome; sibling outcomes extend pi by
+    distinct colours of r outside it, so no state is reached twice and every
+    path ends within n - 1 steps. Exploration order is deterministic; the node
+    budget counts the distinct states visited over the whole call, and both
+    budgets are checked at every state. None means not found within budget,
+    never a proof of optimality.
     """
+    if not 0 <= len(r) < inst.n_colours:
+        return None
+    max_nodes = budget.max_nodes
+    deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
+    nodes = 0
 
-    def __init__(self, budget: SearchBudget) -> None:
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            None if budget.max_time is None else time.perf_counter() + budget.max_time
-        )
-        self.nodes = 0
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
+    def dfs(st: SwitchState) -> RainbowMatching | None:
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
             raise _BudgetExhausted
-        if self.deadline is not None and time.perf_counter() > self.deadline:
+        if deadline is not None and time.perf_counter() > deadline:
             raise _BudgetExhausted
-
-    def dfs(self, st: SwitchState) -> RainbowMatching | None:
-        self._tick()
         try:
             for outcome in step_outcomes(st):
                 if isinstance(outcome, Augmented):
                     return outcome.matching
-                found = self.dfs(outcome.state)
+                found = dfs(outcome.state)
                 if found is not None:
                     return found
         except ThresholdInfeasible:
@@ -114,29 +116,12 @@ class _AugmentSearch:
             return None
         return None
 
-
-def augment(
-    inst: Instance, r: RainbowMatching, budget: SearchBudget = SearchBudget.unlimited()
-) -> RainbowMatching | None:
-    """Search for a rainbow matching of size |r| + 1 via switch exchanges.
-
-    Each unused colour in ascending order is relabelled to colour 0, and the
-    relaxed-mode state space rooted at r is searched once, depth first; each
-    step extends pi by a colour of r outside it, so every path ends within
-    n - 1 steps. Exploration order is deterministic; the node budget counts
-    the distinct states visited over the whole call, and both budgets are
-    checked at every state. None means not found within budget, never a
-    proof of optimality.
-    """
-    if not 0 <= len(r) < inst.n_colours:
-        return None
     unused = sorted(set(range(inst.n_colours)) - set(r.colours()))
-    search = _AugmentSearch(budget)
     try:
         for c0 in unused:
             inst0 = swap_colours(inst, 0, c0)
             r0 = swap_matching_colours(r, 0, c0)
-            found = search.dfs(initial_state(inst0, r0, AUGMENT_EPS))
+            found = dfs(initial_state(inst0, r0, AUGMENT_EPS))
             if found is not None:
                 return swap_matching_colours(found, 0, c0)
     except _BudgetExhausted:

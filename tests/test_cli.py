@@ -74,11 +74,13 @@ class TestSolve:
         [
             ("--budget-nodes", "0"),
             ("--budget-seconds", "-1"),
+            ("--budget-seconds", "nan"),
             ("--workers", "-3"),
             ("--target", "0"),
             ("--target", "-4"),
         ],
-        ids=["budget-nodes", "budget-seconds", "workers", "target-zero", "target-negative"],
+        ids=["budget-nodes", "budget-seconds", "budget-seconds-nan", "workers", "target-zero",
+             "target-negative"],
     )
     def test_out_of_range_option_exits_two(self, tmp_path, option):
         path = tmp_path / "inst.json"

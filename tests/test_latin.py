@@ -70,9 +70,17 @@ class TestRejections:
              "entries do not form a partial transversal"),
             (lambda: parse_latin_text("x\n0\n"), "first line must be the order, got 'x'"),
             (lambda: parse_latin_text("2\n0 1\n1\n"), "row '1' has 1 symbols, expected 2"),
+            (lambda: parse_latin_text("+2\n0 1\n1 0\n"), "first line must be the order, got '+2'"),
+            (lambda: parse_latin_text("2\n0 +1\n\u0661 0\n"), "non-integer symbol in row '0 +1'"),
+            (lambda: parse_latin_text("2\n0 1\n\u0661 0\n"),
+             "non-integer symbol in row '\u0661 0'"),
+            (lambda: parse_latin_text("2\n0 1\n1 0_0\n"), "non-integer symbol in row '1 0_0'"),
+            (lambda: LatinSquare.from_rows([[0.9, 1.2], [1, 0]]), "expected an integer, got 0.9"),
+            (lambda: LatinSquare.from_rows([[True, 0], [0, 1]]), "expected an integer, got True"),
         ],
         ids=["universe", "cell-covered-twice", "cell-uncovered", "not-latin", "edge-outside",
-             "entry-outside", "order-line", "short-row"],
+             "entry-outside", "order-line", "short-row", "order-plus", "symbol-plus",
+             "symbol-non-ascii-digit", "symbol-underscore", "cell-float", "cell-bool"],
     )
     def test_value_error(self, call, message):
         with pytest.raises(ValueError) as info:

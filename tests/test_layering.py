@@ -51,6 +51,50 @@ def test_guard_sees_private_imports(tmp_path):
     assert private_imports(probe) == ["proofkit._claim12_augment", "core._private"]
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Every name an import binds that the module never reads; __future__ imports aside."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+# perfbench's tracer patches these names in the modules that import them
+TRACER_PATCH_IMPORTS = {
+    "proofkit.py": ["neighbourhood_along"],
+    "solver.py": ["neighbourhood_along"],
+}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "__init__" and (names := unused_imports(path))
+    }
+    assert offenders == TRACER_PATCH_IMPORTS
+
+
+def test_guard_sees_unused_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "import random\n"
+        "from .core import Instance, make_matching as mm, swap_colours\n"
+        "def f(x: Instance) -> None:\n"
+        "    mm(os.getcwd())\n"
+    )
+    assert unused_imports(probe) == ["j", "random", "swap_colours"]
+
+
 def matching_constructions(path: Path) -> list[int]:
     """Line of every direct RainbowMatching(...) call, bare or through a module attribute."""
     out = []

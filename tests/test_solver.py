@@ -184,6 +184,16 @@ class TestAugment:
         found = augment(inst, r, SearchBudget.nodes(2))
         assert len(found) == 8 and is_rainbow(found)
 
+    def test_node_budget_spans_the_searches_of_all_unused_colours(self):
+        # colour 3's search fails after 3 states and colour 5's root augments,
+        # so a count restarted per colour would find the matching within 3
+        inst = gen_random_instance(6, 6, a_size=6, b_size=6, seed=36)
+        r = greedy_rainbow(inst, 0)
+        assert len(r) == 4 and sorted(set(range(6)) - set(r.colours())) == [3, 5]
+        assert augment(inst, r, SearchBudget.nodes(3)) is None
+        found = augment(inst, r, SearchBudget.nodes(4))
+        assert len(found) == 5 and is_rainbow(found)
+
     def test_time_budget_is_checked_at_every_state(self):
         # the augmenting matching lies one state below the root, so only a
         # deadline checked at the first state stops this search
