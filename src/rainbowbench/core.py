@@ -369,16 +369,21 @@ def json_int(value: object) -> int:
     return value
 
 
+def json_list(value: object) -> list:
+    """A decoded JSON array; ValueError on anything else (a string or object is not iterated)."""
+    if type(value) is not list:
+        raise ValueError(f"expected an array, got {value!r}")
+    return value
+
+
 def int_rows(rows: object, width: int) -> list[tuple[int, ...]]:
     """A decoded JSON array of rows, each an array of `width` integers, as tuples.
 
     Raises ValueError on anything else; bool, float and str entries are
     rejected, not coerced.
     """
-    if not isinstance(rows, list):
-        raise ValueError(f"expected an array of rows, got {rows!r}")
     if not (
-        set(map(type, rows)) <= {list}
+        set(map(type, json_list(rows))) <= {list}
         and set(map(len, rows)) <= {width}
         and set(map(type, chain.from_iterable(rows))) <= {int}
     ):
@@ -512,7 +517,7 @@ def instance_from_payload(payload: object) -> Instance:
         n_colours = json_int(payload["n_colours"])
         a_size = json_int(payload["a_size"])
         b_size = json_int(payload["b_size"])
-        classes = [int_rows(pairs, 2) for pairs in payload["classes"]]
+        classes = [int_rows(pairs, 2) for pairs in json_list(payload["classes"])]
         for colour, pairs in enumerate(classes):
             reject_repeats(pairs, f"colour {colour}: repeated pair")
     except (KeyError, TypeError, ValueError) as exc:

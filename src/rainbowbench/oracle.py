@@ -23,15 +23,15 @@ import itertools
 import multiprocessing
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 from typing import Iterable, Literal
 
 from .core import Instance, RainbowMatching, make_instance, make_matching
 from .gen import gen_random_instance
-from .symmetry import root_orbits
+from .symmetry import Bundle, root_orbits
 
-Mode = Literal["exhaustive", "randomized"]
+SweepMode = Literal["exhaustive", "randomized"]
 
 CSV_COLUMNS = (
     "n",
@@ -53,8 +53,12 @@ class SearchBudget:
     The node budget is checked at every search node, so node counts are
     reproducible for a fixed budget. The time budget is checked every 1024
     nodes by max_rainbow (per worker), a hot loop, and at every state by
-    solver.augment, whose states cost far more than a clock read.
+    solver.augment, whose states cost far more than a clock read. A search
+    raises Spent where a budget runs out; neither search lets it escape.
     """
+
+    class Spent(Exception):
+        """A search's node or time budget ran out."""
 
     max_nodes: int | None = None
     max_time: float | None = None
@@ -75,8 +79,6 @@ class SearchReport:
     nodes_explored: int
 
 
-# (pairs ascending, colours ascending): identical classes searched as one
-_Bundle = tuple[tuple[tuple[int, int], ...], list[int]]
 # nodes a worker spends before it looks for symmetric root moves, see _Searcher.dfs
 _ORBIT_NODES = 4096
 
@@ -89,52 +91,30 @@ def _masks_at(pairs: tuple[tuple[int, int], ...], side: int) -> dict[int, int]:
     return at
 
 
+@dataclass(slots=True)
 class _Searcher:
     """Branch-and-bound state of one worker's search.
 
     Bundle t is bundles[t], numbered by its lowest colour; at_a[t] and
     at_b[t] are its _masks_at, dicts so that set-up scales with the edges,
     not with the universe; side is min(a_size, b_size). The parent enters a
-    node before any call: the node-budget stop, the count, the clock read
+    node before any call: the node-budget check, the count, the clock read
     and the best update, then the bound. dfs is called only for a node that
     beats the bound, so the counts, the stops and best are those of a search
-    that calls every child. _search enters the root.
+    that calls every child. _search enters the root and catches SearchBudget.Spent.
     """
 
-    __slots__ = (
-        "bundles",
-        "at_a",
-        "at_b",
-        "side",
-        "max_nodes",
-        "deadline",
-        "nodes",
-        "stopped",
-        "best_size",
-        "best_sel",
-        "best_task",
-        "task",
-    )
-
-    def __init__(
-        self,
-        bundles: list[_Bundle],
-        side: int,
-        max_nodes: int | None,
-        deadline: float | None,
-    ) -> None:
-        self.bundles = bundles
-        self.at_a = [_masks_at(p, 0) for p, _ in bundles]
-        self.at_b = [_masks_at(p, 1) for p, _ in bundles]
-        self.side = side
-        self.max_nodes = max_nodes
-        self.deadline = deadline
-        self.nodes = 0
-        self.stopped = False
-        self.best_size = 0
-        self.best_sel: list[tuple[int, int, int]] = []
-        self.best_task = -1
-        self.task = -1
+    bundles: list[Bundle]
+    at_a: list[dict[int, int]]
+    at_b: list[dict[int, int]]
+    side: int
+    max_nodes: int | None
+    deadline: float | None
+    nodes: int = 0
+    best_size: int = 0
+    best_sel: list[tuple[int, int, int]] = field(default_factory=list)
+    best_task: int = -1
+    task: int = -1
 
     def dfs(
         self,
@@ -183,13 +163,11 @@ class _Searcher:
                         continue
                 self.task = i
             if self.max_nodes is not None and self.nodes >= self.max_nodes:
-                self.stopped = True
-                return
+                raise SearchBudget.Spent
             self.nodes += 1
             if self.deadline is not None and self.nodes % 1024 == 0:
                 if time.perf_counter() > self.deadline:
-                    self.stopped = True
-                    return
+                    raise SearchBudget.Spent
             if not low:
                 # best_size >= size already: skipping adds no edge
                 if size + min(room - weight, head + 1) > self.best_size:
@@ -214,33 +192,34 @@ class _Searcher:
             if size + 1 + min(child_room, head) > self.best_size:
                 self.dfs(child, chosen, child_room)
             chosen.pop()
-            if self.stopped:
-                return
 
 
 def _search(
-    bundles: list[_Bundle],
-    a_size: int,
-    b_size: int,
+    bundles: list[Bundle],
+    side: int,
     max_nodes: int | None,
     max_time: float | None,
     share: tuple[int, int],
 ) -> tuple[int, int, list[tuple[int, int, int]], int, bool]:
     """One worker's search from the root: (best_size, best_task, best_sel, nodes, stopped)."""
     deadline = None if max_time is None else time.perf_counter() + max_time
-    s = _Searcher(bundles, min(a_size, b_size), max_nodes, deadline)
+    at_a = [_masks_at(p, 0) for p, _ in bundles]
+    at_b = [_masks_at(p, 1) for p, _ in bundles]
+    s = _Searcher(bundles, at_a, at_b, side, max_nodes, deadline)
     root = [
         (len(p), t, (1 << len(p)) - 1, len(c), min(len(p), len(c)))
         for t, (p, c) in enumerate(bundles)
     ]
-    # the root's own entry: the empty selection, bounded above 0 by any bundle
-    if max_nodes is not None and max_nodes <= 0:
-        s.stopped = True
-    else:
+    try:
+        # the root's own entry: the empty selection, bounded above 0 by any bundle
+        if max_nodes is not None and max_nodes <= 0:
+            raise SearchBudget.Spent
         s.nodes = 1
         if root:
             s.dfs(root, [], sum(u[4] for u in root), share)
-    return s.best_size, s.best_task, s.best_sel, s.nodes, s.stopped
+    except SearchBudget.Spent:
+        return s.best_size, s.best_task, s.best_sel, s.nodes, True
+    return s.best_size, s.best_task, s.best_sel, s.nodes, False
 
 
 def max_rainbow(
@@ -292,7 +271,7 @@ def max_rainbow(
     root_moves = 1 + min((len(pairs) for pairs, _ in bundles), default=0)
     workers = max(1, min(workers, root_moves))
     args = [
-        (bundles, inst.a_size, inst.b_size, budget.max_nodes, budget.max_time, (w, workers))
+        (bundles, min(inst.a_size, inst.b_size), budget.max_nodes, budget.max_time, (w, workers))
         for w in range(workers)
     ]
     if workers == 1:
@@ -373,7 +352,7 @@ def estimate_mu(
     n: int,
     ell: int,
     m: int,
-    mode: Mode,
+    mode: SweepMode,
     trials: int = 0,
     seed: int = 0,
 ) -> SweepReport:
@@ -432,7 +411,7 @@ def estimate_mu(
 def estimate_f(
     n: int,
     m: int,
-    mode: Mode,
+    mode: SweepMode,
     trials: int = 0,
     seed: int = 0,
 ) -> SweepReport:

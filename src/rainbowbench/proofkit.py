@@ -48,6 +48,7 @@ from .core import (
     int_rows,
     is_rainbow,
     json_int,
+    json_list,
     json_value,
     make_matching,
     matching_rows,
@@ -970,8 +971,8 @@ def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     def index_sets(name: str) -> tuple[frozenset[int], ...]:
         # a repeated index is malformed, not a smaller set
         sets = []
-        for i, values in enumerate(payload[name]):
-            indices = [_json_index(v) for v in values]
+        for i, values in enumerate(json_list(payload[name])):
+            indices = [_json_index(v) for v in json_list(values)]
             reject_repeats(indices, f"{name}[{i}]: repeated index")
             sets.append(frozenset(indices))
         return tuple(sets)
@@ -986,7 +987,7 @@ def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
         g_seq=edges(payload["g_seq"]),
         x_sets=index_sets("x_sets"),
         y_sets=index_sets("y_sets"),
-        pi=tuple(json_int(c) for c in payload["pi"]),
+        pi=tuple(map(json_int, json_list(payload["pi"]))),
     )
 
 

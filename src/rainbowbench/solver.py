@@ -71,10 +71,6 @@ def _tie_order(seed: int, n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def augment(
     inst: Instance, r: RainbowMatching, budget: SearchBudget = SearchBudget.unlimited()
 ) -> RainbowMatching | None:
@@ -92,17 +88,16 @@ def augment(
     """
     if not 0 <= len(r) < inst.n_colours:
         return None
-    max_nodes = budget.max_nodes
     deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
     nodes = 0
 
     def dfs(st: SwitchState) -> RainbowMatching | None:
         nonlocal nodes
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _BudgetExhausted
+        if budget.max_nodes is not None and nodes > budget.max_nodes:
+            raise SearchBudget.Spent
         if deadline is not None and time.perf_counter() > deadline:
-            raise _BudgetExhausted
+            raise SearchBudget.Spent
         try:
             for outcome in step_outcomes(st):
                 if isinstance(outcome, Augmented):
@@ -124,7 +119,7 @@ def augment(
             found = dfs(initial_state(inst0, r0, AUGMENT_EPS))
             if found is not None:
                 return swap_matching_colours(found, 0, c0)
-    except _BudgetExhausted:
+    except SearchBudget.Spent:
         return None
     return None
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-# (pairs ascending, colours ascending), as the oracle groups identical classes
-_Bundle = tuple[tuple[tuple[int, int], ...], list[int]]
+# (pairs ascending, colours ascending): identical classes, which the oracle searches as one
+Bundle = tuple[tuple[tuple[int, int], ...], list[int]]
 
 # Work per root_orbits call, in refinements times pairs (a refinement's cost
 # grows with the pairs): where refinement stalls, on random Latin squares, it
@@ -53,7 +53,7 @@ def _target(shape: tuple) -> int | None:
 
 
 def _is_automorphism(
-    bundles: list[_Bundle], root: int, perm: list[int], amap: dict[int, int], bmap: dict[int, int]
+    bundles: list[Bundle], root: int, perm: list[int], amap: dict[int, int], bmap: dict[int, int]
 ) -> bool:
     """perm permutes the bundles fixing root, amap and bmap the vertices, and every pair follows."""
     return (
@@ -69,7 +69,7 @@ def _is_automorphism(
     )
 
 
-def root_orbits(bundles: list[_Bundle], root: int) -> list[int]:
+def root_orbits(bundles: list[Bundle], root: int) -> list[int]:
     """For each edge of bundles[root], the least index of an edge in its orbit.
 
     The orbits are those of the group generated by the verified automorphisms

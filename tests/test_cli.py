@@ -314,6 +314,16 @@ class TestVerifyTrace:
         assert result.exit_code == 2
         assert "universe size must be non-negative" in result.output
 
+    def test_string_for_an_array_exits_two(self, tmp_path):
+        # the base's x_sets is empty, so a string read as a sequence would pass
+        payload = json.loads(self._trace_text())
+        payload["base_state"]["x_sets"] = ""
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        result = run("verify-trace", "--in", str(path))
+        assert result.exit_code == 2
+        assert "expected an array" in result.output
+
     def test_non_integer_state_field_exits_two(self, tmp_path):
         payload = json.loads(self._trace_text())
         payload["base_state"]["t"] = float(payload["base_state"]["t"])

@@ -239,6 +239,11 @@ class TestJsonFormats:
             instance_from_json("not json")
         with pytest.raises(ValueError):
             instance_from_json('{"n_colours": 2, "a_size": 1, "b_size": 1, "classes": [[]]}')
+        # a string or object is not an empty array of classes
+        for classes in ('""', "{}"):
+            text = f'{{"n_colours": 0, "a_size": 1, "b_size": 1, "classes": {classes}}}'
+            with pytest.raises(ValueError, match="expected an array"):
+                instance_from_json(text)
 
     def test_matching_rows_must_be_integer_arrays(self):
         # a string row must not be unpacked character by character ("045" as a4b5@0)

@@ -95,6 +95,52 @@ def test_guard_sees_unused_imports(tmp_path):
     assert unused_imports(probe) == ["j", "random", "swap_colours"]
 
 
+def duplicate_bindings(paths: list[Path]) -> dict[str, list[str]]:
+    """Each name that a module-level def, class or assignment binds in more than one module."""
+    owners: dict[str, list[str]] = {}
+    for path in paths:
+        names = set()
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                found = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+                names.update(n.id for n in found if isinstance(n.ctx, ast.Store))
+        for name in sorted(names):
+            owners.setdefault(name, []).append(path.stem)
+    return {name: stems for name, stems in owners.items() if len(stems) > 1}
+
+
+def test_no_name_is_defined_in_two_modules():
+    # a shared type or constant is declared once and imported; __init__ re-exports
+    paths = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "__init__"]
+    assert duplicate_bindings(paths) == {}
+
+
+def test_guard_sees_names_defined_in_two_modules(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(
+        "from .core import Instance\n"
+        "Mode = int\n"
+        "a, (b, c) = 1, (2, 3)\n"
+        "def f(): pass\n"
+        "class K: pass\n"
+        "d[0] = 1\n"
+    )
+    second.write_text(
+        "from .core import Instance\n"
+        "class Mode: pass\n"
+        "c: int = 3\n"
+        "async def f(): pass\n"
+        "def g():\n"
+        "    K = 1\n"
+        "d = {}\n"
+    )
+    assert duplicate_bindings([first, second]) == {
+        "Mode": ["first", "second"], "c": ["first", "second"], "f": ["first", "second"]
+    }
+
+
 def matching_constructions(path: Path) -> list[int]:
     """Line of every direct RainbowMatching(...) call, bare or through a module attribute."""
     out = []

@@ -151,6 +151,13 @@ class TestMaxRainbow:
         assert rep.nodes_explored <= 20
         assert is_rainbow(rep.best)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_node_budget_stops_at_the_root(self, monkeypatch, workers):
+        # the budget runs out at the root's own entry, before any node is counted
+        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool([]))
+        rep = max_rainbow(gen_drisko(4), SearchBudget(max_nodes=0), workers=workers)
+        assert (len(rep.best), rep.optimal, rep.nodes_explored) == (0, False, 0)
+
     def test_time_budget_stops_at_the_first_clock_check(self):
         # the clock is read every 1024 nodes, so a spent time budget stops there
         rep = max_rainbow(gen_no_transversal(10), SearchBudget(max_time=1e-9))

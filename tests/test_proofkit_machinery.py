@@ -1060,6 +1060,13 @@ def augmented_trace() -> dict:
     return json.loads(trace_to_json(trace))
 
 
+def string_pool_step() -> dict:
+    """two_step_trace's last step with its X_1 written as the string "" instead of an array."""
+    step = two_step_trace()["steps"][-1]
+    step["state"]["x_sets"][0] = ""
+    return step
+
+
 def verify(payload: dict) -> list[str]:
     return verify_trace_json(json.dumps(payload))
 
@@ -1317,6 +1324,7 @@ class TestTraceChain:
             {"kind": "bogus"},
             {"kind": "extended", "state": {"k": 1}},
             {"kind": "augmented", "matching": [[0, 1]]},
+            string_pool_step(),
         ],
         ids=[
             "extended-without-state",
@@ -1325,6 +1333,7 @@ class TestTraceChain:
             "unknown-kind",
             "partial-state",
             "short-matching-row",
+            "string-pool",
         ],
     )
     def test_malformed_step_raises_value_error(self, step):

@@ -184,6 +184,14 @@ class TestAugment:
         found = augment(inst, r, SearchBudget.nodes(2))
         assert len(found) == 8 and is_rainbow(found)
 
+    def test_zero_node_budget_stops_at_the_first_state(self):
+        # the augmenting matching lies one state below the root
+        inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=2)
+        r = greedy_rainbow(inst, 0)
+        assert augment(inst, r, SearchBudget(max_nodes=0)) is None
+        res = solve(inst, 8, SearchBudget(max_nodes=0))
+        assert (res.matching, res.method, res.certified_optimal) == (r, "oracle", False)
+
     def test_node_budget_spans_the_searches_of_all_unused_colours(self):
         # colour 3's search fails after 3 states and colour 5's root augments,
         # so a count restarted per colour would find the matching within 3
