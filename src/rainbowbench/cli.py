@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import click
@@ -172,7 +173,7 @@ def experiment_group() -> None:
 
 _SWEEP_OPTIONS = (
     click.option("--m", "m", type=int, required=True),
-    click.option("--mode", type=click.Choice(["exhaustive", "randomized"]), required=True),
+    click.option("--mode", type=click.Choice(typing.get_args(oracle.SweepMode)), required=True),
     click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True),
     click.option("--seed", type=int, default=0, show_default=True,
                  help="Seed of the instance draws; -s draws what s draws."),

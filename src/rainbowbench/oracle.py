@@ -12,9 +12,7 @@ call, and only a node that beats the bound is searched by a recursive call;
 node counts are those of a search that calls every child. Once a search is
 expensive it also prunes symmetric root moves (orbital branching, Ostrowski,
 Linderoth, Rossi and Smriglio, Math. Prog. 2011) with automorphisms that
-symmetry.root_orbits has verified; see max_rainbow. naive_max_rainbow is a
-deliberately separate enumeration used for oracle-vs-oracle equivalence
-checks.
+symmetry.root_orbits has verified; see max_rainbow.
 """
 
 from __future__ import annotations
@@ -83,12 +81,14 @@ class SearchReport:
 _ORBIT_NODES = 4096
 
 
-def _masks_at(pairs: tuple[tuple[int, int], ...], side: int) -> dict[int, int]:
-    """Vertex on side 0 (A) or 1 (B) -> mask of the pairs at it, bit j for pairs[j]."""
-    at: dict[int, int] = {}
-    for j, pair in enumerate(pairs):
-        at[pair[side]] = at.get(pair[side], 0) | 1 << j
-    return at
+def _masks_at(pairs: tuple[tuple[int, int], ...]) -> tuple[dict[int, int], dict[int, int]]:
+    """A-vertex and B-vertex -> mask of the pairs at it, bit j for pairs[j], in one pass."""
+    at_a: dict[int, int] = {}
+    at_b: dict[int, int] = {}
+    for j, (a, b) in enumerate(pairs):
+        at_a[a] = at_a.get(a, 0) | 1 << j
+        at_b[b] = at_b.get(b, 0) | 1 << j
+    return at_a, at_b
 
 
 @dataclass(slots=True)
@@ -101,7 +101,10 @@ class _Searcher:
     node before any call: the node-budget check, the count, the clock read
     and the best update, then the bound. dfs is called only for a node that
     beats the bound, so the counts, the stops and best are those of a search
-    that calls every child. _search enters the root and catches SearchBudget.Spent.
+    that calls every child. Once best_size meets a node's own bound, size +
+    min(room, side - size), the node enters each remaining move as before
+    but builds no child: taking an edge lowers room by at least one, so no
+    child can beat best. _search enters the root and catches SearchBudget.Spent.
     """
 
     bundles: list[Bundle]
@@ -148,6 +151,11 @@ class _Searcher:
         size = len(chosen)
         # side - size of a child that takes an edge
         head = self.side - (size + 1)
+        # this node's own bound, size + min(room, side - size): it beats
+        # best_size when dfs is called, and once best_size meets it no child
+        # can beat best, so the remaining moves are entered but build nothing
+        bound = size + (room if room <= head else head + 1)
+        done = False
         reps = None
         for i in range(count + 1):
             low = left & -left
@@ -168,6 +176,8 @@ class _Searcher:
             if self.deadline is not None and self.nodes % 1024 == 0:
                 if time.perf_counter() > self.deadline:
                     raise SearchBudget.Spent
+            if done:
+                continue
             if not low:
                 # best_size >= size already: skipping adds no edge
                 if size + min(room - weight, head + 1) > self.best_size:
@@ -189,8 +199,10 @@ class _Searcher:
                 self.best_size = size + 1
                 self.best_sel = list(chosen)
                 self.best_task = self.task
-            if size + 1 + min(child_room, head) > self.best_size:
+                done = size + 1 >= bound
+            if size + 1 + (child_room if child_room < head else head) > self.best_size:
                 self.dfs(child, chosen, child_room)
+                done = self.best_size >= bound
             chosen.pop()
 
 
@@ -203,9 +215,8 @@ def _search(
 ) -> tuple[int, int, list[tuple[int, int, int]], int, bool]:
     """One worker's search from the root: (best_size, best_task, best_sel, nodes, stopped)."""
     deadline = None if max_time is None else time.perf_counter() + max_time
-    at_a = [_masks_at(p, 0) for p, _ in bundles]
-    at_b = [_masks_at(p, 1) for p, _ in bundles]
-    s = _Searcher(bundles, at_a, at_b, side, max_nodes, deadline)
+    at = [_masks_at(p) for p, _ in bundles]
+    s = _Searcher(bundles, [a for a, _ in at], [b for _, b in at], side, max_nodes, deadline)
     root = [
         (len(p), t, (1 << len(p)) - 1, len(c), min(len(p), len(c)))
         for t, (p, c) in enumerate(bundles)
@@ -237,7 +248,10 @@ def max_rainbow(
     a_size - size, b_size - size). A node is counted and bounded by its
     parent before any call, and only a node that beats the bound is
     expanded, so nodes_explored counts every node visited, pruned ones
-    included, as a search that calls every child would.
+    included, as a search that calls every child would. Once the best size
+    meets a node's own bound, its remaining moves are still entered (budget
+    check, count, clock, root share and orbits) but build no children, none
+    of which could beat it; so counts, stops and best are unchanged.
 
     Worker w of W searches the root bundle's moves i with i % W == w, with
     the full budget each; workers=1 is worker 0 of 1, the plain sequential
@@ -285,45 +299,6 @@ def max_rainbow(
     stopped = any(r[4] for r in results)
     best = make_matching(best_sel) if best_size > 0 else RainbowMatching.empty()
     return SearchReport(best, not stopped, nodes)
-
-
-def naive_max_rainbow(inst: Instance) -> SearchReport:
-    """Exhaustive enumeration over all ways to pick at most one edge per class.
-
-    No pruning; independent of max_rainbow by construction. Hard guard:
-    n_colours <= 8 and every class size <= 8.
-    """
-    if inst.n_colours > 8:
-        raise ValueError(f"naive oracle guard: n_colours={inst.n_colours} > 8")
-    if any(len(cls) > 8 for cls in inst.classes):
-        raise ValueError("naive oracle guard: some class has more than 8 edges")
-    options: list[list[tuple[int, int] | None]] = []
-    for c in range(inst.n_colours):
-        opts: list[tuple[int, int] | None] = [None]
-        opts.extend(inst.class_pairs(c))
-        options.append(opts)
-    best_sel: list[tuple[int, int, int]] = []
-    combos = 0
-    for combo in itertools.product(*options):
-        combos += 1
-        a_mask = 0
-        b_mask = 0
-        sel: list[tuple[int, int, int]] = []
-        ok = True
-        for c, choice in enumerate(combo):
-            if choice is None:
-                continue
-            a, b = choice
-            if (a_mask >> a) & 1 or (b_mask >> b) & 1:
-                ok = False
-                break
-            a_mask |= 1 << a
-            b_mask |= 1 << b
-            sel.append((c, a, b))
-        if ok and len(sel) > len(best_sel):
-            best_sel = sel
-    best = make_matching(best_sel) if best_sel else RainbowMatching.empty()
-    return SearchReport(best, True, combos)
 
 
 # --- empirical threshold sweeps -------------------------------------------------

@@ -1077,9 +1077,10 @@ def verify_trace_json(text: str) -> list[str]:
             raise ValueError("invalid instance: " + "; ".join(str(v) for v in violations))
         base = _state_from_payload(inst, payload["base_state"])
         base_report = verify_properties(base, mode)
-        steps = payload["steps"]
-        if not isinstance(steps, list):
-            raise TypeError(f"steps must be a list, got {type(steps).__name__}")
+        try:
+            steps = json_list(payload["steps"])
+        except ValueError as exc:
+            raise ValueError(f"steps: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trace JSON: {exc}") from exc
     failures = [

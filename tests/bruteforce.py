@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
+from rainbowbench.core import Instance, RainbowMatching, make_matching
 from rainbowbench.latin import LatinSquare
+from rainbowbench.oracle import SearchReport
 
 
 def max_partial_transversal(ls: LatinSquare) -> int:
@@ -36,3 +39,42 @@ def threshold_by_iteration(eps: Fraction, t: int, limit: int = 10**6) -> int:
         if 2 * t * eps * n + Fraction(t * (7 - 3 * t), 2) > n:
             return n
     raise AssertionError(f"no threshold below {limit}")
+
+
+def naive_max_rainbow(inst: Instance) -> SearchReport:
+    """Exhaustive enumeration over all ways to pick at most one edge per class.
+
+    No pruning; independent of max_rainbow by construction. Hard guard:
+    n_colours <= 8 and every class size <= 8.
+    """
+    if inst.n_colours > 8:
+        raise ValueError(f"naive oracle guard: n_colours={inst.n_colours} > 8")
+    if any(len(cls) > 8 for cls in inst.classes):
+        raise ValueError("naive oracle guard: some class has more than 8 edges")
+    options: list[list[tuple[int, int] | None]] = []
+    for c in range(inst.n_colours):
+        opts: list[tuple[int, int] | None] = [None]
+        opts.extend(inst.class_pairs(c))
+        options.append(opts)
+    best_sel: list[tuple[int, int, int]] = []
+    combos = 0
+    for combo in itertools.product(*options):
+        combos += 1
+        a_mask = 0
+        b_mask = 0
+        sel: list[tuple[int, int, int]] = []
+        ok = True
+        for c, choice in enumerate(combo):
+            if choice is None:
+                continue
+            a, b = choice
+            if (a_mask >> a) & 1 or (b_mask >> b) & 1:
+                ok = False
+                break
+            a_mask |= 1 << a
+            b_mask |= 1 << b
+            sel.append((c, a, b))
+        if ok and len(sel) > len(best_sel):
+            best_sel = sel
+    best = make_matching(best_sel) if best_sel else RainbowMatching.empty()
+    return SearchReport(best, True, combos)

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from bruteforce import naive_max_rainbow
 from stateforge import random_forge
 from rainbowbench.core import instance_to_json, is_rainbow
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
@@ -18,7 +19,6 @@ from rainbowbench.oracle import (
     estimate_f,
     estimate_mu,
     max_rainbow,
-    naive_max_rainbow,
 )
 from rainbowbench.proofkit import (
     Epsilon,

@@ -8,10 +8,11 @@ import textwrap
 import pytest
 from hypothesis import given, strategies as st
 
+from bruteforce import naive_max_rainbow
 from rainbowbench import gen
 from rainbowbench.core import instance_to_json, make_instance, validate_instance
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
-from rainbowbench.oracle import max_rainbow, naive_max_rainbow
+from rainbowbench.oracle import max_rainbow
 
 
 def pinned_shapes() -> list[tuple]:

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import naive_max_rainbow
 from rainbowbench.core import is_rainbow, make_instance, validate_instance
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
 from rainbowbench.latin import gen_cyclic, gen_random_latin, latin_to_instance
@@ -17,7 +18,6 @@ from rainbowbench.oracle import (
     estimate_f,
     estimate_mu,
     max_rainbow,
-    naive_max_rainbow,
     reports_to_csv,
 )
 
@@ -251,6 +251,22 @@ class TestMaxRainbow:
                     digest.update(_pin_line(inst, limit, nodes=True, workers=workers))
         assert digest.hexdigest() == (
             "ed7e23863b0828b5278ca4c67b53adf9368e2230d9b321da22a51f007fd4f0ce"
+        )
+
+    def test_tight_draw_results_are_pinned(self, monkeypatch):
+        # sweep-tight's shape, 8 classes of 9 edges in a 9 x 9 universe, with
+        # node counts, on 1 and 2 workers: larger than the draws above (n <= 7,
+        # m <= 6 in the default universe), and every one of these searches
+        # meets its root bound of 8 in mid-search
+        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool([]))
+        digest = hashlib.sha256()
+        for seed in range(200):
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            for workers in (1, 2):
+                for limit in (None, 1, 13, 20, 40):
+                    digest.update(_pin_line(inst, limit, nodes=True, workers=workers))
+        assert digest.hexdigest() == (
+            "1d56943034e4b9f989acb3c3d7316866f1c9caa6a9f2a7ba90814231c260ee31"
         )
 
     @pytest.mark.parametrize(

@@ -1374,7 +1374,7 @@ class TestTraceChain:
     def test_steps_must_be_a_list(self):
         payload = two_step_trace()
         payload["steps"] = {"kind": "extended"}
-        with pytest.raises(ValueError, match="steps must be a list"):
+        with pytest.raises(ValueError, match="malformed trace JSON: steps: expected an array"):
             verify(payload)
 
 
