@@ -290,14 +290,6 @@ def is_rainbow(edges: Iterable[ColouredEdge]) -> bool:
     return all(len({row[i] for row in rows}) == len(rows) for i in range(3))
 
 
-def saturated_sets(r: RainbowMatching) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-    """(X, Y): the A- and B-vertices incident with some edge of r."""
-    return (
-        frozenset(va(a) for _, a, _ in r.triples),
-        frozenset(vb(b) for _, _, b in r.triples),
-    )
-
-
 def neighbourhood_along(r: RainbowMatching, x: Iterable[Vertex]) -> frozenset[Vertex]:
     """Vertices matched by r to the query vertices.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from functools import lru_cache
 from math import ceil, log
 
 from .core import ColourClass, Instance, make_instance
@@ -82,14 +83,15 @@ def _sample(bits: Callable[[int], int], n: int, k: int) -> list[int]:
     threshold 21 + (4 ** ceil(log(3k, 4)) if k > 5 else 0) is never below 21,
     so n <= 21 (every sweep draw) is tested first, without the log. Each
     index below size is drawn as _randbelow_with_getrandbits draws it:
-    bits(size.bit_length()), redrawn while it is >= size.
+    bits(size.bit_length()), redrawn while it is >= size. The pool branch reads
+    each size and width from a plan cached per shape (n, k): they depend on
+    nothing else, so the words drawn, and the indices, are the same.
     """
     result: list[int] = []
     if n <= 21 or k > 5 and n <= 21 + 4 ** ceil(log(3 * k, 4)):
-        pool = list(range(n))
-        for i in range(k):
-            size = n - i
-            w = size.bit_length()
+        start, plan = _pool_plan(n, k)
+        pool = list(start)
+        for size, w in plan:
             j = bits(w)
             while j >= size:
                 j = bits(w)
@@ -105,3 +107,9 @@ def _sample(bits: Callable[[int], int], n: int, k: int) -> list[int]:
         selected.add(j)
         result.append(j)
     return result
+
+
+@lru_cache(maxsize=64)
+def _pool_plan(n: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(range(n) as a tuple, (size, size.bit_length()) for each of the k pool draws)."""
+    return tuple(range(n)), tuple((size, size.bit_length()) for size in range(n, n - k, -1))

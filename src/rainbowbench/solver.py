@@ -42,10 +42,12 @@ def greedy_rainbow(inst: Instance, seed: int = 0) -> RainbowMatching:
     Colours are processed in ascending class-size order (seeded shuffle breaks
     ties), edges inside a colour in lexicographic order; each colour takes its
     first conflict-free edge, if any. The shuffle depends only on (seed,
-    n_colours), so _tie_order caches it.
+    n_colours), so _tie_order caches it, and it is sorted by a list of the
+    class sizes.
     """
+    sizes = [len(cls.pairs) for cls in inst.classes]
     # sorted is stable: the seeded tie-break survives
-    order = sorted(_tie_order(seed, inst.n_colours), key=lambda c: len(inst.classes[c]))
+    order = sorted(_tie_order(seed, inst.n_colours), key=sizes.__getitem__)
     used_a: set[int] = set()
     used_b: set[int] = set()
     chosen: list[tuple[int, int, int]] = []

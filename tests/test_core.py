@@ -11,7 +11,6 @@ from rainbowbench.core import (
     ColouredEdge,
     Edge,
     Instance,
-    RainbowMatching,
     Side,
     Vertex,
     canonical_json,
@@ -25,7 +24,6 @@ from rainbowbench.core import (
     matching_rows,
     matching_to_json,
     neighbourhood_along,
-    saturated_sets,
     swap_colours,
     validate_instance,
     va,
@@ -133,20 +131,6 @@ class TestIsRainbow:
         assert not is_rainbow({ce(0, 0, 0), ce(0, 1, 1)})
 
 
-class TestSaturatedSets:
-    def test_empty(self):
-        assert saturated_sets(RainbowMatching.empty()) == (frozenset(), frozenset())
-
-    def test_single_edge(self):
-        x, y = saturated_sets(make_matching([(0, 0, 1)]))
-        assert x == {va(0)} and y == {vb(1)}
-
-    def test_projection(self):
-        x, y = saturated_sets(make_matching([(0, 0, 0), (1, 2, 3)]))
-        assert x == {va(0), va(2)}
-        assert y == {vb(0), vb(3)}
-
-
 class TestNeighbourhoodAlong:
     def test_matched_pair(self):
         r = make_matching([(0, 0, 5)])
@@ -175,12 +159,6 @@ def matchings(draw):
 
 
 class TestMatchingProperties:
-    @given(matchings())
-    def test_saturated_sets_sizes_match(self, r):
-        assert is_rainbow(r)
-        x, y = saturated_sets(r)
-        assert len(x) == len(r) == len(y)
-
     @given(matchings(), st.sets(st.integers(0, 15)), st.sets(st.integers(0, 15)))
     def test_neighbourhood_distributes_over_union(self, r, s1, s2):
         q1 = {va(i) for i in s1}
@@ -192,7 +170,7 @@ class TestMatchingProperties:
     @given(matchings(), st.sets(st.integers(0, 15)))
     def test_neighbourhood_is_bijective_on_saturated(self, r, s):
         q = {va(i) for i in s}
-        x, _ = saturated_sets(r)
+        x = {va(a) for _, a, _ in r.triples}
         assert len(neighbourhood_along(r, q)) == len(q & x)
 
 

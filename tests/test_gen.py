@@ -164,6 +164,26 @@ class TestSample:
                     assert gen._sample(ours.getrandbits, n, k) == stdlib.sample(range(n), k)
                     assert ours.getstate() == stdlib.getstate()
 
+    @given(
+        st.lists(
+            st.integers(1, 40).flatmap(
+                lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, 2**32))
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_cached_plan_draws_what_random_sample_draws(self, calls):
+        # shapes in any order and repeated, through both branches (the set
+        # branch from n = 22 at k <= 5): a plan changed by one call changes the next
+        for n, k, seed in calls + calls:
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            assert gen._sample(ours.getrandbits, n, k) == stdlib.sample(range(n), k)
+            assert ours.getstate() == stdlib.getstate()
+            plan = gen._pool_plan(n, k)
+            assert [type(part) for part in plan] == [tuple, tuple]
+            assert gen._pool_plan(n, k) is plan
+
     def test_branch_test_is_cpythons(self):
         # the pool/set test in _sample, read from its source, against the one in
         # random.Random.sample: setsize = 21, plus 4 ** ceil(log(3k, 4)) when k > 5

@@ -48,6 +48,27 @@ class TestGreedy:
         inst = gen_random_instance(5, 5, seed=11)
         assert greedy_rainbow(inst, 3) == greedy_rainbow(inst, 3)
 
+    def test_order_over_mixed_class_sizes_is_pinned(self):
+        # sha256 over greedy's triples for 200 families of up to 8 matchings of
+        # sizes 1-6 in a 10 x 10 universe, at three tie seeds; gen_random_instance
+        # draws equal sizes, so only these pin the ascending-size sort key
+        digest = hashlib.sha256()
+        mixed = 0
+        for family in range(200):
+            rng = random.Random(family)
+            classes = []
+            for _ in range(rng.randint(1, 8)):
+                size = rng.randint(1, 6)
+                classes.append(zip(rng.sample(range(10), size), rng.sample(range(10), size)))
+            inst = make_instance(classes, a_size=10, b_size=10)
+            mixed += len({len(cls.pairs) for cls in inst.classes}) > 1
+            for seed in (0, 1, -3):
+                digest.update(f"{greedy_rainbow(inst, seed).triples}|".encode())
+        assert mixed > 150
+        assert digest.hexdigest() == (
+            "5ca63cb61c91b10fd1f9abe2ad37e4b6f5da7fef2ed6db2914435ae11b8e165d"
+        )
+
 
 class TestTieOrder:
     @staticmethod
