@@ -210,7 +210,8 @@ def make_matching(triples: Iterable[tuple[int, int, int]]) -> RainbowMatching:
     for that.
     """
     rows = tuple(sorted({(c, a, b) for c, a, b in triples}))
-    lowest = min((min(a, b) for _, a, b in rows), default=0)
+    _, a_ends, b_ends = zip(*rows) if rows else ((), (), ())
+    lowest = min(chain(a_ends, b_ends), default=0)
     if lowest < 0:
         raise ValueError(f"vertex index must be non-negative, got {lowest}")
     return RainbowMatching(rows)
@@ -287,7 +288,7 @@ def is_rainbow(edges: Iterable[ColouredEdge]) -> bool:
         rows = edges.triples
     else:
         rows = [ce.triple for ce in edges]
-    return all(len({row[i] for row in rows}) == len(rows) for i in range(3))
+    return all(len(set(column)) == len(rows) for column in zip(*rows))
 
 
 def neighbourhood_along(r: RainbowMatching, x: Iterable[Vertex]) -> frozenset[Vertex]:

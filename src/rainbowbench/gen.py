@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from math import ceil, log
 
@@ -68,7 +68,7 @@ def gen_random_instance(
     bits = random.Random(seed).getrandbits
     classes: list[ColourClass] = []
     for _ in range(n):
-        a_verts = sorted(_sample(bits, a_size, m))
+        a_verts = _sorted_sample(bits, a_size, m)
         b_verts = _sample(bits, b_size, m)  # random set in random order = random bijection
         # distinct ascending A-ends in range(a_size), B-ends in range(b_size): make_instance's pairs
         classes.append(ColourClass(tuple(zip(a_verts, b_verts))))
@@ -107,6 +107,20 @@ def _sample(bits: Callable[[int], int], n: int, k: int) -> list[int]:
         selected.add(j)
         result.append(j)
     return result
+
+
+def _sorted_sample(bits: Callable[[int], int], n: int, k: int) -> Sequence[int]:
+    """sorted(_sample(bits, n, k)), drawing the same words; a full side (k == n) keeps every vertex.
+
+    CPython samples every k == n from its pool (past 21, 4 ** ceil(log(3n, 4)) >= 3n), so a
+    full side draws the cached plan's words, each redrawn while >= size, with no pool or sort.
+    """
+    if k != n:
+        return sorted(_sample(bits, n, k))
+    for size, w in _pool_plan(n, n)[1]:
+        while bits(w) >= size:
+            pass
+    return range(n)
 
 
 @lru_cache(maxsize=64)

@@ -18,6 +18,7 @@ symmetry.root_orbits has verified; see max_rainbow.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import random
 import time
@@ -46,7 +47,7 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and wall-clock limits; None means unbounded.
+    """Node and wall-clock limits; None means unbounded, as an inf max_time does.
 
     The node budget is checked at every search node, so node counts are
     reproducible for a fixed budget. The time budget is checked every 1024
@@ -60,6 +61,11 @@ class SearchBudget:
 
     max_nodes: int | None = None
     max_time: float | None = None
+
+    def __post_init__(self) -> None:
+        # no clock reading is past a nan deadline, so nan would silently mean "no limit"
+        if self.max_time is not None and math.isnan(self.max_time):
+            raise ValueError(f"max_time must be a number of seconds or None, got {self.max_time}")
 
     @classmethod
     def unlimited(cls) -> "SearchBudget":

@@ -34,7 +34,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import AbstractSet, Iterator, Mapping, NamedTuple
 
 from .core import (
@@ -158,13 +158,16 @@ def contradiction_threshold(eps: Epsilon) -> int:
 # --- the induction state --------------------------------------------------------
 
 
+_Triple = tuple[int, int, int]  # a coloured edge as the engine holds it: (colour, a, b)
+
+
 def _show(t: tuple[int, int, int]) -> str:
     """A triple as its ColouredEdge repr, for messages: a2b1@0."""
     return repr(ColouredEdge.of(*t))
 
 
 class _Ints(NamedTuple):
-    """What the engine reads of a state beyond its fields, built once per state."""
+    """What the engine reads of a state beyond its fields, built with the state."""
 
     x: frozenset[int]  # saturated A-indices
     y: frozenset[int]  # saturated B-indices
@@ -187,6 +190,7 @@ class SwitchState:
 
     Every entry point indexes by k and pi, so building a state whose
     sequences do not have k entries each, and pi k + 1, raises ValueError.
+    The integer view the engine reads (_Ints, as _ints) is built with the state.
     """
 
     inst: Instance
@@ -208,14 +212,10 @@ class SwitchState:
                 f"state shape does not fit k={k}: e_seq, g_seq, x_sets, y_sets and pi "
                 f"have {', '.join(map(str, lengths))} entries"
             )
-
-    @cached_property
-    def _ints(self) -> _Ints:
-        # computed once per state; frozen dataclasses still allow this write
         triples = self.r.triples
         x = frozenset(a for _, a, _ in triples)
         z = tuple(a for _, a, _ in self.g_seq)
-        return _Ints(
+        ints = _Ints(
             x=x,
             y=frozenset(b for _, _, b in triples),
             xz=x.union(z),
@@ -224,6 +224,7 @@ class SwitchState:
             z=z,
             ys=tuple(b for _, _, b in self.e_seq),
         )
+        object.__setattr__(self, "_ints", ints)  # past the frozen check, once per state
 
     def pi_index(self, colour: int) -> int | None:
         """i with pi(i) == colour, or None."""
@@ -243,10 +244,10 @@ def _class_defect(inst: Instance, t: tuple[int, int, int]) -> str | None:
     return None
 
 
-def _require_in_class(inst: Instance, name: str, edge: ColouredEdge) -> None:
-    defect = _class_defect(inst, edge.triple)
+def _require_in_class(inst: Instance, name: str, t: _Triple) -> None:
+    defect = _class_defect(inst, t)
     if defect is not None:
-        raise ValueError(f"{name}={edge!r} {defect}")
+        raise ValueError(f"{name}={_show(t)} {defect}")
 
 
 def _initial_defect(inst: Instance, r: RainbowMatching) -> str | None:
@@ -501,16 +502,16 @@ def _apply_exchange(
     return result
 
 
-def _require_g(st: SwitchState, g: ColouredEdge, claim: str) -> None:
+def _require_g(st: SwitchState, g: _Triple, claim: str) -> None:
     """The premise claim1_switch and claim2_switch share: k >= 1, and g is a
     class-pi(k) edge starting outside X and z_1..z_k."""
     if st.k < 1:
         raise ValueError(f"{claim} needs k >= 1")
-    if g.colour != st.pi[st.k]:
-        raise ValueError(f"g={g!r} is not an edge of class pi(k)={st.pi[st.k]}")
+    if g[0] != st.pi[st.k]:
+        raise ValueError(f"g={_show(g)} is not an edge of class pi(k)={st.pi[st.k]}")
     _require_in_class(st.inst, "g", g)
-    if g.a.index in st._ints.xz:
-        raise ValueError(f"g={g!r} must start outside X and z_1..z_k")
+    if g[1] in st._ints.xz:
+        raise ValueError(f"g={_show(g)} must start outside X and z_1..z_k")
 
 
 def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
@@ -520,11 +521,15 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     and its B-endpoint is unsaturated. The exchange removes e_k and the chain
     e-edges and adds g_k, the chain g-edges and g.
     """
+    return _claim1(st, g.triple)
+
+
+def _claim1(st: SwitchState, g: _Triple) -> RainbowMatching:
     _require_g(st, g, "claim1_switch")
-    if g.b.index in st._ints.y:
-        raise ValueError(f"g={g!r} must end outside Y")
+    if g[2] in st._ints.y:
+        raise ValueError(f"g={_show(g)} must end outside Y")
     removed, added = _chain_members(st, st.k)
-    return _apply_exchange(st, removed, added + [g.triple])
+    return _apply_exchange(st, removed, added + [g])
 
 
 def claim2_switch(
@@ -537,23 +542,27 @@ def claim2_switch(
     exchange removes e_k, the chain e-edges and e, and adds g_k, the chain
     g-edges, e_bar and g.
     """
+    return _claim2(st, g.triple, e.triple, e_bar.triple)
+
+
+def _claim2(st: SwitchState, g: _Triple, e: _Triple, e_bar: _Triple) -> RainbowMatching:
     _require_g(st, g, "claim2_switch")
     k = st.k
-    if g.b.index not in st.y_sets[k - 1]:
-        raise ValueError(f"g={g!r} must end in Y_{k}")
-    if e not in st.r or e.b != g.b:
-        raise ValueError(f"e={e!r} must be the r-edge adjacent to g")
-    if e.a.index not in st.x_sets[k - 1]:
-        raise ValueError(f"e={e!r} must lie between X_{k} and Y_{k}")
-    if e.colour in st.pi:
-        raise ValueError(f"e's colour {e.colour} must avoid the pi image")
-    if e_bar.colour != e.colour:
-        raise ValueError(f"e_bar colour {e_bar.colour} does not match e's colour {e.colour}")
+    if g[2] not in st.y_sets[k - 1]:
+        raise ValueError(f"g={_show(g)} must end in Y_{k}")
+    if e not in st.r.triples or e[2] != g[2]:
+        raise ValueError(f"e={_show(e)} must be the r-edge adjacent to g")
+    if e[1] not in st.x_sets[k - 1]:
+        raise ValueError(f"e={_show(e)} must lie between X_{k} and Y_{k}")
+    if e[0] in st.pi:
+        raise ValueError(f"e's colour {e[0]} must avoid the pi image")
+    if e_bar[0] != e[0]:
+        raise ValueError(f"e_bar colour {e_bar[0]} does not match e's colour {e[0]}")
     _require_in_class(st.inst, "e_bar", e_bar)
-    if e_bar.a.index != st.e_seq[k - 1][1] or e_bar.b.index in st._ints.y:
-        raise ValueError(f"e_bar={e_bar!r} must join x_{k} to B minus Y")
+    if e_bar[1] != st.e_seq[k - 1][1] or e_bar[2] in st._ints.y:
+        raise ValueError(f"e_bar={_show(e_bar)} must join x_{k} to B minus Y")
     removed, added = _chain_members(st, k)
-    return _apply_exchange(st, removed + [e.triple], added + [e_bar.triple, g.triple])
+    return _apply_exchange(st, removed + [e], added + [e_bar, g])
 
 
 def claim3_switch(
@@ -567,43 +576,47 @@ def claim3_switch(
     (w in Y_{p+1} minus Y_p) starts it at p, and class 0 degenerates to the
     chainless exchange removing f and adding f_bar and zw.
     """
+    return _claim3(st, f.triple, f_bar.triple, zw.triple)
+
+
+def _claim3(st: SwitchState, f: _Triple, f_bar: _Triple, zw: _Triple) -> RainbowMatching:
     k = st.k
     ix = st._ints
-    if f not in st.r:
-        raise ValueError(f"f={f!r} must be an edge of r")
-    if f.colour in st.pi:
-        raise ValueError(f"f's colour {f.colour} must avoid the pi image")
-    if zw.b != f.b:
-        raise ValueError(f"zw={zw!r} must share f's B-endpoint {f.b!r}")
+    if f not in st.r.triples:
+        raise ValueError(f"f={_show(f)} must be an edge of r")
+    if f[0] in st.pi:
+        raise ValueError(f"f's colour {f[0]} must avoid the pi image")
+    w = f[2]
+    if zw[2] != w:
+        raise ValueError(f"zw={_show(zw)} must share f's B-endpoint {vb(w)!r}")
     _require_in_class(st.inst, "zw", zw)
-    p = st.pi_index(zw.colour)
+    p = st.pi_index(zw[0])
     if p is None:
         raise ValueError(
-            f"subcase undeterminable: zw's colour {zw.colour} is outside the pi image"
+            f"subcase undeterminable: zw's colour {zw[0]} is outside the pi image"
         )
-    w = f.b
     if p == k and k >= 1:
         # fresh-pool subcase: w must avoid Y_k and all y_i
-        if w.index in st.y_sets[k - 1] or w.index in ix.ys:
-            raise ValueError(f"subcase undeterminable: w={w!r} not in the fresh pool shape")
+        if w in st.y_sets[k - 1] or w in ix.ys:
+            raise ValueError(f"subcase undeterminable: w={vb(w)!r} not in the fresh pool shape")
     elif p >= 1:
         # increment subcase: w in Y_{p+1} \ Y_p
-        if w.index not in st.y_sets[p]:
-            raise ValueError(f"subcase undeterminable: w={w!r} not in Y_{p + 1}")
-        if w.index in st.y_sets[p - 1]:
-            raise ValueError(f"w={w!r} already in Y_{p}; zw names the wrong increment")
+        if w not in st.y_sets[p]:
+            raise ValueError(f"subcase undeterminable: w={vb(w)!r} not in Y_{p + 1}")
+        if w in st.y_sets[p - 1]:
+            raise ValueError(f"w={vb(w)!r} already in Y_{p}; zw names the wrong increment")
     # every subcase, the degenerate p = 0 included: zw starts outside X and z_1..z_p
-    if zw.a.index in ix.x or zw.a.index in ix.z[:p]:
-        raise ValueError(f"zw={zw!r} must start outside X and z_1..z_{p}")
+    if zw[1] in ix.x or zw[1] in ix.z[:p]:
+        raise ValueError(f"zw={_show(zw)} must start outside X and z_1..z_{p}")
     removed, added = _chain_members(st, p) if p else ([], [])
-    if f_bar.colour != f.colour:
-        raise ValueError(f"f_bar colour {f_bar.colour} does not match f's colour {f.colour}")
+    if f_bar[0] != f[0]:
+        raise ValueError(f"f_bar colour {f_bar[0]} does not match f's colour {f[0]}")
     _require_in_class(st.inst, "f_bar", f_bar)
-    if f_bar.a.index in ix.xz or f_bar.a == zw.a:
-        raise ValueError(f"f_bar={f_bar!r} must start outside X, z_1..z_k and zw's endpoint")
-    if f_bar.b.index in ix.y:
-        raise ValueError(f"f_bar={f_bar!r} must end outside Y")
-    return _apply_exchange(st, removed + [f.triple], added + [f_bar.triple, zw.triple])
+    if f_bar[1] in ix.xz or f_bar[1] == zw[1]:
+        raise ValueError(f"f_bar={_show(f_bar)} must start outside X, z_1..z_k and zw's endpoint")
+    if f_bar[2] in ix.y:
+        raise ValueError(f"f_bar={_show(f_bar)} must end outside Y")
+    return _apply_exchange(st, removed + [f], added + [f_bar, zw])
 
 
 # --- pool constructions ----------------------------------------------------------
@@ -785,7 +798,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
     pairs = inst.classes[colour_k].pairs
     for a, b in pairs:
         if a not in ix.xz and b not in ix.y:
-            return claim1_switch(st, ColouredEdge.of(colour_k, a, b))
+            return _claim1(st, (colour_k, a, b))
     x_k = st.e_seq[k - 1][1]
     for a, b in pairs:
         if a in ix.xz or b not in st.y_sets[k - 1]:
@@ -796,9 +809,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
         e_bar = _class_edge_at(st, e[0], x_k, True, ix.y)
         if e_bar is None:
             continue
-        return claim2_switch(
-            st, ColouredEdge.of(colour_k, a, b), ColouredEdge.of(*e), ColouredEdge.of(e[0], *e_bar)
-        )
+        return _claim2(st, (colour_k, a, b), e, (e[0], *e_bar))
     return None
 
 
@@ -820,9 +831,7 @@ def _claim3_augment(
             continue
         for a, b in st.inst.classes[c].pairs:
             if a not in ix.xz and a != zw[1] and b not in ix.y:
-                return claim3_switch(
-                    st, ColouredEdge.of(c, x, w), ColouredEdge.of(c, a, b), ColouredEdge.of(*zw)
-                )
+                return _claim3(st, (c, x, w), (c, a, b), zw)
     return None
 
 

@@ -11,6 +11,7 @@ from rainbowbench.core import (
     ColouredEdge,
     Edge,
     Instance,
+    RainbowMatching,
     Side,
     Vertex,
     canonical_json,
@@ -129,6 +130,49 @@ class TestIsRainbow:
 
     def test_repeated_colour(self):
         assert not is_rainbow({ce(0, 0, 0), ce(0, 1, 1)})
+
+
+def reference_is_rainbow(rows) -> bool:
+    """is_rainbow's definition row by row: distinct colours, A-ends and B-ends."""
+    return all(len({row[i] for row in rows}) == len(rows) for i in range(3))
+
+
+def reference_lowest(rows) -> int:
+    """make_matching's negativity check row by row: the lowest vertex index, or 0."""
+    return min((min(a, b) for _, a, b in rows), default=0)
+
+
+def small_rows(lowest: int):
+    """Up to 6 triples over small ranges, so rows repeat and share endpoints;
+    colours reach below 0, which neither check looks at."""
+    index = st.integers(lowest, 3)
+    return st.lists(st.tuples(st.integers(-3, 3), index, index), max_size=6)
+
+
+class TestColumnChecks:
+    @given(small_rows(0))
+    @example([])
+    def test_is_rainbow_is_the_row_definition(self, rows):
+        built = make_matching(rows)
+        assert is_rainbow(built) == reference_is_rainbow(built.triples)
+        assert is_rainbow(RainbowMatching(tuple(rows))) == reference_is_rainbow(rows)
+        edges = [ce(*row) for row in rows]
+        assert is_rainbow(edges) == reference_is_rainbow(rows)
+        assert is_rainbow(iter(edges)) == reference_is_rainbow(rows)
+        assert is_rainbow(set(edges)) == reference_is_rainbow(set(rows))
+
+    @given(small_rows(-3))
+    @example([])
+    @example([(-1, 0, 0)])
+    @example([(0, 2, -2), (1, -1, 3)])
+    def test_make_matching_rejects_the_reference_lowest(self, rows):
+        lowest = reference_lowest(rows)
+        if lowest < 0:
+            message = f"^vertex index must be non-negative, got {lowest}$"
+            with pytest.raises(ValueError, match=message):
+                make_matching(rows)
+        else:
+            assert make_matching(rows).triples == tuple(sorted(set(rows)))
 
 
 class TestNeighbourhoodAlong:

@@ -184,6 +184,23 @@ class TestSample:
             assert [type(part) for part in plan] == [tuple, tuple]
             assert gen._pool_plan(n, k) is plan
 
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(st.just(n), st.sampled_from([n, n - 1, n // 2, 1]))
+        ),
+        st.integers(),
+    )
+    def test_sorted_sample_is_sorted_random_sample(self, shape, seed):
+        # a full side (k == n) draws sample's words without keeping them and
+        # returns every index; any other k sorts _sample: the same indices and
+        # the same state left behind as sorted(random.Random(seed).sample(...))
+        n, k = shape
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        assert list(gen._sorted_sample(ours.getrandbits, n, k)) == sorted(
+            stdlib.sample(range(n), k)
+        )
+        assert ours.getstate() == stdlib.getstate()
+
     def test_branch_test_is_cpythons(self):
         # the pool/set test in _sample, read from its source, against the one in
         # random.Random.sample: setsize = 21, plus 4 ** ceil(log(3k, 4)) when k > 5

@@ -165,6 +165,19 @@ class TestMaxRainbow:
         assert not rep.optimal
         assert is_rainbow(rep.best)
 
+    def test_nan_time_budget_is_rejected(self):
+        # no clock reading is past a nan deadline, so it would mean "no limit";
+        # inf says that, and zero or negative node budgets keep their meaning
+        message = "max_time must be a number of seconds or None, got nan"
+        with pytest.raises(ValueError, match=message):
+            SearchBudget(max_time=math.nan)
+        with pytest.raises(ValueError, match="got nan"):
+            SearchBudget(max_nodes=5, max_time=float("nan"))
+        assert max_rainbow(gen_drisko(4), SearchBudget(max_time=math.inf)).optimal
+        for max_nodes in (0, -1):
+            rep = max_rainbow(gen_drisko(4), SearchBudget(max_nodes=max_nodes))
+            assert (rep.optimal, rep.nodes_explored) == (False, 0)
+
     @staticmethod
     def _assert_budget_boundary(inst):
         # N = the nodes of an unlimited search: a budget of N still certifies

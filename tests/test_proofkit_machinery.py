@@ -45,10 +45,10 @@ from rainbowbench.proofkit import (
     verify_properties,
     verify_trace_json,
 )
-from rainbowbench import proofkit
+from rainbowbench import core, proofkit
 from rainbowbench.gen import gen_random_instance
-from rainbowbench.oracle import max_rainbow
-from rainbowbench.solver import greedy_rainbow
+from rainbowbench.oracle import SearchBudget, max_rainbow
+from rainbowbench.solver import greedy_rainbow, solve
 
 EPS1 = Epsilon.parse("1")
 # the property report trace_to_json records for a state that passes P1-P7
@@ -1439,3 +1439,33 @@ class TestStateImmutability:
         rng = random.Random(61)
         st = random_forge(rng).freeze()
         assert st.t == smallest_t(st.eps)
+
+
+class TestIntegerEngine:
+    def test_switch_engine_builds_no_boundary_values(self, monkeypatch):
+        # the engine and its claim switches stay on (colour, a, b) triples, so
+        # tight solves and trace round trips build no Vertex (hence no Edge or
+        # ColouredEdge): those values are made at the public boundary only
+        built = []
+        real = core.Vertex.__post_init__
+        monkeypatch.setattr(core.Vertex, "__post_init__", lambda v: built.append(v) or real(v))
+        methods = set()
+        for seed in range(200):  # the oracle's tight-draw pin
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            res = solve(inst, target=8, budget=SearchBudget.nodes(100_000))
+            methods.add(res.method)
+        kinds = set()
+        for seed in range(60):
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            r = greedy_rainbow(inst, 0)
+            if len(r) == 8:
+                continue
+            inst0, r0, _ = free_colour_zero(inst, r)
+            trace = run_switch_trace(inst0, r0, EPS1)
+            kinds.update(type(out) for out in trace.steps)
+            assert verify_trace_json(trace_to_json(trace)) == []
+        assert methods == {"greedy", "augmented", "oracle"}
+        assert kinds == {Extended, Augmented}
+        assert built == []
+        va(0)  # the wrapper counts what it sees
+        assert len(built) == 1
