@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
+from operator import lt
 from typing import Hashable, Iterable, Iterator, Sequence
 
 
@@ -209,7 +210,11 @@ def make_matching(triples: Iterable[tuple[int, int, int]]) -> RainbowMatching:
     vertex index; the result is not checked to be rainbow, run is_rainbow
     for that.
     """
-    rows = tuple(sorted({(c, a, b) for c, a, b in triples}))
+    return _sorted_matching(tuple(sorted({(c, a, b) for c, a, b in triples})))
+
+
+def _sorted_matching(rows: tuple[tuple[int, int, int], ...]) -> RainbowMatching:
+    """RainbowMatching(rows) for sorted distinct rows; ValueError on a negative vertex index."""
     _, a_ends, b_ends = zip(*rows) if rows else ((), (), ())
     lowest = min(chain(a_ends, b_ends), default=0)
     if lowest < 0:
@@ -229,8 +234,33 @@ class Violation:
         return self.message
 
 
+def _valid_class(pairs: tuple[tuple[int, int], ...], a_size: int, b_size: int) -> bool:
+    """True iff pairs breaks no invariant validate_instance checks, tested over whole columns.
+
+    A-ends that strictly increase mean the pairs are sorted and distinct and no
+    A-end repeats; then distinct B-ends make a matching, and the extreme ends
+    place every end in the universe.
+    """
+    if not pairs:
+        return True
+    a_ends, b_ends = zip(*pairs)
+    return (
+        all(map(lt, a_ends, a_ends[1:]))
+        and len(set(b_ends)) == len(b_ends)
+        and 0 <= a_ends[0] and a_ends[-1] < a_size
+        and 0 <= min(b_ends) and max(b_ends) < b_size
+    )
+
+
 def validate_instance(inst: Instance) -> list[Violation]:
-    """Check all Instance invariants; empty list iff the instance is valid."""
+    """Check all Instance invariants; empty list iff the instance is valid.
+
+    Each class is tested whole first (_valid_class). Only when some class
+    fails are the pairs of every class walked one by one, to word each
+    violation in order.
+    """
+    if all(_valid_class(cls.pairs, inst.a_size, inst.b_size) for cls in inst.classes):
+        return []
     violations: list[Violation] = []
     for idx, cls in enumerate(inst.classes):
         if any(p >= q for p, q in zip(cls.pairs, cls.pairs[1:])):
@@ -407,6 +437,14 @@ def matching_rows(rows: object) -> list[tuple[int, ...]]:
     return triples
 
 
+def matching_from_rows(rows: object) -> RainbowMatching:
+    """make_matching(matching_rows(rows)), with the one set of the rows built in matching_rows.
+
+    The checks and their messages are those two functions'.
+    """
+    return _sorted_matching(tuple(sorted(matching_rows(rows))))
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -503,14 +541,25 @@ def instance_from_payload(payload: object) -> Instance:
     """An Instance from a decoded Instance JSON object.
 
     Raises ValueError on a missing field, a non-integer value, a class count
-    that differs from n_colours, or a pair repeated inside a class (malformed,
-    not a smaller class).
+    that differs from n_colours, a pair repeated inside a class (malformed,
+    not a smaller class), a negative vertex index or a negative universe size.
+    Types are tested over every class at once; only when that test fails are
+    the classes read one by one, to name the first class or row at fault.
     """
     try:
         n_colours = json_int(payload["n_colours"])
         a_size = json_int(payload["a_size"])
         b_size = json_int(payload["b_size"])
-        classes = [int_rows(pairs, 2) for pairs in json_list(payload["classes"])]
+        classes = json_list(payload["classes"])
+        rows = list(chain.from_iterable(classes)) if set(map(type, classes)) <= {list} else None
+        if rows is None or not (
+            set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {2}
+            and set(map(type, ends := list(chain.from_iterable(rows)))) <= {int}
+        ):
+            for pairs in classes:  # raises at the first class or row at fault
+                int_rows(pairs, 2)
+        classes = [list(map(tuple, pairs)) for pairs in classes]
         for colour, pairs in enumerate(classes):
             reject_repeats(pairs, f"colour {colour}: repeated pair")
     except (KeyError, TypeError, ValueError) as exc:
@@ -519,7 +568,10 @@ def instance_from_payload(payload: object) -> Instance:
         raise ValueError(
             f"instance JSON declares {n_colours} colours but lists {len(classes)} classes"
         )
-    return make_instance(classes, a_size=a_size, b_size=b_size)
+    if min(ends, default=0) < 0 or min(a_size, b_size) < 0:
+        return make_instance(classes, a_size=a_size, b_size=b_size)  # raises, in its words
+    # the pairs of each class are distinct, so sorting them is all make_instance would do
+    return Instance(tuple(ColourClass(tuple(sorted(pairs))) for pairs in classes), a_size, b_size)
 
 
 def matching_to_json(r: RainbowMatching) -> str:
@@ -532,4 +584,4 @@ def matching_from_json(text: str) -> RainbowMatching:
         triples = matching_rows(json_value(text))
     except ValueError as exc:
         raise ValueError(f"malformed matching JSON: {exc}") from exc
-    return make_matching(triples)
+    return _sorted_matching(tuple(sorted(triples)))

@@ -51,7 +51,7 @@ from .core import (
     json_list,
     json_value,
     make_matching,
-    matching_rows,
+    matching_from_rows,
     neighbourhood_along,  # unused here, but perfbench's tracer patches proofkit.neighbourhood_along
     reject_repeats,
     va,
@@ -974,21 +974,36 @@ def _json_index(value: object) -> int:
 
 
 def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
+    """A SwitchState from a decoded state object, as _state_payload writes it.
+
+    Arrays are tested whole: one min over the A and B columns of the e_seq and
+    g_seq triples that int_rows has typed, and one type set and one min per
+    index set. Only when a test fails is each value read through _json_index,
+    to name the first value at fault. Raises ValueError, KeyError or
+    TypeError on a malformed state, which verify_trace_json reports as such.
+    """
+
     def edges(rows) -> tuple[tuple[int, int, int], ...]:
-        return tuple((c, _json_index(a), _json_index(b)) for c, a, b in int_rows(rows, 3))
+        triples = tuple(int_rows(rows, 3))
+        _, a_ends, b_ends = zip(*triples) if triples else ((), (), ())
+        if min(a_ends + b_ends, default=0) >= 0:
+            return triples
+        # some index is negative: raises, naming the first one in reading order
+        return tuple((c, _json_index(a), _json_index(b)) for c, a, b in triples)
 
     def index_sets(name: str) -> tuple[frozenset[int], ...]:
-        # a repeated index is malformed, not a smaller set
         sets = []
         for i, values in enumerate(json_list(payload[name])):
-            indices = [_json_index(v) for v in json_list(values)]
-            reject_repeats(indices, f"{name}[{i}]: repeated index")
-            sets.append(frozenset(indices))
+            values = json_list(values)
+            if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):
+                values = [_json_index(v) for v in values]  # raises at the first value at fault
+            reject_repeats(values, f"{name}[{i}]: repeated index")  # malformed, not a smaller set
+            sets.append(frozenset(values))
         return tuple(sets)
 
     return SwitchState(
         inst=inst,
-        r=make_matching(matching_rows(payload["r"])),
+        r=matching_from_rows(payload["r"]),
         eps=_eps_from_json(payload["eps"]),
         t=json_int(payload["t"]),
         k=json_int(payload["k"]),
@@ -1043,7 +1058,7 @@ def _step_from_payload(inst: Instance, step) -> tuple[StepOutcome, object]:
             raise TypeError(f"properties must be an object, got {type(recorded).__name__}")
         return out, recorded
     if kind == "augmented":
-        return Augmented(make_matching(matching_rows(step["matching"]))), None
+        return Augmented(matching_from_rows(step["matching"])), None
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from stateforge import StateForge
 from rainbowbench.cli import main
-from rainbowbench.core import free_colour_zero, instance_from_json
+from rainbowbench.core import free_colour_zero, instance_from_json, make_instance, make_matching
 from rainbowbench.gen import gen_random_instance
 from rainbowbench.latin import format_latin_text, gen_cyclic
 from rainbowbench.proofkit import PROPERTY_NAMES, Epsilon, run_switch_trace, trace_to_json
@@ -506,3 +506,53 @@ class TestMalformedInputFiles:
             "--witness-dir", str(regular / "sub"),
         )
         self.assert_data_error(result, "cannot write", "Not a directory")
+
+
+class TestInvalidInstanceLines:
+    """solve --in and verify-trace word an invalid instance's violations exactly."""
+
+    # a trace from the base r = {a1b1@1, a2b2@2, a3b3@3} on this instance ends in one augmentation
+    CLASSES = [[[4, 1], [9, 9]], [[1, 1]], [[2, 2]], [[3, 3]]]
+    FAULTS = {
+        "non-matching": ([(1, [1, 5])], "colour 1 is not a matching: a1b1 and a1b5 share a1"),
+        "out-of-range": (
+            [(2, [20, 5])], "colour 2 edge a20b5: a20 outside universe of size 12"
+        ),
+        "both": (
+            [(0, [4, 20]), (3, [0, 3])],
+            "colour 0 is not a matching: a4b1 and a4b20 share a4; "
+            "colour 0 edge a4b20: b20 outside universe of size 12; "
+            "colour 3 is not a matching: a0b3 and a3b3 share b3",
+        ),
+    }
+
+    def files(self, tmp_path, fault):
+        added, _ = self.FAULTS[fault]
+        inst = make_instance([list(map(tuple, pairs)) for pairs in self.CLASSES], 12, 12)
+        trace = run_switch_trace(
+            inst, make_matching([(c, c, c) for c in range(1, 4)]), Epsilon.parse("1")
+        )
+        payload = json.loads(trace_to_json(trace))
+        for colour, pair in added:
+            payload["instance"]["classes"][colour].append(pair)
+        inst_path, trace_path = tmp_path / "inst.json", tmp_path / "trace.json"
+        inst_path.write_text(json.dumps(payload["instance"]))
+        trace_path.write_text(json.dumps(payload))
+        return inst_path, trace_path
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_solve_names_every_violation(self, tmp_path, fault):
+        inst_path, _ = self.files(tmp_path, fault)
+        result = run("solve", "--in", str(inst_path), "--target", "1")
+        assert result.exit_code == 2
+        assert result.output == f"Error: invalid instance in {inst_path}: {self.FAULTS[fault][1]}\n"
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_verify_trace_names_every_violation(self, tmp_path, fault):
+        _, trace_path = self.files(tmp_path, fault)
+        result = run("verify-trace", "--in", str(trace_path))
+        assert result.exit_code == 2
+        assert result.output == (
+            f"Error: {trace_path}: malformed trace JSON: invalid instance: "
+            f"{self.FAULTS[fault][1]}\n"
+        )
