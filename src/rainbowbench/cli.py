@@ -273,7 +273,7 @@ def instance_to_latin_cmd(in_path: str, out: str | None) -> None:
 def rainbow_to_transversal_cmd(square_path: str, in_path: str, out: str | None) -> None:
     ls = _load_square(square_path)
     t = _load(in_path, lambda text: latin.rainbow_to_transversal(ls, core.matching_from_json(text)))
-    _write_text(out, json.dumps([list(e) for e in t.sorted_entries()]) + "\n")
+    _write_text(out, json.dumps([list(e) for e in sorted(t.entries)]) + "\n")
 
 
 @convert_group.command("transversal-to-rainbow")

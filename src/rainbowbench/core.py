@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from operator import lt
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 class Side(Enum):
@@ -65,10 +65,6 @@ class Edge:
     def of(cls, a_index: int, b_index: int) -> "Edge":
         return cls(va(a_index), vb(b_index))
 
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.a.index, self.b.index)
-
     def __repr__(self) -> str:
         return f"a{self.a.index}b{self.b.index}"
 
@@ -105,8 +101,9 @@ class ColourClass:
     """One colour class: a matching (no two edges share a vertex).
 
     pairs holds the distinct (a_index, b_index) endpoint pairs in sorted
-    order, as make_instance and gen_random_instance (the one other builder)
-    build them; the colour is the class's position in Instance.classes.
+    order, as its three builders (make_instance, gen_random_instance and
+    instance_from_payload) build them; the colour is the class's position in
+    Instance.classes.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -132,13 +129,6 @@ class Instance:
     def n_colours(self) -> int:
         return len(self.classes)
 
-    def class_edges(self, colour: int) -> frozenset[Edge]:
-        return self.classes[colour].edges
-
-    def class_pairs(self, colour: int) -> list[tuple[int, int]]:
-        """Endpoint pairs of one class, sorted lexicographically."""
-        return list(self.classes[colour].pairs)
-
 
 @dataclass(frozen=True)
 class RainbowMatching:
@@ -160,22 +150,13 @@ class RainbowMatching:
 
         Built on every call, as ColourClass.edges is (not cached: it would hold memory).
         """
-        return frozenset(self.sorted_edges())
+        return frozenset(ColouredEdge.of(c, a, b) for c, a, b in self.triples)
 
     def __len__(self) -> int:
         return len(self.triples)
 
-    def __iter__(self) -> Iterator[ColouredEdge]:
-        return iter(self.sorted_edges())
-
-    def __contains__(self, item: object) -> bool:
-        return isinstance(item, ColouredEdge) and item.triple in self.triples
-
     def colours(self) -> frozenset[int]:
         return frozenset(c for c, _, _ in self.triples)
-
-    def sorted_edges(self) -> list[ColouredEdge]:
-        return [ColouredEdge.of(c, a, b) for c, a, b in self.triples]
 
 
 def make_instance(

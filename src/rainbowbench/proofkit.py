@@ -337,10 +337,6 @@ class PropertyCheck:
 class PropertyReport:
     checks: tuple[PropertyCheck, ...]
 
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
     def failed(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.checks if not c.ok)
 

@@ -54,7 +54,7 @@ def naive_max_rainbow(inst: Instance) -> SearchReport:
     options: list[list[tuple[int, int] | None]] = []
     for c in range(inst.n_colours):
         opts: list[tuple[int, int] | None] = [None]
-        opts.extend(inst.class_pairs(c))
+        opts.extend(inst.classes[c].pairs)
         options.append(opts)
     best_sel: list[tuple[int, int, int]] = []
     combos = 0

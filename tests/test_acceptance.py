@@ -174,7 +174,7 @@ def test_criterion_08_extension_preserves_properties():
         if isinstance(out, Extended):
             extended += 1
             report = verify_properties(out.state)
-            assert report.all_ok, report.failed()
+            assert not report.failed(), report.failed()
     _report(8, "1000 extension steps all preserve P1-P7")
 
 

@@ -176,6 +176,16 @@ class TestExperiment:
         inst = instance_from_json(witnesses[0].read_text())
         assert inst.n_colours == 2
 
+    def test_randomized_counterexample_writes_seeded_witness(self, tmp_path):
+        result = run(
+            "experiment", "f", "--n", "2", "--m", "1", "--mode", "randomized",
+            "--trials", "50", "--witness-dir", str(tmp_path),
+        )
+        assert result.exit_code == 0
+        witness = tmp_path / "counterexample_n2_m1_ell0_randomized_seed0.json"
+        assert [p.name for p in tmp_path.iterdir()] == [witness.name]
+        assert instance_from_json(witness.read_text()).n_colours == 2
+
     @pytest.mark.parametrize(
         "args",
         [("f", "--trials", "-5"), ("mu", "--ell", "1", "--trials", "-5"), ("f",)],

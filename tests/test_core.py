@@ -52,6 +52,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             va(-1)
 
+    def test_matching_is_read_as_triples_or_edges(self):
+        r = make_matching([(1, 3, 4), (0, 1, 2)])
+        assert r.triples == ((0, 1, 2), (1, 3, 4))
+        assert r.edges == {ColouredEdge.of(0, 1, 2), ColouredEdge.of(1, 3, 4)}
+        # `in` would have to pick one of the two views, so a matching has none
+        with pytest.raises(TypeError):
+            (0, 1, 2) in r
+        with pytest.raises(TypeError):
+            ColouredEdge.of(0, 1, 2) in r
+
 
 class TestValidateInstance:
     def test_shared_vertex_in_class(self):
@@ -222,7 +232,7 @@ class TestColourRelabelling:
     def test_swap_colours_round_trip(self):
         inst = make_instance([[(0, 0)], [(1, 1)], [(2, 2)]])
         swapped = swap_colours(inst, 0, 2)
-        assert swapped.class_pairs(0) == [(2, 2)]
+        assert swapped.classes[0].pairs == ((2, 2),)
         assert swap_colours(swapped, 0, 2) == inst
 
     def test_free_colour_zero(self):
@@ -232,8 +242,14 @@ class TestColourRelabelling:
         assert c == 2
         assert 0 not in r2.colours()
         assert is_rainbow(r2)
-        for edge in r2:
-            assert edge.edge in inst2.class_edges(edge.colour)
+        for edge in r2.edges:
+            assert edge.edge in inst2.classes[edge.colour].edges
+
+    def test_free_colour_zero_keeps_a_matching_that_leaves_zero_unused(self):
+        inst = make_instance([[(0, 0)], [(1, 1)], [(2, 2)]])
+        r = make_matching([(1, 1, 1), (2, 2, 2)])
+        inst2, r2, c = free_colour_zero(inst, r)
+        assert c == 0 and inst2 is inst and r2 is r
 
 
 class TestJsonFormats:
@@ -447,7 +463,7 @@ class TestRepresentationPin:
             record(inst)
             n = inst.n_colours
             record(swap_colours(inst, rng.randrange(n), rng.randrange(n)))
-            pairs = inst.class_pairs(0)
+            pairs = inst.classes[0].pairs
             if not pairs:
                 continue
             try:

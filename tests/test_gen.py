@@ -38,7 +38,7 @@ def pinned_shapes() -> list[tuple]:
 
 
 def assert_built_canonical(inst) -> None:
-    pairs = [inst.class_pairs(c) for c in range(inst.n_colours)]
+    pairs = [cls.pairs for cls in inst.classes]
     assert inst == make_instance(pairs, inst.a_size, inst.b_size)
     assert validate_instance(inst) == []
 
@@ -47,8 +47,8 @@ class TestDrisko:
     def test_n2_is_the_crossing_pair(self):
         inst = gen_drisko(2)
         assert inst.n_colours == 2
-        assert inst.class_pairs(0) == [(0, 0), (1, 1)]
-        assert inst.class_pairs(1) == [(0, 1), (1, 0)]
+        assert inst.classes[0].pairs == ((0, 0), (1, 1))
+        assert inst.classes[1].pairs == ((0, 1), (1, 0))
         assert len(naive_max_rainbow(inst).best) == 1
 
     def test_n3_optimum_two(self):

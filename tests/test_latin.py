@@ -92,13 +92,13 @@ class TestLatinToInstance:
     def test_order_one(self):
         inst = latin_to_instance(LatinSquare.from_rows([[0]]))
         assert inst.n_colours == 1
-        assert inst.class_pairs(0) == [(0, 0)]
+        assert inst.classes[0].pairs == ((0, 0),)
 
     def test_order_two_reads_cells(self):
         # a = column, b = row
         inst = latin_to_instance(LatinSquare.from_rows([[0, 1], [1, 0]]))
-        assert inst.class_pairs(0) == [(0, 0), (1, 1)]
-        assert inst.class_pairs(1) == [(0, 1), (1, 0)]
+        assert inst.classes[0].pairs == ((0, 0), (1, 1))
+        assert inst.classes[1].pairs == ((0, 1), (1, 0))
 
     def test_cyclic_four_is_valid_with_perfect_classes(self):
         inst = latin_to_instance(gen_cyclic(4))
@@ -132,7 +132,7 @@ class TestTransversalConversion:
     def test_single_entry(self):
         ls = LatinSquare.from_rows([[0, 1], [1, 0]])
         t = rainbow_to_transversal(ls, make_matching([(0, 0, 0)]))
-        assert t.sorted_entries() == [(0, 0)]
+        assert sorted(t.entries) == [(0, 0)]
 
     def test_wrong_colour_rejected(self):
         ls = LatinSquare.from_rows([[0, 1], [1, 0]])

@@ -326,6 +326,68 @@ def test_guard_sees_sample_calls(tmp_path):
     assert sample_calls(probe) == [3, 4, 5]
 
 
+def unread_methods(defining: list[Path], reading: list[Path]) -> list[str]:
+    """`Class.name` for every public method or property of a top-level class in `defining`
+    whose name no module in `reading` reads as an attribute, a plain name or a string."""
+    read = set()
+    for path in reading:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    out = []
+    for path in defining:
+        for cls in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            out.extend(
+                f"{cls.name}.{item.name}"
+                for item in cls.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+                and item.name not in read
+            )
+    return out
+
+
+def test_every_public_method_has_a_program_caller():
+    # a method that only tests call is a second spelling of something the program reads
+    # another way. Reads are matched by name alone, so a method named like any read name
+    # passes: perfbench/checks.py's own function class_pairs once hid Instance.class_pairs.
+    # A string counts as a read because CSV_COLUMNS names SweepReport.counterexample_found.
+    src = sorted(PACKAGE_DIR.glob("*.py"))
+    perfbench = sorted((PACKAGE_DIR.parent.parent / "perfbench").glob("*.py"))
+    assert perfbench
+    assert unread_methods(src, src + perfbench) == []
+
+
+def test_guard_sees_methods_nobody_calls(tmp_path):
+    probe, reader = tmp_path / "probe.py", tmp_path / "reader.py"
+    probe.write_text(
+        "class K:\n"
+        "    def read(self): pass\n"
+        "    def unread(self): pass\n"
+        "    @property\n"
+        "    def named(self): pass\n"
+        "    @classmethod\n"
+        "    def called(cls): pass\n"
+        "    def stored(self): pass\n"
+        "    def _private(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "def f(): pass\n"
+    )
+    reader.write_text(
+        "k.read()\n"
+        "COLUMNS = ('named',)\n"
+        "called()\n"
+        "k.stored = 1\n"
+    )
+    assert unread_methods([probe], [reader]) == ["K.unread", "K.stored"]
+
+
 def test_switch_state_fields_are_integers():
     # Vertex and ColouredEdge values are built at the public boundary only
     hints = typing.get_type_hints(SwitchState)

@@ -59,7 +59,7 @@ def duplicated_families(draw):
 
 def _pin_line(inst, limit, nodes, workers=1):
     rep = max_rainbow(inst, SearchBudget(limit), workers=workers)
-    line = f"{sorted(ce.triple for ce in rep.best)}|{rep.optimal}"
+    line = f"{list(rep.best.triples)}|{rep.optimal}"
     return (f"{line}|{rep.nodes_explored};" if nodes else f"{line};").encode()
 
 
@@ -319,7 +319,7 @@ class TestMaxRainbow:
         assert len({cls.pairs for cls in inst.classes}) < inst.n_colours
         rep = max_rainbow(inst)
         assert rep.optimal and is_rainbow(rep.best)
-        assert all(ce.edge.pair in inst.classes[ce.colour].pairs for ce in rep.best)
+        assert all((a, b) in inst.classes[c].pairs for c, a, b in rep.best.triples)
         assert len(rep.best) == len(naive_max_rainbow(inst).best)
         for workers in (2, 3):
             assert max_rainbow(inst, workers=workers).best == rep.best
@@ -484,6 +484,15 @@ class TestEstimates:
         with pytest.raises(ValueError, match="trials"):
             estimate_mu(2, 0, 2, "exhaustive", trials=-1)
         assert estimate_f(2, 2, "exhaustive", trials=0).counterexample_found
+
+    def test_f2_m1_randomized_sweep_finds_counterexample(self):
+        report = estimate_f(2, 1, "randomized", trials=50, seed=0)
+        assert report.counterexample_found
+        assert report.instances_checked == 4
+        inst = report.counterexample
+        assert [len(cls) for cls in inst.classes] == [1, 1]
+        assert validate_instance(inst) == []
+        assert len(max_rainbow(inst).best) < 2
 
     def test_f3_m4_randomized_sweep_finds_nothing(self):
         report = estimate_f(3, 4, "randomized", trials=100_000, seed=20240816)

@@ -75,7 +75,13 @@ def worked_claim1_state() -> SwitchState:
 class TestVerifyProperties:
     def test_worked_state_passes_all_seven(self):
         report = verify_properties(worked_claim1_state())
-        assert report.all_ok
+        assert not report.failed()
+
+    def test_unknown_property_name_raises_key_error(self):
+        report = verify_properties(worked_claim1_state())
+        assert report["P7"].name == "P7"
+        with pytest.raises(KeyError):
+            report["P9"]
 
     def test_recoloured_g_fails_p2(self):
         st = worked_claim1_state()
@@ -108,7 +114,7 @@ class TestVerifyProperties:
         for _ in range(200):
             forge = random_forge(rng)
             forge.add_distractors(rng.randint(0, 5))
-            assert verify_properties(forge.freeze()).all_ok
+            assert not verify_properties(forge.freeze()).failed()
 
 
 def two_step_state() -> SwitchState:
@@ -178,6 +184,12 @@ class TestColourChain:
                 assert all(a > b for a, b in zip(chain, chain[1:]))
                 assert len(chain) <= i
 
+    def test_index_outside_one_to_k_raises(self):
+        st = worked_claim1_state()
+        for i in (0, st.k + 1):
+            with pytest.raises(ValueError, match=f"need 1 <= i <= k=1, got {i}"):
+                colour_chain(st, i)
+
     def test_broken_chain_raises(self):
         st = worked_claim1_state()
         bad = replace(st, g_seq=((1, 2, 1),))
@@ -189,7 +201,7 @@ class TestClaim1Switch:
     def test_worked_example(self):
         st = worked_claim1_state()
         out = claim1_switch(st, ColouredEdge.of(1, 3, 2))
-        assert {ce.triple for ce in out} == {(0, 2, 1), (1, 3, 2)}
+        assert set(out.triples) == {(0, 2, 1), (1, 3, 2)}
 
     def test_two_step_chain_exchange(self):
         rng = random.Random(5)
@@ -200,7 +212,13 @@ class TestClaim1Switch:
         assert is_rainbow(out) and len(out) == len(st.r) + 1
         # chain [1, 0]: e_2 and e_1 leave, g_2, g_1 and g enter
         assert st.e_seq[0] not in out.triples and st.e_seq[1] not in out.triples
-        assert st.g_seq[0] in out.triples and st.g_seq[1] in out.triples and g in out
+        assert st.g_seq[0] in out.triples and st.g_seq[1] in out.triples and g.triple in out.triples
+
+    def test_e_k_outside_r_is_an_integrity_error(self):
+        # a forged state: e_1 = a1b1@1 is not in r, so the exchange cannot remove it
+        st = replace(worked_claim1_state(), r=make_matching([(1, 0, 0)]))
+        with pytest.raises(SwitchIntegrityError, match=r"cannot remove a1b1@1: not an edge of r"):
+            claim1_switch(st, ColouredEdge.of(1, 3, 2))
 
     def test_precondition_violations(self):
         st = worked_claim1_state()
@@ -230,7 +248,7 @@ class TestClaim2Switch:
         out = claim2_switch(
             st, ColouredEdge.of(1, 5, 2), ColouredEdge.of(2, 2, 2), ColouredEdge.of(2, 1, 3)
         )
-        assert {ce.triple for ce in out} == {(0, 4, 1), (1, 5, 2), (2, 1, 3)}
+        assert set(out.triples) == {(0, 4, 1), (1, 5, 2), (2, 1, 3)}
 
     def test_e_bar_conflicting_with_g_rejected(self):
         inst = make_instance(
@@ -282,7 +300,7 @@ class TestClaim3Switch:
         out = claim3_switch(
             st, ColouredEdge.of(2, 2, 2), ColouredEdge.of(2, 4, 3), ColouredEdge.of(0, 3, 2)
         )
-        assert {ce.triple for ce in out} == {(1, 1, 1), (0, 3, 2), (2, 4, 3)}
+        assert set(out.triples) == {(1, 1, 1), (0, 3, 2), (2, 4, 3)}
 
     def test_pool_subcase_chain_of_one(self):
         inst = make_instance(
@@ -304,7 +322,7 @@ class TestClaim3Switch:
             st, ColouredEdge.of(2, 2, 2), ColouredEdge.of(2, 4, 3), ColouredEdge.of(1, 3, 2)
         )
         # removes {e_1, f}, adds {g_1, f_bar, zw}
-        assert {ce.triple for ce in out} == {(0, 5, 1), (1, 3, 2), (2, 4, 3)}
+        assert set(out.triples) == {(0, 5, 1), (1, 3, 2), (2, 4, 3)}
 
     def test_subcase_undeterminable(self):
         rng = random.Random(3)
@@ -670,11 +688,11 @@ class TestPigeonholeSelect:
         assert len(X_next) == 5  # ceil(s_2) exactly, in strict mode
         assert x_next not in X_next
         y_idx = {b for _, _, b in st.r.triples}
-        for ce in st.r.sorted_edges():
+        for ce in st.r.edges:
             if ce.a in X_next and ce.b in Y_next:
                 assert any(
                     a == x_next.index and b not in y_idx
-                    for a, b in st.inst.class_pairs(ce.colour)
+                    for a, b in st.inst.classes[ce.colour].pairs
                 )
 
 
@@ -698,7 +716,7 @@ class TestExtendState:
         out = extend_state(st)
         assert isinstance(out, Extended)
         assert out.state.k == 1
-        assert verify_properties(out.state).all_ok
+        assert not verify_properties(out.state).failed()
 
     def test_strict_mode_threshold_infeasible_at_desk_scale(self):
         # eps = 1/4, n = 10: the strict pool threshold exceeds anything a
@@ -744,7 +762,7 @@ class TestStepOutcomes:
             children = [out.state for out in step_outcomes(st)]
             branched += len(children) >= 2
             for child in children:
-                assert verify_properties(child).all_ok, verify_properties(child).failed()
+                assert not verify_properties(child).failed(), verify_properties(child).failed()
                 assert child.k == st.k + 1
                 for name in SEQUENCES:
                     assert getattr(child, name)[:-1] == getattr(st, name)
@@ -1253,7 +1271,7 @@ class TestTraceChain:
         trace = run_switch_trace(base.inst, base.r, EPS1, max_steps=1)
         assert trace.steps == (children[0],)
         forged = Trace(trace.inst, trace.mode, trace.base, (children[1],))
-        assert verify_properties(children[1].state).all_ok
+        assert not verify_properties(children[1].state).failed()
         assert verify(json.loads(trace_to_json(forged))) == [
             "step 0: extended state differs from the engine's step"
         ]
@@ -1301,7 +1319,7 @@ class TestTraceChain:
         best = max_rainbow(instance_from_json(json.dumps(payload["instance"]))).best
         assert len(best) == len(payload["base_state"]["r"]) + 1
         payload["steps"].append(
-            {"kind": "augmented", "matching": [list(ce.triple) for ce in best.sorted_edges()]}
+            {"kind": "augmented", "matching": [list(t) for t in best.triples]}
         )
         assert verify(payload) == [
             "step 2: the engine cannot step from the previous state "

@@ -35,13 +35,13 @@ class TestGreedy:
             )
             r = greedy_rainbow(inst, rng.randrange(100))
             assert is_rainbow(r)
-            used_a = {ce.a.index for ce in r}
-            used_b = {ce.b.index for ce in r}
+            used_a = {a for _, a, _ in r.triples}
+            used_b = {b for _, _, b in r.triples}
             used_c = r.colours()
             for c in range(inst.n_colours):
                 if c in used_c:
                     continue
-                for a, b in inst.class_pairs(c):
+                for a, b in inst.classes[c].pairs:
                     assert a in used_a or b in used_b
 
     def test_deterministic_per_seed(self):
@@ -244,6 +244,11 @@ class TestSolve:
         res = solve(make_instance([[(0, 0)]]), target=1, budget=BUDGET)
         assert len(res.matching) >= 1 and res.method == "greedy"
 
+    def test_target_zero_raises(self):
+        # the CLI's --target range stops 0 before solve sees it; the library checks it too
+        with pytest.raises(ValueError, match="need target >= 1, got 0"):
+            solve(make_instance([[(0, 0)]]), target=0, budget=BUDGET)
+
     def test_drisko4_target_misses_and_oracle_certifies(self):
         inst = gen_drisko(4)
         res = solve(inst, target=4, budget=BUDGET, oracle_fallback=True)
@@ -331,7 +336,7 @@ class TestSolve:
             inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
             r = greedy_rainbow(inst)
             res = solve(inst, target=8, budget=BUDGET)
-            digest.update(f"{[ce.triple for ce in r.sorted_edges()]}|".encode())
+            digest.update(f"{list(r.triples)}|".encode())
             digest.update(
                 f"{res.method}|{res.augment_steps}|{matching_to_json(res.matching)}".encode()
             )
