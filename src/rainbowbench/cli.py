@@ -134,9 +134,6 @@ def _not_nan(ctx: click.Context, param: click.Parameter, value: float | None) ->
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed of greedy's tie order; -s orders as s does.")
 @click.option("--oracle-fallback/--no-oracle-fallback", default=False, show_default=True)
-@click.option(
-    "--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Oracle workers."
-)
 @click.pass_context
 def solve_cmd(
     ctx: click.Context,
@@ -146,12 +143,11 @@ def solve_cmd(
     budget_seconds: float | None,
     seed: int,
     oracle_fallback: bool,
-    workers: int,
 ) -> None:
     """Greedy + augmentation (+ optional exact oracle); exit 0 iff target met."""
     inst = _load_instance(in_path)
     budget = oracle.SearchBudget(budget_nodes, budget_seconds)
-    result = _checked(solver.solve, inst, target, budget, seed, oracle_fallback, workers)
+    result = _checked(solver.solve, inst, target, budget, seed, oracle_fallback)
     payload = {
         "size": len(result.matching),
         "method": result.method,

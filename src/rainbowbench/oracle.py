@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
@@ -51,9 +50,9 @@ class SearchBudget:
 
     The node budget is checked at every search node, so node counts are
     reproducible for a fixed budget. The time budget is checked every 1024
-    nodes by max_rainbow (per worker), a hot loop, and at every state by
-    solver.augment, whose states cost far more than a clock read. A search
-    raises Spent where a budget runs out; neither search lets it escape.
+    nodes by max_rainbow, a hot loop, and at every state by solver.augment,
+    whose states cost far more than a clock read. A search raises Spent
+    where a budget runs out; neither search lets it escape.
     """
 
     class Spent(Exception):
@@ -83,7 +82,7 @@ class SearchReport:
     nodes_explored: int
 
 
-# nodes a worker spends before it looks for symmetric root moves, see _Searcher.dfs
+# nodes the search spends before it looks for symmetric root moves, see _Searcher.dfs
 _ORBIT_NODES = 4096
 
 
@@ -99,7 +98,7 @@ def _masks_at(pairs: tuple[tuple[int, int], ...]) -> tuple[dict[int, int], dict[
 
 @dataclass(slots=True)
 class _Searcher:
-    """Branch-and-bound state of one worker's search.
+    """Branch-and-bound state of the search.
 
     Bundle t is bundles[t], numbered by its lowest colour; at_a[t] and
     at_b[t] are its _masks_at, dicts so that set-up scales with the edges,
@@ -110,7 +109,8 @@ class _Searcher:
     that calls every child. Once best_size meets a node's own bound, size +
     min(room, side - size), the node enters each remaining move as before
     but builds no child: taking an edge lowers room by at least one, so no
-    child can beat best. _search enters the root and catches SearchBudget.Spent.
+    child can beat best. max_rainbow enters the root and catches
+    SearchBudget.Spent.
     """
 
     bundles: list[Bundle]
@@ -122,17 +122,15 @@ class _Searcher:
     nodes: int = 0
     best_size: int = 0
     best_sel: list[tuple[int, int, int]] = field(default_factory=list)
-    best_task: int = -1
-    task: int = -1
 
     def dfs(
         self,
         bundles: list[tuple[int, int, int, int, int]],
         chosen: list[tuple[int, int, int]],
         room: int,
-        share: tuple[int, int] | None = None,
+        root: bool = False,
     ) -> None:
-        """Branch at one entered node; share = (worker, workers) marks the root.
+        """Branch at one entered node; root marks the root.
 
         bundles holds (count, t, mask, cap, weight) per bundle t with a
         candidate left: mask is its edges disjoint from chosen, count their
@@ -142,11 +140,8 @@ class _Searcher:
         upward, then "skip", which drops it. Taking bit j leaves it the bits
         above j and cap - 1, gives the edge its next colour and clears every
         mask's edges that meet it. A child's bound is its size + min(room,
-        side - size). At the root this worker takes only the moves i with
-        i % workers == worker, and i becomes the task that the best
-        selection found below it is tagged with; a one-colour root bundle's
-        edge moves are pruned by their orbits once _ORBIT_NODES are spent,
-        see max_rainbow.
+        side - size). A one-colour root bundle's edge moves are pruned by
+        their orbits once _ORBIT_NODES are spent, see max_rainbow.
         """
         branch = min(bundles)
         count, t, left, cap, weight = branch
@@ -166,16 +161,11 @@ class _Searcher:
         for i in range(count + 1):
             low = left & -left
             left ^= low
-            if share is not None:
-                worker, workers = share
-                if i % workers != worker:
+            if root and low and cap == 1:
+                if reps is None and self.nodes >= _ORBIT_NODES:
+                    reps = root_orbits(self.bundles, t)
+                if reps is not None and reps[i] < i:
                     continue
-                if low and cap == 1:
-                    if reps is None and self.nodes >= _ORBIT_NODES:
-                        reps = root_orbits(self.bundles, t)
-                    if reps is not None and reps[i] < i:
-                        continue
-                self.task = i
             if self.max_nodes is not None and self.nodes >= self.max_nodes:
                 raise SearchBudget.Spent
             self.nodes += 1
@@ -204,7 +194,6 @@ class _Searcher:
             if size >= self.best_size:
                 self.best_size = size + 1
                 self.best_sel = list(chosen)
-                self.best_task = self.task
                 done = size + 1 >= bound
             if size + 1 + (child_room if child_room < head else head) > self.best_size:
                 self.dfs(child, chosen, child_room)
@@ -212,39 +201,12 @@ class _Searcher:
             chosen.pop()
 
 
-def _search(
-    bundles: list[Bundle],
-    side: int,
-    max_nodes: int | None,
-    max_time: float | None,
-    share: tuple[int, int],
-) -> tuple[int, int, list[tuple[int, int, int]], int, bool]:
-    """One worker's search from the root: (best_size, best_task, best_sel, nodes, stopped)."""
-    deadline = None if max_time is None else time.perf_counter() + max_time
-    at = [_masks_at(p) for p, _ in bundles]
-    s = _Searcher(bundles, [a for a, _ in at], [b for _, b in at], side, max_nodes, deadline)
-    root = [
-        (len(p), t, (1 << len(p)) - 1, len(c), min(len(p), len(c)))
-        for t, (p, c) in enumerate(bundles)
-    ]
-    try:
-        # the root's own entry: the empty selection, bounded above 0 by any bundle
-        if max_nodes is not None and max_nodes <= 0:
-            raise SearchBudget.Spent
-        s.nodes = 1
-        if root:
-            s.dfs(root, [], sum(u[4] for u in root), share)
-    except SearchBudget.Spent:
-        return s.best_size, s.best_task, s.best_sel, s.nodes, True
-    return s.best_size, s.best_task, s.best_sel, s.nodes, False
-
-
 def max_rainbow(
     inst: Instance,
     budget: SearchBudget = SearchBudget.unlimited(),
     workers: int = 1,
 ) -> SearchReport:
-    """Exact maximum rainbow matching search.
+    """Exact maximum rainbow matching search, in this process.
 
     Classes with equal pairs form one bundle, which gives at most one edge
     per colour, in ascending edge order, so no two orders of identical
@@ -256,55 +218,50 @@ def max_rainbow(
     expanded, so nodes_explored counts every node visited, pruned ones
     included, as a search that calls every child would. Once the best size
     meets a node's own bound, its remaining moves are still entered (budget
-    check, count, clock, root share and orbits) but build no children, none
-    of which could beat it; so counts, stops and best are unchanged.
+    check, count, clock and root orbits) but build no children, none of
+    which could beat it; so counts, stops and best are unchanged. optimal
+    means the search was exhausted within the budget.
 
-    Worker w of W searches the root bundle's moves i with i % W == w, with
-    the full budget each; workers=1 is worker 0 of 1, the plain sequential
-    search, and runs in this process. At most one process is started per
-    root move. The reported optimum and matching do not depend on the worker
-    count: the best selection with the lowest root move wins, which is the
-    one a sequential search finds first. Node counts depend on the worker
-    count; optimal is true only when every worker exhausted its share.
-
-    Orbital branching: when the root bundle is one colour and a worker has
+    Orbital branching: when the root bundle is one colour and the search has
     spent _ORBIT_NODES (4,096) nodes by one of its root edge moves, it gets
     the root edges' orbits from symmetry.root_orbits, once, and skips from
     then on every edge move i whose orbit holds a lower index ("skip this
     bundle" is never pruned). An automorphism g fixing the root colour maps
     the subtree "the root colour takes e" onto "it takes g(e)", so the first
     optimum-sized selection in search order lies under a move never skipped:
-    best is the unpruned search's and only nodes_explored changes. A worker
-    counts only its own nodes, and it skips a move whose orbit holds a lower
-    index in whichever share that index lies; the owner of an orbit's lowest
-    move never skips it. Its first root edge move comes before its trigger,
-    so every worker searches one: where the root edges form one orbit, W
-    workers search W subtrees that one would cover. A search of fewer than
-    4,096 nodes runs exactly as without the trigger. optimal means exhausted
-    up to verified automorphisms.
+    best is the unpruned search's and only nodes_explored changes. A search
+    of fewer than 4,096 nodes runs exactly as without the trigger. optimal
+    means exhausted up to verified automorphisms.
+
+    workers must be 1; it is accepted only for callers that still pass it.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
     for c, cls in enumerate(inst.classes):
         if cls.pairs:
             groups.setdefault(cls.pairs, []).append(c)
     bundles = list(groups.items())
-    root_moves = 1 + min((len(pairs) for pairs, _ in bundles), default=0)
-    workers = max(1, min(workers, root_moves))
-    args = [
-        (bundles, min(inst.a_size, inst.b_size), budget.max_nodes, budget.max_time, (w, workers))
-        for w in range(workers)
+    deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
+    at = [_masks_at(p) for p, _ in bundles]
+    side = min(inst.a_size, inst.b_size)
+    s = _Searcher(bundles, [a for a, _ in at], [b for _, b in at], side, budget.max_nodes, deadline)
+    root = [
+        (len(p), t, (1 << len(p)) - 1, len(c), min(len(p), len(c)))
+        for t, (p, c) in enumerate(bundles)
     ]
-    if workers == 1:
-        results = [_search(*args[0])]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.starmap(_search, args)
-    best_size, _, best_sel, _, _ = min(results, key=lambda r: (-r[0], r[1]))
-    # every worker visits the root (unless max_nodes is 0); count it once
-    nodes = max(0, sum(r[3] for r in results) - (workers - 1))
-    stopped = any(r[4] for r in results)
-    best = make_matching(best_sel) if best_size > 0 else RainbowMatching.empty()
-    return SearchReport(best, not stopped, nodes)
+    try:
+        # the root's own entry: the empty selection, bounded above 0 by any bundle
+        if budget.max_nodes is not None and budget.max_nodes <= 0:
+            raise SearchBudget.Spent
+        s.nodes = 1
+        if root:
+            s.dfs(root, [], sum(u[4] for u in root), True)
+        optimal = True
+    except SearchBudget.Spent:
+        optimal = False
+    best = make_matching(s.best_sel) if s.best_size > 0 else RainbowMatching.empty()
+    return SearchReport(best, optimal, s.nodes)
 
 
 # --- empirical threshold sweeps -------------------------------------------------

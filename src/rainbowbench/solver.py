@@ -139,8 +139,11 @@ def solve(
     Augmentation runs until it stalls or reaches the target; a stall goes to
     the oracle (when enabled) with the same budget. certified_optimal is set
     only when the oracle exhausted its search space. The result never falls
-    below the greedy matching.
+    below the greedy matching. workers must be 1, as in max_rainbow, whether
+    or not the oracle runs.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     if target < 1:
         raise ValueError(f"need target >= 1, got {target}")
     if target > inst.n_colours:
@@ -157,7 +160,7 @@ def solve(
         steps += 1
     if len(r) >= target or not oracle_fallback:
         return SolveResult(r, method, steps, False)
-    report = max_rainbow(inst, budget, workers=workers)
+    report = max_rainbow(inst, budget)
     if len(report.best) >= len(r):
         return SolveResult(report.best, "oracle", steps, report.optimal)
     # budget cut the oracle short of even the constructive result

@@ -75,11 +75,10 @@ class TestSolve:
             ("--budget-nodes", "0"),
             ("--budget-seconds", "-1"),
             ("--budget-seconds", "nan"),
-            ("--workers", "-3"),
             ("--target", "0"),
             ("--target", "-4"),
         ],
-        ids=["budget-nodes", "budget-seconds", "budget-seconds-nan", "workers", "target-zero",
+        ids=["budget-nodes", "budget-seconds", "budget-seconds-nan", "target-zero",
              "target-negative"],
     )
     def test_out_of_range_option_exits_two(self, tmp_path, option):
@@ -144,14 +143,15 @@ class TestSolve:
         result = run("solve", "--in", str(path), "--target", "3", "--oracle-fallback")
         assert result.output == json.dumps(json.loads(result.output), indent=2) + "\n"
 
-    def test_workers_flag(self, tmp_path):
+    def test_workers_option_exits_two(self, tmp_path):
+        # the oracle runs one search in this process; solve has no --workers option
         path = tmp_path / "inst.json"
         run("gen", "drisko", "--n", "4", "-o", str(path))
         result = run(
             "solve", "--in", str(path), "--target", "4", "--oracle-fallback", "--workers", "2"
         )
-        assert result.exit_code == 1
-        assert json.loads(result.output)["size"] == 3
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--workers" in result.output
 
 
 class TestExperiment:

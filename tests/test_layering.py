@@ -1,6 +1,9 @@
 """Module boundaries inside the package, checked on the source with ast and on type hints."""
 
 import ast
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -398,3 +401,13 @@ def test_switch_state_fields_are_integers():
         if "Vertex" in repr(hint) or "ColouredEdge" in repr(hint)
     }
     assert offenders == {}
+
+
+def test_import_leaves_multiprocessing_out():
+    # the oracle searches in this process, so importing the package starts no pool machinery
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    probe = "import sys, rainbowbench.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

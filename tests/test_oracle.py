@@ -57,31 +57,10 @@ def duplicated_families(draw):
     return make_instance(classes, a_size=a_size, b_size=b_size)
 
 
-def _pin_line(inst, limit, nodes, workers=1):
-    rep = max_rainbow(inst, SearchBudget(limit), workers=workers)
+def _pin_line(inst, limit, nodes):
+    rep = max_rainbow(inst, SearchBudget(limit))
     line = f"{list(rep.best.triples)}|{rep.optimal}"
     return (f"{line}|{rep.nodes_explored};" if nodes else f"{line};").encode()
-
-
-def _fake_pool(sizes):
-    """A multiprocessing.Pool stand-in that records its size and runs the workers here."""
-
-    class FakePool:
-        """Runs the workers' searches in this process, one after another."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, func, iterable):
-            return [func(*args) for args in iterable]
-
-    return FakePool
 
 
 class TestMaxRainbow:
@@ -151,11 +130,9 @@ class TestMaxRainbow:
         assert rep.nodes_explored <= 20
         assert is_rainbow(rep.best)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_zero_node_budget_stops_at_the_root(self, monkeypatch, workers):
+    def test_zero_node_budget_stops_at_the_root(self):
         # the budget runs out at the root's own entry, before any node is counted
-        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool([]))
-        rep = max_rainbow(gen_drisko(4), SearchBudget(max_nodes=0), workers=workers)
+        rep = max_rainbow(gen_drisko(4), SearchBudget(max_nodes=0))
         assert (len(rep.best), rep.optimal, rep.nodes_explored) == (0, False, 0)
 
     def test_time_budget_stops_at_the_first_clock_check(self):
@@ -252,34 +229,18 @@ class TestMaxRainbow:
             "0b10fa2e65250223a036f1b11d722cf80fb2ff1b6fcb456b68aeeeab8205b04e"
         )
 
-    def test_worker_share_results_are_pinned(self, monkeypatch):
-        # the same draws and budgets, node counts included, split over 2 and 3
-        # workers run in this process: pins each worker's share of the root
-        # moves, the per-worker budget and how the workers' counts are merged
-        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool([]))
-        digest = hashlib.sha256()
-        for inst in _pin_draws():
-            for workers in (2, 3):
-                for limit in (None, 1, 2, 10, 40):
-                    digest.update(_pin_line(inst, limit, nodes=True, workers=workers))
-        assert digest.hexdigest() == (
-            "ed7e23863b0828b5278ca4c67b53adf9368e2230d9b321da22a51f007fd4f0ce"
-        )
-
-    def test_tight_draw_results_are_pinned(self, monkeypatch):
+    def test_tight_draw_results_are_pinned(self):
         # sweep-tight's shape, 8 classes of 9 edges in a 9 x 9 universe, with
-        # node counts, on 1 and 2 workers: larger than the draws above (n <= 7,
-        # m <= 6 in the default universe), and every one of these searches
-        # meets its root bound of 8 in mid-search
-        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool([]))
+        # node counts: larger than the draws above (n <= 7, m <= 6 in the
+        # default universe), and every one of these searches meets its root
+        # bound of 8 in mid-search
         digest = hashlib.sha256()
         for seed in range(200):
             inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
-            for workers in (1, 2):
-                for limit in (None, 1, 13, 20, 40):
-                    digest.update(_pin_line(inst, limit, nodes=True, workers=workers))
+            for limit in (None, 1, 13, 20, 40):
+                digest.update(_pin_line(inst, limit, nodes=True))
         assert digest.hexdigest() == (
-            "1d56943034e4b9f989acb3c3d7316866f1c9caa6a9f2a7ba90814231c260ee31"
+            "5afb44d1ec5d30ddd4a412aaf6ca6ffea844afbed290f95195a52d605dcac846"
         )
 
     @pytest.mark.parametrize(
@@ -321,28 +282,12 @@ class TestMaxRainbow:
         assert rep.optimal and is_rainbow(rep.best)
         assert all((a, b) in inst.classes[c].pairs for c, a, b in rep.best.triples)
         assert len(rep.best) == len(naive_max_rainbow(inst).best)
-        for workers in (2, 3):
-            assert max_rainbow(inst, workers=workers).best == rep.best
 
-    def test_worker_count_does_not_change_result(self):
-        for inst in (gen_drisko(4), latin_to_instance(gen_cyclic(4))):
-            seq = max_rainbow(inst, workers=1)
-            for workers in (2, 3):
-                par = max_rainbow(inst, workers=workers)
-                assert len(par.best) == len(seq.best)
-                assert par.best == seq.best
-                assert par.optimal
-
-    def test_pool_size_is_capped_by_root_moves(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool(sizes))
-        inst = gen_drisko(3)  # smallest class has 3 edges: 4 root moves with "skip"
-        seq = max_rainbow(inst, workers=1)
-        assert sizes == []
-        par = max_rainbow(inst, workers=16)
-        assert len(sizes) == 1 and sizes[0] <= 4
-        assert par.best == seq.best
-        assert par.optimal
+    @pytest.mark.parametrize("workers", [2, 0, -1])
+    def test_workers_other_than_one_are_rejected(self, workers):
+        # one search in this process: workers=1 is the only value accepted
+        with pytest.raises(ValueError, match=f"workers must be 1, got {workers}"):
+            max_rainbow(gen_drisko(3), workers=workers)
 
 
 def _forced_trigger_cases():
@@ -366,25 +311,23 @@ def _naive_is_small(inst):
 
 class TestOrbitalBranching:
     def test_forced_trigger_keeps_best_and_optimal(self, monkeypatch):
-        # orbits computed at the first root move of every search, one worker
-        # and 2 or 3 workers run in this process: best and optimal equal the
-        # search without the trigger, which none of these searches reaches
-        monkeypatch.setattr(oracle.multiprocessing, "Pool", _fake_pool([]))
+        # orbits computed at the first root move of every search: best and
+        # optimal equal the search without the trigger, which none of these
+        # searches reaches
         pruned = 0
         for inst, optimum in _forced_trigger_cases():
             plain = max_rainbow(inst)
             assert plain.nodes_explored < oracle._ORBIT_NODES
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_ORBIT_NODES", 0)
-                forced = [max_rainbow(inst, workers=w) for w in (1, 2, 3)]
-            for rep in forced:
-                assert (rep.best, rep.optimal) == (plain.best, plain.optimal)
+                forced = max_rainbow(inst)
+            assert (forced.best, forced.optimal) == (plain.best, plain.optimal)
             assert plain.optimal and is_rainbow(plain.best)
             if optimum is not None:
                 assert len(plain.best) == optimum
             elif _naive_is_small(inst):
                 assert len(plain.best) == len(naive_max_rainbow(inst).best)
-            pruned += forced[0].nodes_explored < plain.nodes_explored
+            pruned += forced.nodes_explored < plain.nodes_explored
         assert pruned >= 3  # the relabelled cyclic witnesses at least
 
     def test_orbits_are_asked_for_once_and_only_for_a_one_colour_root(self, monkeypatch):

@@ -249,6 +249,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="need target >= 1, got 0"):
             solve(make_instance([[(0, 0)]]), target=0, budget=BUDGET)
 
+    @pytest.mark.parametrize("workers", [2, 0, -1])
+    def test_workers_other_than_one_are_rejected(self, workers):
+        # checked on entry: greedy meets this target, so the oracle never runs
+        inst = make_instance([[(0, 0)]])
+        assert solve(inst, target=1, budget=BUDGET, workers=1).method == "greedy"
+        with pytest.raises(ValueError, match=f"workers must be 1, got {workers}"):
+            solve(inst, target=1, budget=BUDGET, workers=workers)
+
     def test_drisko4_target_misses_and_oracle_certifies(self):
         inst = gen_drisko(4)
         res = solve(inst, target=4, budget=BUDGET, oracle_fallback=True)
