@@ -8,7 +8,6 @@ identical arguments including --seed.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import typing
 from pathlib import Path
@@ -117,20 +116,13 @@ def gen_random_cmd(
 # --- solve -----------------------------------------------------------------------
 
 
-def _not_nan(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
-    # FloatRange lets nan through, and no clock reading is ever past a nan deadline
-    if value is not None and math.isnan(value):
-        raise click.BadParameter(f"{value} is not a number.")
-    return value
-
-
 @main.command("solve")
 @click.option("--in", "in_path", required=True, help="Instance JSON file (- for stdin).")
 @click.option(
     "--target", type=click.IntRange(min=1), required=True, help="Rainbow matching size to reach."
 )
 @click.option("--budget-nodes", type=click.IntRange(min=1), default=100000, show_default=True)
-@click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True), callback=_not_nan)
+@click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True))
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed of greedy's tie order; -s orders as s does.")
 @click.option("--oracle-fallback/--no-oracle-fallback", default=False, show_default=True)
@@ -146,7 +138,8 @@ def solve_cmd(
 ) -> None:
     """Greedy + augmentation (+ optional exact oracle); exit 0 iff target met."""
     inst = _load_instance(in_path)
-    budget = oracle.SearchBudget(budget_nodes, budget_seconds)
+    # FloatRange lets nan through; SearchBudget rejects it
+    budget = _checked(oracle.SearchBudget, budget_nodes, budget_seconds, where="--budget-seconds: ")
     result = _checked(solver.solve, inst, target, budget, seed, oracle_fallback)
     payload = {
         "size": len(result.matching),

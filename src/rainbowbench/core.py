@@ -6,7 +6,7 @@ Parallel edges are represented implicitly: two classes may contain the same
 endpoint pair, and a ColouredEdge binds an endpoint pair to one class.
 
 All types are immutable after construction and all operations are pure, so
-values are safe to share across concurrent workers.
+values are safe to share and to use as dictionary keys.
 """
 
 from __future__ import annotations
@@ -139,10 +139,6 @@ class RainbowMatching:
     """
 
     triples: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def empty(cls) -> "RainbowMatching":
-        return cls(())
 
     @property
     def edges(self) -> frozenset[ColouredEdge]:

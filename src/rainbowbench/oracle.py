@@ -260,8 +260,7 @@ def max_rainbow(
         optimal = True
     except SearchBudget.Spent:
         optimal = False
-    best = make_matching(s.best_sel) if s.best_size > 0 else RainbowMatching.empty()
-    return SearchReport(best, optimal, s.nodes)
+    return SearchReport(make_matching(s.best_sel), optimal, s.nodes)
 
 
 # --- empirical threshold sweeps -------------------------------------------------

@@ -15,10 +15,11 @@ and an injective colour map pi with pi(0) = 0. Seven properties must hold:
       z-vertices with vw in class pi(i-1).
   P7  if g_i lies in class pi(j), then z_i avoids X and z_1..z_j.
 
-When these hold, three exchange operations (claim1/2/3_switch) each turn a
-witness edge into a rainbow matching one larger than r, by walking the colour
-chain: the strictly decreasing index sequence tracing which earlier class each
-g-edge belongs to, ending at colour 0.
+When these hold, each claim switch (claim1/2/3_switch) checks its premises
+and makes one exchange, giving a rainbow matching one larger than r: its
+witness edges and the colour chain from its start index swap in, the chain
+being the strictly decreasing index sequence tracing which earlier class each
+g-edge belongs to, ending at colour 0. One fresh pool N_k serves every k.
 
 Two modes: "strict" enforces the exact pool-size formulas (meaningful only at
 very large n), "relaxed" replaces every cardinality threshold by 1 so that the
@@ -469,22 +470,21 @@ def colour_chain(st: SwitchState, i: int) -> list[int]:
         cur = j
 
 
-# --- the three exchange operations ----------------------------------------------
+# --- the exchange and the three claims ------------------------------------------
 
 
-def _chain_members(
-    st: SwitchState, start: int
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """Removed e-triples and added g-triples for the chain rooted at index `start`."""
-    chain = colour_chain(st, start)
-    removed = [st.e_seq[start - 1]] + [st.e_seq[j - 1] for j in chain[:-1]]
-    added = [st.g_seq[start - 1]] + [st.g_seq[j - 1] for j in chain[:-1]]
-    return removed, added
-
-
-def _apply_exchange(
-    st: SwitchState, removed: list[tuple[int, int, int]], added: list[tuple[int, int, int]]
+def _exchange(
+    st: SwitchState, start: int, removed: list[_Triple], added: list[_Triple]
 ) -> RainbowMatching:
+    """r with removed taken out and added put in, one edge larger.
+
+    A start of 1..k also exchanges its colour chain: e_start and the chain's
+    e-edges leave, g_start and the chain's g-edges join. Start 0 has no chain.
+    """
+    if start:
+        chain = [start] + colour_chain(st, start)[:-1]
+        removed = [st.e_seq[j - 1] for j in chain] + removed
+        added = [st.g_seq[j - 1] for j in chain] + added
     for e in removed:
         if e not in st.r.triples:
             raise SwitchIntegrityError(f"cannot remove {_show(e)}: not an edge of r")
@@ -517,15 +517,11 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     and its B-endpoint is unsaturated. The exchange removes e_k and the chain
     e-edges and adds g_k, the chain g-edges and g.
     """
-    return _claim1(st, g.triple)
-
-
-def _claim1(st: SwitchState, g: _Triple) -> RainbowMatching:
+    g = g.triple
     _require_g(st, g, "claim1_switch")
     if g[2] in st._ints.y:
         raise ValueError(f"g={_show(g)} must end outside Y")
-    removed, added = _chain_members(st, st.k)
-    return _apply_exchange(st, removed, added + [g])
+    return _exchange(st, st.k, [], [g])
 
 
 def claim2_switch(
@@ -538,10 +534,7 @@ def claim2_switch(
     exchange removes e_k, the chain e-edges and e, and adds g_k, the chain
     g-edges, e_bar and g.
     """
-    return _claim2(st, g.triple, e.triple, e_bar.triple)
-
-
-def _claim2(st: SwitchState, g: _Triple, e: _Triple, e_bar: _Triple) -> RainbowMatching:
+    g, e, e_bar = g.triple, e.triple, e_bar.triple
     _require_g(st, g, "claim2_switch")
     k = st.k
     if g[2] not in st.y_sets[k - 1]:
@@ -557,8 +550,7 @@ def _claim2(st: SwitchState, g: _Triple, e: _Triple, e_bar: _Triple) -> RainbowM
     _require_in_class(st.inst, "e_bar", e_bar)
     if e_bar[1] != st.e_seq[k - 1][1] or e_bar[2] in st._ints.y:
         raise ValueError(f"e_bar={_show(e_bar)} must join x_{k} to B minus Y")
-    removed, added = _chain_members(st, k)
-    return _apply_exchange(st, removed + [e], added + [e_bar, g])
+    return _exchange(st, k, [e], [e_bar, g])
 
 
 def claim3_switch(
@@ -572,10 +564,7 @@ def claim3_switch(
     (w in Y_{p+1} minus Y_p) starts it at p, and class 0 degenerates to the
     chainless exchange removing f and adding f_bar and zw.
     """
-    return _claim3(st, f.triple, f_bar.triple, zw.triple)
-
-
-def _claim3(st: SwitchState, f: _Triple, f_bar: _Triple, zw: _Triple) -> RainbowMatching:
+    f, f_bar, zw = f.triple, f_bar.triple, zw.triple
     k = st.k
     ix = st._ints
     if f not in st.r.triples:
@@ -604,7 +593,8 @@ def _claim3(st: SwitchState, f: _Triple, f_bar: _Triple, zw: _Triple) -> Rainbow
     # every subcase, the degenerate p = 0 included: zw starts outside X and z_1..z_p
     if zw[1] in ix.x or zw[1] in ix.z[:p]:
         raise ValueError(f"zw={_show(zw)} must start outside X and z_1..z_{p}")
-    removed, added = _chain_members(st, p) if p else ([], [])
+    if p:
+        colour_chain(st, p)  # a broken chain is reported before f_bar is read
     if f_bar[0] != f[0]:
         raise ValueError(f"f_bar colour {f_bar[0]} does not match f's colour {f[0]}")
     _require_in_class(st.inst, "f_bar", f_bar)
@@ -612,7 +602,7 @@ def _claim3(st: SwitchState, f: _Triple, f_bar: _Triple, zw: _Triple) -> Rainbow
         raise ValueError(f"f_bar={_show(f_bar)} must start outside X, z_1..z_k and zw's endpoint")
     if f_bar[2] in ix.y:
         raise ValueError(f"f_bar={_show(f_bar)} must end outside Y")
-    return _apply_exchange(st, removed + [f], added + [f_bar, zw])
+    return _exchange(st, p, [f], [f_bar, zw])
 
 
 # --- pool constructions ----------------------------------------------------------
@@ -644,26 +634,13 @@ def _fresh_pool(st: SwitchState, mode: Mode) -> dict[int, int]:
     return pool
 
 
-def construct_N0(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex]:
-    """Saturated B-vertices reachable from outside X through class 0 (k = 0 only).
-
-    Strict mode truncates to ceil((1/2 + eps)*n + 1) vertices, smallest
-    B-indices first; relaxed mode returns every qualifying vertex.
-    """
-    if st.k != 0:
-        raise ValueError(f"construct_N0 needs k = 0, got k = {st.k}")
-    return frozenset(vb(b) for b in _fresh_pool(st, mode))
-
-
 def construct_Nk(st: SwitchState, mode: Mode = Mode.RELAXED) -> frozenset[Vertex]:
-    """Fresh saturated B-vertices reachable through class pi(k) (k >= 1).
+    """The fresh pool N_k: saturated B-vertices reachable through class pi(k), for every k.
 
-    Qualifying vertices lie in Y minus Y_k and the used y_i and have a partner
-    outside X and z_1..z_k in class pi(k). Strict mode truncates to
-    ceil((1/2 + eps)*n + 1 - 2k), smallest B-indices first.
+    Qualifying vertices lie in Y minus Y_k and the used y_i (at k = 0, all of
+    Y) and have a partner outside X and z_1..z_k in class pi(k). Strict mode
+    truncates to ceil((1/2 + eps)*n + 1 - 2k), smallest B-indices first.
     """
-    if st.k < 1:
-        raise ValueError(f"construct_Nk needs k >= 1, got k = {st.k}")
     return frozenset(vb(b) for b in _fresh_pool(st, mode))
 
 
@@ -794,7 +771,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
     pairs = inst.classes[colour_k].pairs
     for a, b in pairs:
         if a not in ix.xz and b not in ix.y:
-            return _claim1(st, (colour_k, a, b))
+            return _exchange(st, k, [], [(colour_k, a, b)])
     x_k = st.e_seq[k - 1][1]
     for a, b in pairs:
         if a in ix.xz or b not in st.y_sets[k - 1]:
@@ -805,7 +782,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
         e_bar = _class_edge_at(st, e[0], x_k, True, ix.y)
         if e_bar is None:
             continue
-        return _claim2(st, (colour_k, a, b), e, (e[0], *e_bar))
+        return _exchange(st, k, [e], [(e[0], *e_bar), (colour_k, a, b)])
     return None
 
 
@@ -827,7 +804,7 @@ def _claim3_augment(
             continue
         for a, b in st.inst.classes[c].pairs:
             if a not in ix.xz and a != zw[1] and b not in ix.y:
-                return _claim3(st, (c, x, w), (c, a, b), zw)
+                return _exchange(st, st.pi_index(zw[0]), [(c, x, w)], [(c, a, b), zw])
     return None
 
 
@@ -901,7 +878,6 @@ def extend_state(st: SwitchState, mode: Mode = Mode.RELAXED) -> StepOutcome:
 class Trace:
     """A recorded engine run: the base state and every step outcome in order."""
 
-    inst: Instance
     mode: Mode
     base: SwitchState
     steps: tuple[StepOutcome, ...]
@@ -928,7 +904,7 @@ def run_switch_trace(
         if isinstance(out, Augmented):
             break
         st = out.state
-    return Trace(inst, mode, base, tuple(steps))
+    return Trace(mode, base, tuple(steps))
 
 
 def _state_payload(st: SwitchState) -> dict:
@@ -972,27 +948,18 @@ def _json_index(value: object) -> int:
 def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     """A SwitchState from a decoded state object, as _state_payload writes it.
 
-    Arrays are tested whole: one min over the A and B columns of the e_seq and
-    g_seq triples that int_rows has typed, and one type set and one min per
-    index set. Only when a test fails is each value read through _json_index,
-    to name the first value at fault. Raises ValueError, KeyError or
-    TypeError on a malformed state, which verify_trace_json reports as such.
+    Each vertex index is read once through _json_index, which names the first
+    value at fault. Raises ValueError, KeyError or TypeError on a malformed
+    state, which verify_trace_json reports as such.
     """
 
     def edges(rows) -> tuple[tuple[int, int, int], ...]:
-        triples = tuple(int_rows(rows, 3))
-        _, a_ends, b_ends = zip(*triples) if triples else ((), (), ())
-        if min(a_ends + b_ends, default=0) >= 0:
-            return triples
-        # some index is negative: raises, naming the first one in reading order
-        return tuple((c, _json_index(a), _json_index(b)) for c, a, b in triples)
+        return tuple((c, _json_index(a), _json_index(b)) for c, a, b in int_rows(rows, 3))
 
     def index_sets(name: str) -> tuple[frozenset[int], ...]:
         sets = []
         for i, values in enumerate(json_list(payload[name])):
-            values = json_list(values)
-            if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):
-                values = [_json_index(v) for v in values]  # raises at the first value at fault
+            values = [_json_index(v) for v in json_list(values)]
             reject_repeats(values, f"{name}[{i}]: repeated index")  # malformed, not a smaller set
             sets.append(frozenset(values))
         return tuple(sets)
@@ -1036,7 +1003,7 @@ def trace_to_json(trace: Trace) -> str:
             )
     payload = {
         "mode": trace.mode.value,
-        "instance": instance_payload(trace.inst),
+        "instance": instance_payload(trace.base.inst),
         "base_state": _state_payload(trace.base),
         "steps": steps,
     }

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from rainbowbench.core import Instance, RainbowMatching, make_matching
+from rainbowbench.core import Instance, make_matching
 from rainbowbench.latin import LatinSquare
 from rainbowbench.oracle import SearchReport
 
@@ -76,5 +76,5 @@ def naive_max_rainbow(inst: Instance) -> SearchReport:
             sel.append((c, a, b))
         if ok and len(sel) > len(best_sel):
             best_sel = sel
-    best = make_matching(best_sel) if best_sel else RainbowMatching.empty()
+    best = make_matching(best_sel)
     return SearchReport(best, True, combos)

@@ -158,7 +158,7 @@ def matching_constructions(path: Path) -> list[int]:
 
 
 def test_only_core_constructs_matchings_directly():
-    # make_matching and RainbowMatching.empty() keep triples sorted and distinct
+    # make_matching keeps triples sorted and distinct
     offenders = {
         path.name: lines
         for path in sorted(PACKAGE_DIR.glob("*.py"))
@@ -329,9 +329,8 @@ def test_guard_sees_sample_calls(tmp_path):
     assert sample_calls(probe) == [3, 4, 5]
 
 
-def unread_methods(defining: list[Path], reading: list[Path]) -> list[str]:
-    """`Class.name` for every public method or property of a top-level class in `defining`
-    whose name no module in `reading` reads as an attribute, a plain name or a string."""
+def names_read(reading: list[Path]) -> set[str]:
+    """Every name a module in `reading` reads as an attribute, a plain name or a string."""
     read = set()
     for path in reading:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -341,6 +340,13 @@ def unread_methods(defining: list[Path], reading: list[Path]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
+    return read
+
+
+def unread_methods(defining: list[Path], reading: list[Path]) -> list[str]:
+    """`Class.name` for every public method or property of a top-level class in `defining`
+    whose name no module in `reading` reads as an attribute, a plain name or a string."""
+    read = names_read(reading)
     out = []
     for path in defining:
         for cls in ast.parse(path.read_text(), filename=str(path)).body:
@@ -389,6 +395,68 @@ def test_guard_sees_methods_nobody_calls(tmp_path):
         "k.stored = 1\n"
     )
     assert unread_methods([probe], [reader]) == ["K.unread", "K.stored"]
+
+
+def unread_functions(defining: list[Path], reading: list[Path]) -> list[str]:
+    """`module.name` for every undecorated public module-level function in `defining`
+    whose name no module in `reading` reads as an attribute, a plain name or a string."""
+    read = names_read(reading)
+    return [
+        f"{path.stem}.{node.name}"
+        for path in defining
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.decorator_list
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+# public functions only tests call today, each kept for the program that will read it
+AWAITING_A_CALLER = {
+    "latin.gen_random_latin": "the Latin-square sweep draws its squares from it",
+    "oracle.estimate_f": "the paper's f(n) = mu(n, 0), which the exhaustive f(3) search reports",
+    "proofkit.size_xy_prime": "the strict-mode theorem check reads the candidate-pool size",
+    "proofkit.contradiction_threshold": "the strict-mode theorem check reads N(eps)",
+    "proofkit.construct_Nk": "the strict-mode theorem check cross-checks the engine's pools",
+    "proofkit.pigeonhole_select": "the strict-mode theorem check cross-checks the selection",
+    "proofkit.claim3_switch": "the strict-mode theorem check replays claim-3 witnesses",
+}
+
+
+def test_every_public_function_has_a_program_caller():
+    # like methods: a function only tests call is dead weight unless a program is coming
+    # for it. __init__ does not count as a reader, since its __all__ names everything.
+    src = sorted(PACKAGE_DIR.glob("*.py"))
+    perfbench = sorted((PACKAGE_DIR.parent.parent / "perfbench").glob("*.py"))
+    readers = [path for path in src if path.stem != "__init__"] + perfbench
+    assert sorted(unread_functions(src, readers)) == sorted(AWAITING_A_CALLER)
+
+
+def test_guard_sees_functions_nobody_calls(tmp_path):
+    probe, reader = tmp_path / "probe.py", tmp_path / "reader.py"
+    probe.write_text(
+        "import functools\n"
+        "def read(): pass\n"
+        "def unread(): pass\n"
+        "def named(): pass\n"
+        "def stored(): pass\n"
+        "def _private(): pass\n"
+        "@functools.lru_cache\n"
+        "def cached(): pass\n"
+        "class K:\n"
+        "    def method(self): pass\n"
+        "def outer():\n"
+        "    def inner(): pass\n"
+        "    inner()\n"
+    )
+    reader.write_text(
+        "from probe import read\n"
+        "read()\n"
+        "COLUMNS = ('named',)\n"
+        "stored = 1\n"
+    )
+    assert unread_functions([probe], [reader]) == ["probe.unread", "probe.stored", "probe.outer"]
 
 
 def test_switch_state_fields_are_integers():

@@ -32,7 +32,6 @@ from rainbowbench.proofkit import (
     claim2_switch,
     claim3_switch,
     colour_chain,
-    construct_N0,
     construct_Nk,
     extend_state,
     initial_state,
@@ -566,19 +565,11 @@ class TestPoolConstruction:
 
     def test_n0_reads_off_class_zero(self):
         st = self.base_state([(4, 1), (5, 2)])
-        assert construct_N0(st) == {vb(1), vb(2)}
+        assert construct_Nk(st) == {vb(1), vb(2)}
 
     def test_n0_empty_class(self):
         st = self.base_state([])
-        assert construct_N0(st) == frozenset()
-
-    def test_n0_requires_k_zero(self):
-        rng = random.Random(0)
-        st = random_forge(rng, k_range=(1, 1)).freeze()
-        with pytest.raises(ValueError):
-            construct_N0(st)
-        with pytest.raises(ValueError):
-            construct_Nk(self.base_state([]))
+        assert construct_Nk(st) == frozenset()
 
     def test_unmatched_class_zero_edge_triggers_augment_instead(self):
         st = self.base_state([(9, 9)])
@@ -617,10 +608,10 @@ class TestPoolConstruction:
         for _ in range(7):
             forge.add_pool_witness()
         st = forge.freeze()
-        assert len(construct_N0(st, Mode.RELAXED)) == 7
-        strict = construct_N0(st, Mode.STRICT)
+        assert len(construct_Nk(st, Mode.RELAXED)) == 7
+        strict = construct_Nk(st, Mode.STRICT)
         assert len(strict) == 6
-        assert strict == frozenset(sorted(construct_N0(st), key=lambda v: v.index)[:6])
+        assert strict == frozenset(sorted(construct_Nk(st), key=lambda v: v.index)[:6])
 
 
 class TestPigeonholeSelect:
@@ -640,7 +631,7 @@ class TestPigeonholeSelect:
 
     def test_no_candidate_raises(self):
         st = TestPoolConstruction().base_state([(4, 1), (5, 2)])
-        y_prime = construct_N0(st)
+        y_prime = construct_Nk(st)
         x_prime = frozenset(va(v.index) for v in y_prime)
         # no class has any escape edge into B minus Y
         with pytest.raises(PigeonholeFailure):
@@ -657,7 +648,7 @@ class TestPigeonholeSelect:
         inst = make_instance(classes, a_size=12, b_size=12)
         r = make_matching([(1, 1, 1), (2, 2, 2)])
         st = initial_state(inst, r, EPS1)
-        y_prime = construct_N0(st)
+        y_prime = construct_Nk(st)
         x_prime = frozenset({va(1), va(2)})
         x_next, X_next, _ = pigeonhole_select(st, x_prime, y_prime)
         assert x_next == va(1)
@@ -1027,7 +1018,7 @@ class TestTraces:
         _, a, b = st.g_seq[0]
         bad = replace(st, g_seq=((st.pi[1], a, b), *st.g_seq[1:]))
         base = initial_state(st.inst, st.r, st.eps)
-        text = trace_to_json(Trace(st.inst, Mode.RELAXED, base, (Extended(bad),)))
+        text = trace_to_json(Trace(Mode.RELAXED, base, (Extended(bad),)))
         payload = json.loads(text)
         witnesses = [p["witness"] for p in payload["steps"][0]["properties"].values()]
         assert any(isinstance(w, str) for w in witnesses)
@@ -1270,7 +1261,7 @@ class TestTraceChain:
             pytest.fail("no forged state with two viable extensions")
         trace = run_switch_trace(base.inst, base.r, EPS1, max_steps=1)
         assert trace.steps == (children[0],)
-        forged = Trace(trace.inst, trace.mode, trace.base, (children[1],))
+        forged = Trace(trace.mode, trace.base, (children[1],))
         assert not verify_properties(children[1].state).failed()
         assert verify(json.loads(trace_to_json(forged))) == [
             "step 0: extended state differs from the engine's step"
