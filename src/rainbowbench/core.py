@@ -351,6 +351,30 @@ def free_colour_zero(
     return swap_colours(inst, 0, c), swap_matching_colours(r, 0, c), c
 
 
+def max_bipartite_matching(
+    adjacency: Sequence[Sequence[int]], order: Iterable[int], right_size: int
+) -> list[int]:
+    """Left partner of each right vertex in a maximum matching, or -1: Kuhn's augmenting paths.
+
+    Left vertex u may take any right vertex in adjacency[u]; `order` lists each
+    left vertex once. The two orders fix which maximum matching comes back.
+    """
+    partner = [-1] * right_size
+
+    def augment(u: int, seen: list[bool]) -> bool:
+        for v in adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                if partner[v] == -1 or augment(partner[v], seen):
+                    partner[v] = u
+                    return True
+        return False
+
+    for u in order:
+        augment(u, [False] * right_size)
+    return partner
+
+
 # --- canonical JSON formats ---------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from .core import (
     json_value,
     make_instance,
     make_matching,
+    max_bipartite_matching,
     reject_repeats,
 )
 
@@ -191,49 +192,29 @@ def gen_cyclic(n: int) -> LatinSquare:
 
 
 def gen_random_latin(n: int, seed: int) -> LatinSquare:
-    """Seeded random Latin square via row-by-row backtracking.
+    """Seeded random Latin square; each row is one perfect matching of columns to symbols.
 
-    Each row is completed against the symbols still unused in every column with
-    seeded shuffles of the candidate symbols; any k x n Latin rectangle extends,
-    so no cross-row backtracking is needed. The within-row backtracking makes no
-    Hall check, so one row can take exponential time: gen_random_latin(30, 1)
-    took 74 s on 2 CPUs (Python 3.11). Deterministic for a fixed seed; the
-    distribution is not uniform.
+    After k rows the graph joining each column to its missing symbols is
+    (n - k)-regular bipartite, so by Hall's theorem it has a perfect matching.
+    max_bipartite_matching draws it over seeded shuffles of the columns and of
+    their missing symbols. Deterministic for a fixed seed; not uniform.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     rng = random.Random(seed)
-    col_free: list[set[int]] = [set(range(n)) for _ in range(n)]
+    missing = [list(range(n)) for _ in range(n)]  # per column
     rows: list[list[int]] = []
     for _ in range(n):
-        row = _random_row(n, col_free, rng)
-        for j, s in enumerate(row):
-            col_free[j].remove(s)
+        for symbols in missing:
+            rng.shuffle(symbols)
+        columns = list(range(n))
+        rng.shuffle(columns)
+        row = [0] * n
+        for s, j in enumerate(max_bipartite_matching(missing, columns, n)):
+            row[j] = s
+            missing[j].remove(s)
         rows.append(row)
     return LatinSquare.from_rows(rows)
-
-
-def _random_row(n: int, col_free: list[set[int]], rng: random.Random) -> list[int]:
-    row = [-1] * n
-    used: set[int] = set()
-
-    def fill(j: int) -> bool:
-        if j == n:
-            return True
-        candidates = sorted(col_free[j] - used)
-        rng.shuffle(candidates)
-        for s in candidates:
-            row[j] = s
-            used.add(s)
-            if fill(j + 1):
-                return True
-            used.remove(s)
-            row[j] = -1
-        return False
-
-    if not fill(0):
-        raise RuntimeError("row extension failed; Latin rectangle invariant broken")
-    return row
 
 
 # --- text format ----------------------------------------------------------------

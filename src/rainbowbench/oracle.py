@@ -345,17 +345,6 @@ def estimate_mu(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def estimate_f(
-    n: int,
-    m: int,
-    mode: SweepMode,
-    trials: int = 0,
-    seed: int = 0,
-) -> SweepReport:
-    """Search for n size-m matchings with no rainbow matching of size n (mu with ell = 0)."""
-    return estimate_mu(n, 0, m, mode, trials, seed)
-
-
 def report_record(report: SweepReport) -> dict[str, object]:
     """A sweep report as its CSV_COLUMNS fields, in column order: one CSV row or JSON object."""
     return {name: getattr(report, name) for name in CSV_COLUMNS}

@@ -33,6 +33,21 @@ def max_partial_transversal(ls: LatinSquare) -> int:
     return best
 
 
+def max_matching_size(adjacency: list[list[int]]) -> int:
+    """Size of a largest bipartite matching, trying every partner or none for each left vertex."""
+
+    def rec(u: int, used: frozenset[int]) -> int:
+        if u == len(adjacency):
+            return 0
+        best = rec(u + 1, used)
+        for v in adjacency[u]:
+            if v not in used:
+                best = max(best, 1 + rec(u + 1, used | {v}))
+        return best
+
+    return rec(0, frozenset())
+
+
 def threshold_by_iteration(eps: Fraction, t: int, limit: int = 10**6) -> int:
     """Smallest n >= 1 with 2*t*eps*n + t*(7 - 3t)/2 > n, by linear scan."""
     for n in range(1, limit + 1):

@@ -16,7 +16,6 @@ from rainbowbench.core import instance_to_json, is_rainbow
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
 from rainbowbench.oracle import (
     SearchBudget,
-    estimate_f,
     estimate_mu,
     max_rainbow,
 )
@@ -47,8 +46,8 @@ def _report(criterion: int, detail: str) -> None:
 
 def test_criterion_01_exact_f2():
     start = time.perf_counter()
-    at_two = estimate_f(2, 2, "exhaustive")
-    at_three = estimate_f(2, 3, "exhaustive")
+    at_two = estimate_mu(2, 0, 2, "exhaustive")
+    at_three = estimate_mu(2, 0, 3, "exhaustive")
     elapsed = time.perf_counter() - start
     assert at_two.counterexample_found
     assert len(max_rainbow(at_two.counterexample).best) < 2

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bruteforce import max_matching_size
 from rainbowbench.core import (
     ColourClass,
     ColouredEdge,
@@ -24,6 +25,7 @@ from rainbowbench.core import (
     matching_from_json,
     matching_rows,
     matching_to_json,
+    max_bipartite_matching,
     neighbourhood_along,
     swap_colours,
     validate_instance,
@@ -226,6 +228,29 @@ class TestMatchingProperties:
         q = {va(i) for i in s}
         x = {va(a) for _, a, _ in r.triples}
         assert len(neighbourhood_along(r, q)) == len(q & x)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """(adjacency, visiting order, right size) with at most 6 vertices a side."""
+    right_size = draw(st.integers(0, 6))
+    neighbours = st.lists(st.integers(0, right_size - 1), unique=True) if right_size else st.just([])
+    adjacency = draw(st.lists(neighbours, max_size=6))
+    return adjacency, draw(st.permutations(range(len(adjacency)))), right_size
+
+
+class TestMaxBipartiteMatching:
+    @given(bipartite_graphs())
+    @example(([[0], [0]], [0, 1], 2))  # no perfect matching
+    @example(([[0, 1], [0]], [0, 1], 2))  # the second vertex needs an augmenting path
+    def test_is_a_maximum_matching(self, graph):
+        adjacency, order, right_size = graph
+        partner = max_bipartite_matching(adjacency, order, right_size)
+        assert len(partner) == right_size
+        matched = [(u, v) for v, u in enumerate(partner) if u != -1]
+        assert all(u in range(len(adjacency)) and v in adjacency[u] for u, v in matched)
+        assert len({u for u, _ in matched}) == len(matched)
+        assert len(matched) == max_matching_size(adjacency)
 
 
 class TestColourRelabelling:

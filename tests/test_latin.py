@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import max_partial_transversal
 from rainbowbench.core import make_instance, make_matching, validate_instance
@@ -176,6 +177,14 @@ class TestGenerators:
 
     def test_random_latin_deterministic(self):
         assert gen_random_latin(5, 9) == gen_random_latin(5, 9)
+
+    @settings(max_examples=60, deadline=500)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @example(30, 1)  # a draw that stalls a within-row backtracking search
+    def test_random_latin_is_fast_valid_and_seeded(self, n, seed):
+        ls = gen_random_latin(n, seed)
+        assert validate_latin(ls) == []
+        assert gen_random_latin(n, seed) == ls
 
     def test_random_latin_order_one(self):
         assert gen_random_latin(1, 123).cells == ((0,),)

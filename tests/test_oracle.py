@@ -1,10 +1,12 @@
 import hashlib
+import json
 import math
 import random
 import time
 import tracemalloc
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import naive_max_rainbow
@@ -12,10 +14,10 @@ from rainbowbench.core import is_rainbow, make_instance, validate_instance
 from rainbowbench.gen import gen_drisko, gen_no_transversal, gen_random_instance
 from rainbowbench.latin import gen_cyclic, gen_random_latin, latin_to_instance
 from rainbowbench import oracle
+from rainbowbench.cli import main
 from rainbowbench.oracle import (
     CSV_COLUMNS,
     SearchBudget,
-    estimate_f,
     estimate_mu,
     max_rainbow,
     reports_to_csv,
@@ -403,33 +405,33 @@ class TestOracleInvariants:
 
 class TestEstimates:
     def test_f2_m2_finds_counterexample(self):
-        report = estimate_f(2, 2, "exhaustive")
+        report = estimate_mu(2, 0, 2, "exhaustive")
         assert report.counterexample_found
         inst = report.counterexample
         assert all(len(cls) >= 2 for cls in inst.classes)
         assert len(max_rainbow(inst).best) < 2
 
     def test_f2_m3_proves_upper_bound(self):
-        report = estimate_f(2, 3, "exhaustive")
+        report = estimate_mu(2, 0, 3, "exhaustive")
         assert not report.counterexample_found
         assert report.instances_checked == 2400  # C(6,3)^2 * 3! candidates
 
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
-            estimate_f(3, 3, "exhaustive")
+            estimate_mu(3, 0, 3, "exhaustive")
         with pytest.raises(ValueError):
-            estimate_f(7, 8, "randomized", trials=1)
+            estimate_mu(7, 0, 8, "randomized", trials=1)
 
     def test_trial_count_must_check_something(self):
         for trials in (0, -5):
             with pytest.raises(ValueError, match="trials"):
-                estimate_f(3, 3, "randomized", trials=trials)
+                estimate_mu(3, 0, 3, "randomized", trials=trials)
         with pytest.raises(ValueError, match="trials"):
             estimate_mu(2, 0, 2, "exhaustive", trials=-1)
-        assert estimate_f(2, 2, "exhaustive", trials=0).counterexample_found
+        assert estimate_mu(2, 0, 2, "exhaustive", trials=0).counterexample_found
 
     def test_f2_m1_randomized_sweep_finds_counterexample(self):
-        report = estimate_f(2, 1, "randomized", trials=50, seed=0)
+        report = estimate_mu(2, 0, 1, "randomized", trials=50, seed=0)
         assert report.counterexample_found
         assert report.instances_checked == 4
         inst = report.counterexample
@@ -438,16 +440,22 @@ class TestEstimates:
         assert len(max_rainbow(inst).best) < 2
 
     def test_f3_m4_randomized_sweep_finds_nothing(self):
-        report = estimate_f(3, 4, "randomized", trials=100_000, seed=20240816)
+        report = estimate_mu(3, 0, 4, "randomized", trials=100_000, seed=20240816)
         assert not report.counterexample_found
         assert report.instances_checked == 100_000
 
-    def test_mu_with_ell_zero_is_f(self):
+    def test_mu_with_ell_zero_is_f(self, tmp_path):
+        # `experiment f` is the program's f sweep: the mu sweep at ell = 0
+        def record(m, *args):
+            result = CliRunner().invoke(main, [
+                "experiment", *args, "--n", "2", "--m", str(m), "--mode", "exhaustive",
+                "--format", "json", "--witness-dir", str(tmp_path),
+            ])
+            assert result.exit_code == 0
+            return {k: v for k, v in json.loads(result.stdout).items() if k != "elapsed_ms"}
+
         for m in (2, 3):
-            a = estimate_f(2, m, "exhaustive")
-            b = estimate_mu(2, 0, m, "exhaustive")
-            assert a.counterexample_found == b.counterexample_found
-            assert a.instances_checked == b.instances_checked
+            assert record(m, "f") == record(m, "mu", "--ell", "0")
 
     def test_mu_2_1_1_never_fails(self):
         report = estimate_mu(2, 1, 1, "exhaustive")
@@ -466,7 +474,7 @@ class TestEstimates:
 
 class TestCsv:
     def test_column_order_and_values(self):
-        report = estimate_f(2, 2, "exhaustive")
+        report = estimate_mu(2, 0, 2, "exhaustive")
         text = reports_to_csv([report])
         lines = text.strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
