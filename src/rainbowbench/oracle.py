@@ -83,7 +83,7 @@ class SearchReport:
 
 
 # nodes the search spends before it looks for symmetric root moves, see _Searcher.dfs
-_ORBIT_NODES = 4096
+_ORBIT_NODES = 256
 
 
 def _masks_at(pairs: tuple[tuple[int, int], ...]) -> tuple[dict[int, int], dict[int, int]]:
@@ -162,7 +162,7 @@ class _Searcher:
             low = left & -left
             left ^= low
             if root and low and cap == 1:
-                if reps is None and self.nodes >= _ORBIT_NODES:
+                if reps is None and not done and self.nodes >= _ORBIT_NODES:
                     reps = root_orbits(self.bundles, t)
                 if reps is not None and reps[i] < i:
                     continue
@@ -223,15 +223,16 @@ def max_rainbow(
     means the search was exhausted within the budget.
 
     Orbital branching: when the root bundle is one colour and the search has
-    spent _ORBIT_NODES (4,096) nodes by one of its root edge moves, it gets
-    the root edges' orbits from symmetry.root_orbits, once, and skips from
-    then on every edge move i whose orbit holds a lower index ("skip this
-    bundle" is never pruned). An automorphism g fixing the root colour maps
-    the subtree "the root colour takes e" onto "it takes g(e)", so the first
-    optimum-sized selection in search order lies under a move never skipped:
-    best is the unpruned search's and only nodes_explored changes. A search
-    of fewer than 4,096 nodes runs exactly as without the trigger. optimal
-    means exhausted up to verified automorphisms.
+    spent _ORBIT_NODES (256) nodes by one of its root edge moves before the
+    root meets its bound, it gets the root edges' orbits from
+    symmetry.root_orbits, once, and skips from then on every edge move i
+    whose orbit holds a lower index ("skip this bundle" is never pruned). An
+    automorphism g fixing the root colour maps the subtree "the root colour
+    takes e" onto "it takes g(e)", so the first optimum-sized selection in
+    search order lies under a move never skipped: best is the unpruned
+    search's and only nodes_explored changes. A search whose root has met its
+    bound, or that is under 256 nodes, counts every move as without the
+    trigger. optimal means exhausted up to verified automorphisms.
 
     workers must be 1; it is accepted only for callers that still pass it.
     """

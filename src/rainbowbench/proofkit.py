@@ -473,18 +473,21 @@ def colour_chain(st: SwitchState, i: int) -> list[int]:
 # --- the exchange and the three claims ------------------------------------------
 
 
+def _chain_from(st: SwitchState, start: int) -> list[int]:
+    """The indices a switch started at start exchanges: start and its colour
+    chain down to, not including, 0; none for start 0."""
+    return [start] + colour_chain(st, start)[:-1] if start else []
+
+
 def _exchange(
-    st: SwitchState, start: int, removed: list[_Triple], added: list[_Triple]
+    st: SwitchState, chain: list[int], removed: list[_Triple], added: list[_Triple]
 ) -> RainbowMatching:
     """r with removed taken out and added put in, one edge larger.
 
-    A start of 1..k also exchanges its colour chain: e_start and the chain's
-    e-edges leave, g_start and the chain's g-edges join. Start 0 has no chain.
+    Each index j of chain (see _chain_from) also exchanges e_j for g_j.
     """
-    if start:
-        chain = [start] + colour_chain(st, start)[:-1]
-        removed = [st.e_seq[j - 1] for j in chain] + removed
-        added = [st.g_seq[j - 1] for j in chain] + added
+    removed = [st.e_seq[j - 1] for j in chain] + removed
+    added = [st.g_seq[j - 1] for j in chain] + added
     for e in removed:
         if e not in st.r.triples:
             raise SwitchIntegrityError(f"cannot remove {_show(e)}: not an edge of r")
@@ -521,7 +524,7 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     _require_g(st, g, "claim1_switch")
     if g[2] in st._ints.y:
         raise ValueError(f"g={_show(g)} must end outside Y")
-    return _exchange(st, st.k, [], [g])
+    return _exchange(st, _chain_from(st, st.k), [], [g])
 
 
 def claim2_switch(
@@ -550,7 +553,7 @@ def claim2_switch(
     _require_in_class(st.inst, "e_bar", e_bar)
     if e_bar[1] != st.e_seq[k - 1][1] or e_bar[2] in st._ints.y:
         raise ValueError(f"e_bar={_show(e_bar)} must join x_{k} to B minus Y")
-    return _exchange(st, k, [e], [e_bar, g])
+    return _exchange(st, _chain_from(st, k), [e], [e_bar, g])
 
 
 def claim3_switch(
@@ -593,8 +596,7 @@ def claim3_switch(
     # every subcase, the degenerate p = 0 included: zw starts outside X and z_1..z_p
     if zw[1] in ix.x or zw[1] in ix.z[:p]:
         raise ValueError(f"zw={_show(zw)} must start outside X and z_1..z_{p}")
-    if p:
-        colour_chain(st, p)  # a broken chain is reported before f_bar is read
+    chain = _chain_from(st, p)  # a broken chain is reported before f_bar is read
     if f_bar[0] != f[0]:
         raise ValueError(f"f_bar colour {f_bar[0]} does not match f's colour {f[0]}")
     _require_in_class(st.inst, "f_bar", f_bar)
@@ -602,7 +604,7 @@ def claim3_switch(
         raise ValueError(f"f_bar={_show(f_bar)} must start outside X, z_1..z_k and zw's endpoint")
     if f_bar[2] in ix.y:
         raise ValueError(f"f_bar={_show(f_bar)} must end outside Y")
-    return _exchange(st, p, [f], [f_bar, zw])
+    return _exchange(st, chain, [f], [f_bar, zw])
 
 
 # --- pool constructions ----------------------------------------------------------
@@ -771,7 +773,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
     pairs = inst.classes[colour_k].pairs
     for a, b in pairs:
         if a not in ix.xz and b not in ix.y:
-            return _exchange(st, k, [], [(colour_k, a, b)])
+            return _exchange(st, _chain_from(st, k), [], [(colour_k, a, b)])
     x_k = st.e_seq[k - 1][1]
     for a, b in pairs:
         if a in ix.xz or b not in st.y_sets[k - 1]:
@@ -782,7 +784,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
         e_bar = _class_edge_at(st, e[0], x_k, True, ix.y)
         if e_bar is None:
             continue
-        return _exchange(st, k, [e], [(e[0], *e_bar), (colour_k, a, b)])
+        return _exchange(st, _chain_from(st, k), [e], [(e[0], *e_bar), (colour_k, a, b)])
     return None
 
 
@@ -804,7 +806,8 @@ def _claim3_augment(
             continue
         for a, b in st.inst.classes[c].pairs:
             if a not in ix.xz and a != zw[1] and b not in ix.y:
-                return _exchange(st, st.pi_index(zw[0]), [(c, x, w)], [(c, a, b), zw])
+                chain = _chain_from(st, st.pi_index(zw[0]))
+                return _exchange(st, chain, [(c, x, w)], [(c, a, b), zw])
     return None
 
 

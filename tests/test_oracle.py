@@ -179,7 +179,7 @@ class TestMaxRainbow:
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_pruned_children_cost_no_call(self, monkeypatch, n):
-        # 1,211 calls for 2,903 nodes (n = 8) and 2,579 for 6,292 (n = 10)
+        # 154 calls for 369 nodes (n = 8) and 2,579 for 6,292 (n = 10)
         calls = []
         dfs = oracle._Searcher.dfs
         monkeypatch.setattr(
@@ -247,7 +247,7 @@ class TestMaxRainbow:
 
     @pytest.mark.parametrize(
         "inst, nodes",
-        [(gen_drisko(5), 34), (gen_drisko(6), 64), (gen_no_transversal(8), 2_903)],
+        [(gen_drisko(5), 34), (gen_drisko(6), 64), (gen_no_transversal(8), 369)],
         ids=["drisko5", "drisko6", "cyclic8"],
     )
     def test_witness_node_counts_are_pinned(self, inst, nodes):
@@ -314,12 +314,12 @@ def _naive_is_small(inst):
 class TestOrbitalBranching:
     def test_forced_trigger_keeps_best_and_optimal(self, monkeypatch):
         # orbits computed at the first root move of every search: best and
-        # optimal equal the search without the trigger, which none of these
-        # searches reaches
+        # optimal equal those of the search that never asks for orbits
         pruned = 0
         for inst, optimum in _forced_trigger_cases():
-            plain = max_rainbow(inst)
-            assert plain.nodes_explored < oracle._ORBIT_NODES
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_ORBIT_NODES", math.inf)
+                plain = max_rainbow(inst)
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_ORBIT_NODES", 0)
                 forced = max_rainbow(inst)
@@ -341,6 +341,30 @@ class TestOrbitalBranching:
         assert calls == []
         max_rainbow(gen_no_transversal(6))
         assert len(calls) == 1
+
+    @staticmethod
+    def _counting_orbit_calls(monkeypatch):
+        calls = []
+        orbits = oracle.root_orbits
+        monkeypatch.setattr(oracle, "root_orbits", lambda *args: calls.append(args) or orbits(*args))
+        return calls
+
+    def test_a_search_that_met_its_bound_asks_for_no_orbits(self, monkeypatch):
+        # this square's root is still being searched after _ORBIT_NODES, but
+        # it has met its bound of 12 by then: asking for orbits there would
+        # cost a capped root_orbits call, several times the search itself
+        calls = self._counting_orbit_calls(monkeypatch)
+        rep = max_rainbow(latin_to_instance(gen_random_latin(12, 4)))
+        assert rep.nodes_explored == 444 > oracle._ORBIT_NODES
+        assert rep.optimal and len(rep.best) == 12
+        assert calls == []
+
+    def test_tight_draws_ask_for_no_orbits(self, monkeypatch):
+        # the draws of test_tight_draw_results_are_pinned, sweep-tight's shape
+        calls = self._counting_orbit_calls(monkeypatch)
+        for seed in range(200):
+            max_rainbow(gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed))
+        assert calls == []
 
 
 class TestNaiveMaxRainbow:

@@ -323,6 +323,14 @@ class TestClaim3Switch:
         # removes {e_1, f}, adds {g_1, f_bar, zw}
         assert set(out.triples) == {(0, 5, 1), (1, 3, 2), (2, 4, 3)}
 
+    def test_colour_chain_is_walked_once(self, monkeypatch):
+        calls = []
+        chain = proofkit.colour_chain
+        monkeypatch.setattr(proofkit, "colour_chain", lambda *args: calls.append(args) or chain(*args))
+        st, f, f_bar, zw = increment_claim3_case()
+        assert len(claim3_switch(st, f, f_bar, zw)) == len(st.r) + 1
+        assert len(calls) == 1
+
     def test_subcase_undeterminable(self):
         rng = random.Random(3)
         forge = random_forge(rng, min_pool=1)
