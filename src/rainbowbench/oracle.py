@@ -3,15 +3,19 @@
 max_rainbow is the ground-truth engine: depth-first branch and bound over
 bundles of identical colour classes, each taking its edges in ascending order
 so that no permutation of identical colours is searched twice. A bundle's
-candidates are one integer bitmask over its own sorted pairs, and a child
-clears the bits of the edges that meet the one just chosen. The branch is the
-bundle with the fewest candidate edges, "skip this bundle" is tried last, and
-the admissible bound is size + min(sum of min(capacity, candidates), a_size -
-size, b_size - size). A node is counted and bounded by its parent before any
-call, and only a node that beats the bound is searched by a recursive call;
-node counts are those of a search that calls every child. Once a search is
-expensive it also prunes symmetric root moves (orbital branching, Ostrowski,
-Linderoth, Rossi and Smriglio, Math. Prog. 2011) with automorphisms that
+candidates are one integer bitmask over its own sorted pairs. A vertex at two
+or more pairs has a row, one mask per bundle of its pairs there, and every
+other vertex reads one shared zero row; a move reads the rows ka and kb of
+its edge's two ends once, and a child keeps u_mask & ~(ka[u] | kb[u]) of each
+bundle u. The branch is the bundle with the fewest candidate edges, "skip
+this bundle" is tried last, and the admissible bound is size + min(sum of
+min(capacity, candidates), a_size - size, b_size - size). A node is counted
+and bounded by its parent before any call; the parent, which builds the
+node's bundles, hands it its branch too, and only a node that beats the
+bound is searched by a recursive call, one per move on the path. Node counts
+are those of a search that calls every child. Once a search is expensive it
+also prunes symmetric root moves (orbital branching, Ostrowski, Linderoth,
+Rossi and Smriglio, Math. Prog. 2011) with automorphisms that
 symmetry.root_orbits has verified; see max_rainbow.
 """
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from io import StringIO
@@ -86,24 +91,43 @@ class SearchReport:
 _ORBIT_NODES = 256
 
 
-def _masks_at(pairs: tuple[tuple[int, int], ...]) -> tuple[dict[int, int], dict[int, int]]:
-    """A-vertex and B-vertex -> mask of the pairs at it, bit j for pairs[j], in one pass."""
-    at_a: dict[int, int] = {}
-    at_b: dict[int, int] = {}
-    for j, (a, b) in enumerate(pairs):
-        at_a[a] = at_a.get(a, 0) | 1 << j
-        at_b[b] = at_b.get(b, 0) | 1 << j
-    return at_a, at_b
+def _rows(bundles: list[Bundle], end: int) -> dict[int, list[int]]:
+    """Vertex -> row for the A-ends (end 0) or B-ends (end 1) that two or more pairs share.
+
+    row[t] masks bundle t's pairs at the vertex, bit j for bundles[t]'s
+    pairs[j], and is made when the vertex's second pair is seen. A vertex at
+    one pair has no row: taking it clears nothing elsewhere. So set-up grows
+    with the pairs and with the shared vertices times the bundles, never with
+    the universe.
+    """
+    rows: dict[int, list[int]] = {}
+    first: dict[int, tuple[int, int]] = {}
+    for t, (pairs, _) in enumerate(bundles):
+        bit = 1
+        for pair in pairs:
+            v = pair[end]
+            row = rows.get(v)
+            if row is not None:
+                row[t] |= bit
+            elif v in first:
+                rows[v] = row = [0] * len(bundles)
+                u, u_bit = first[v]
+                row[u] = u_bit
+                row[t] |= bit
+            else:
+                first[v] = (t, bit)
+            bit <<= 1
+    return rows
 
 
 @dataclass(slots=True)
 class _Searcher:
     """Branch-and-bound state of the search.
 
-    Bundle t is bundles[t], numbered by its lowest colour; at_a[t] and
-    at_b[t] are its _masks_at, dicts so that set-up scales with the edges,
-    not with the universe; side is min(a_size, b_size). The parent enters a
-    node before any call: the node-budget check, the count, the clock read
+    Bundle t is bundles[t], numbered by its lowest colour. row_a and row_b
+    are the _rows of the A-ends and the B-ends, and zero is the row of a
+    vertex missing from them; side is min(a_size, b_size). The parent enters
+    a node before any call: the node-budget check, the count, the clock read
     and the best update, then the bound. dfs is called only for a node that
     beats the bound, so the counts, the stops and best are those of a search
     that calls every child. Once best_size meets a node's own bound, size +
@@ -114,8 +138,9 @@ class _Searcher:
     """
 
     bundles: list[Bundle]
-    at_a: list[dict[int, int]]
-    at_b: list[dict[int, int]]
+    row_a: dict[int, list[int]]
+    row_b: dict[int, list[int]]
+    zero: list[int]
     side: int
     max_nodes: int | None
     deadline: float | None
@@ -125,30 +150,33 @@ class _Searcher:
 
     def dfs(
         self,
-        bundles: list[tuple[int, int, int, int, int]],
+        branch: tuple[int, int, int, int, int],
+        rest: list[tuple[int, int, int, int, int]],
         chosen: list[tuple[int, int, int]],
         room: int,
         root: bool = False,
     ) -> None:
-        """Branch at one entered node; root marks the root.
+        """Branch at one entered node on branch, which its parent chose; root marks the root.
 
-        bundles holds (count, t, mask, cap, weight) per bundle t with a
-        candidate left: mask is its edges disjoint from chosen, count their
-        number, cap how many more it may take, weight min(cap, count); room
-        is the sum of the weights. The branch is the least tuple (fewest
-        candidates, ties to the lowest colour); its moves are its set bits
-        upward, then "skip", which drops it. Taking bit j leaves it the bits
-        above j and cap - 1, gives the edge its next colour and clears every
-        mask's edges that meet it. A child's bound is its size + min(room,
-        side - size). A one-colour root bundle's edge moves are pruned by
-        their orbits once _ORBIT_NODES are spent, see max_rainbow.
+        A node's bundles are branch and rest, a (count, t, mask, cap, weight)
+        per bundle t with a candidate left: mask is its edges disjoint from
+        chosen, count their number, cap how many more it may take, weight
+        min(cap, count); room is the sum of the weights. branch is the least
+        tuple (fewest candidates, ties to the lowest colour); the parent
+        sets it aside while it builds the node's bundles, and max_rainbow
+        does so for the root. Its moves are its set bits upward, then
+        "skip", which drops it and hands the least of rest on. Taking bit j
+        leaves it the bits above j and cap - 1, gives the edge (a, b) its
+        next colour, reads the rows ka and kb of a and b once, and keeps
+        u_mask & ~(ka[u] | kb[u]) of each other bundle u. A child's bound is
+        its size + min(room, side - size). A one-colour root bundle's edge
+        moves are pruned by their orbits once _ORBIT_NODES are spent, see
+        max_rainbow.
         """
-        branch = min(bundles)
         count, t, left, cap, weight = branch
-        rest = [u for u in bundles if u is not branch]
         pairs, colours = self.bundles[t]
         colour = colours[-cap]
-        at_a, at_b = self.at_a, self.at_b
+        row_a, row_b, zero = self.row_a, self.row_b, self.zero
         size = len(chosen)
         # side - size of a child that takes an edge
         head = self.side - (size + 1)
@@ -175,28 +203,40 @@ class _Searcher:
             if done:
                 continue
             if not low:
-                # best_size >= size already: skipping adds no edge
+                # best_size >= size already: skipping adds no edge, and a
+                # child with room left has a bundle in rest
                 if size + min(room - weight, head + 1) > self.best_size:
-                    self.dfs(rest, chosen, room - weight)
+                    least = min(rest)
+                    self.dfs(least, [u for u in rest if u is not least], chosen, room - weight)
                 return
             a, b = pairs[low.bit_length() - 1]
+            ka = row_a.get(a, zero)
+            kb = row_b.get(b, zero)
             kept = rest + [(0, t, left, cap - 1, 0)] if cap > 1 else rest
             child = []
             child_room = 0
-            for _, u_t, u_mask, u_cap, _ in kept:
-                m = u_mask & ~(at_a[u_t].get(a, 0) | at_b[u_t].get(b, 0))
+            least = None
+            for _, u, u_mask, u_cap, _ in kept:
+                m = u_mask & ~(ka[u] | kb[u])
                 if m:
                     n = m.bit_count()
                     w = n if n < u_cap else u_cap
                     child_room += w
-                    child.append((n, u_t, m, u_cap, w))
+                    c = (n, u, m, u_cap, w)
+                    if least is None:
+                        least = c
+                    elif c < least:
+                        child.append(least)
+                        least = c
+                    else:
+                        child.append(c)
             chosen.append((colour, a, b))
             if size >= self.best_size:
                 self.best_size = size + 1
                 self.best_sel = list(chosen)
                 done = size + 1 >= bound
             if size + 1 + (child_room if child_room < head else head) > self.best_size:
-                self.dfs(child, chosen, child_room)
+                self.dfs(least, child, chosen, child_room)
                 done = self.best_size >= bound
             chosen.pop()
 
@@ -234,6 +274,11 @@ def max_rainbow(
     bound, or that is under 256 nodes, counts every move as without the
     trigger. optimal means exhausted up to verified automorphisms.
 
+    Each move on the search path nests one call, so a path deeper than
+    sys.getrecursionlimit() (1,000 by default) less the caller's own frames
+    raises ValueError, as a JSON value nested too deeply does in
+    core.json_value.
+
     workers must be 1; it is accepted only for callers that still pass it.
     """
     if workers != 1:
@@ -244,9 +289,11 @@ def max_rainbow(
             groups.setdefault(cls.pairs, []).append(c)
     bundles = list(groups.items())
     deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
-    at = [_masks_at(p) for p, _ in bundles]
     side = min(inst.a_size, inst.b_size)
-    s = _Searcher(bundles, [a for a, _ in at], [b for _, b in at], side, budget.max_nodes, deadline)
+    zero = [0] * len(bundles)
+    s = _Searcher(
+        bundles, _rows(bundles, 0), _rows(bundles, 1), zero, side, budget.max_nodes, deadline
+    )
     root = [
         (len(p), t, (1 << len(p)) - 1, len(c), min(len(p), len(c)))
         for t, (p, c) in enumerate(bundles)
@@ -257,10 +304,14 @@ def max_rainbow(
             raise SearchBudget.Spent
         s.nodes = 1
         if root:
-            s.dfs(root, [], sum(u[4] for u in root), True)
+            branch = min(root)
+            s.dfs(branch, [u for u in root if u is not branch], [], sum(u[4] for u in root), True)
         optimal = True
     except SearchBudget.Spent:
         optimal = False
+    except RecursionError as exc:
+        limit = sys.getrecursionlimit()
+        raise ValueError(f"search path deeper than the recursion limit of {limit} calls") from exc
     return SearchReport(make_matching(s.best_sel), optimal, s.nodes)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 
@@ -124,6 +125,47 @@ class TestMaxRainbow:
         assert elapsed < 0.5 and peak < 1_000_000
         assert len(rep.best) == optimum == len(naive_max_rainbow(inst).best)
         assert rep.optimal and is_rainbow(rep.best)
+
+    def test_set_up_grows_with_the_pairs_not_bundles_times_vertices(self):
+        # 3,000 one-edge classes that share one B-vertex: a row per vertex and
+        # bundle would be 9M entries (72 MB); only the shared vertex has one
+        inst = make_instance([[(i, 0)] for i in range(3000)])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rep = max_rainbow(inst)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 6_000_000
+        assert len(rep.best) == 1 and rep.optimal
+
+    @pytest.mark.parametrize(
+        "inst",
+        [gen_no_transversal(8)]
+        + [gen_random_instance(8, 9, a_size=9, b_size=9, seed=s) for s in range(20)],
+        ids=["cyclic8"] + [f"tight{s}" for s in range(20)],
+    )
+    def test_sparse_vertex_indices_do_not_change_the_search(self, inst):
+        # v -> 1000 v + 7 is monotone, so every bundle keeps its pair order,
+        # and n_colours <= side on both sides, so the larger universe binds nothing
+        spread = make_instance(
+            [[(1000 * a + 7, 1000 * b + 7) for a, b in cls.pairs] for cls in inst.classes],
+            a_size=10**6,
+            b_size=10**6,
+        )
+        dense, sparse = max_rainbow(inst), max_rainbow(spread)
+        back = [(c, (a - 7) // 1000, (b - 7) // 1000) for c, a, b in sparse.best.triples]
+        assert (sparse.nodes_explored, sparse.optimal) == (dense.nodes_explored, dense.optimal)
+        assert back == list(dense.best.triples)
+
+    def test_a_path_deeper_than_the_recursion_limit_is_a_value_error(self):
+        # each class meets the next, and a search nests one call per move
+        k = sys.getrecursionlimit() + 200
+        inst = make_instance([[(i, i), (i + 1, i + 1)] for i in range(k)])
+        with pytest.raises(ValueError, match="recursion limit"):
+            max_rainbow(inst)
 
     def test_node_budget_reported_via_optimal_flag(self):
         inst = gen_drisko(5)  # certified in 34 nodes (test_witness_node_counts_are_pinned)
