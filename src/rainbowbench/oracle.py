@@ -3,20 +3,19 @@
 max_rainbow is the ground-truth engine: depth-first branch and bound over
 bundles of identical colour classes, each taking its edges in ascending order
 so that no permutation of identical colours is searched twice. A bundle's
-candidates are one integer bitmask over its own sorted pairs. A vertex at two
-or more pairs has a row, one mask per bundle of its pairs there, and every
-other vertex reads one shared zero row; a move reads the rows ka and kb of
-its edge's two ends once, and a child keeps u_mask & ~(ka[u] | kb[u]) of each
-bundle u. The branch is the bundle with the fewest candidate edges, "skip
-this bundle" is tried last, and the admissible bound is size + min(sum of
-min(capacity, candidates), a_size - size, b_size - size). A node is counted
-and bounded by its parent before any call; the parent, which builds the
-node's bundles, hands it its branch too, and only a node that beats the
-bound is searched by a recursive call, one per move on the path. Node counts
-are those of a search that calls every child. Once a search is expensive it
-also prunes symmetric root moves (orbital branching, Ostrowski, Linderoth,
-Rossi and Smriglio, Math. Prog. 2011) with automorphisms that
-symmetry.root_orbits has verified; see max_rainbow.
+candidates are one integer bitmask over its own sorted pairs. Each vertex has
+a row, a dict from each bundle with pairs at the vertex to their mask; a move
+reads the rows ka and kb of its edge's two ends once, and a child keeps
+u_mask & ~(ka.get(u, 0) | kb.get(u, 0)) of each bundle u. The branch is the
+bundle with the fewest candidate edges, "skip this bundle" is tried last, and
+the admissible bound is size + min(sum of min(capacity, candidates), a_size -
+size, b_size - size). A node is counted and bounded by its parent before any
+call; the parent, which builds the node's bundles, hands it its branch too,
+and only a node that beats the bound is searched by a recursive call, one per
+move on the path. Node counts are those of a search that calls every child.
+Once a search is expensive it also prunes symmetric root moves (orbital
+branching, Ostrowski, Linderoth, Rossi and Smriglio, Math. Prog. 2011) with
+automorphisms that symmetry.root_orbits has verified; see max_rainbow.
 """
 
 from __future__ import annotations
@@ -91,56 +90,52 @@ class SearchReport:
 _ORBIT_NODES = 256
 
 
-def _rows(bundles: list[Bundle], end: int) -> dict[int, list[int]]:
-    """Vertex -> row for the A-ends (end 0) or B-ends (end 1) that two or more pairs share.
+def _rows(bundles: list[Bundle]) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+    """The rows of the A-vertices and of the B-vertices of the pairs, in one pass.
 
-    row[t] masks bundle t's pairs at the vertex, bit j for bundles[t]'s
-    pairs[j], and is made when the vertex's second pair is seen. A vertex at
-    one pair has no row: taking it clears nothing elsewhere. So set-up grows
-    with the pairs and with the shared vertices times the bundles, never with
-    the universe.
+    A vertex's row maps each bundle t with a pair at the vertex to the mask
+    of those pairs, bit j for bundles[t]'s pairs[j]. A row holds only the
+    bundles that meet its vertex, so set-up grows with the pairs, never with
+    the bundles times the vertices nor with the universe.
     """
-    rows: dict[int, list[int]] = {}
-    first: dict[int, tuple[int, int]] = {}
+    row_a: dict[int, dict[int, int]] = {}
+    row_b: dict[int, dict[int, int]] = {}
     for t, (pairs, _) in enumerate(bundles):
         bit = 1
-        for pair in pairs:
-            v = pair[end]
-            row = rows.get(v)
-            if row is not None:
-                row[t] |= bit
-            elif v in first:
-                rows[v] = row = [0] * len(bundles)
-                u, u_bit = first[v]
-                row[u] = u_bit
-                row[t] |= bit
+        for a, b in pairs:
+            ka = row_a.get(a)
+            if ka is None:
+                row_a[a] = {t: bit}
             else:
-                first[v] = (t, bit)
+                ka[t] = ka.get(t, 0) | bit
+            kb = row_b.get(b)
+            if kb is None:
+                row_b[b] = {t: bit}
+            else:
+                kb[t] = kb.get(t, 0) | bit
             bit <<= 1
-    return rows
+    return row_a, row_b
 
 
 @dataclass(slots=True)
 class _Searcher:
     """Branch-and-bound state of the search.
 
-    Bundle t is bundles[t], numbered by its lowest colour. row_a and row_b
-    are the _rows of the A-ends and the B-ends, and zero is the row of a
-    vertex missing from them; side is min(a_size, b_size). The parent enters
-    a node before any call: the node-budget check, the count, the clock read
-    and the best update, then the bound. dfs is called only for a node that
-    beats the bound, so the counts, the stops and best are those of a search
-    that calls every child. Once best_size meets a node's own bound, size +
-    min(room, side - size), the node enters each remaining move as before
-    but builds no child: taking an edge lowers room by at least one, so no
-    child can beat best. max_rainbow enters the root and catches
+    Bundle t is bundles[t], numbered by its lowest colour. row_a and row_b are
+    the _rows of the A-ends and the B-ends; side is min(a_size, b_size). The
+    parent enters a node before any call: the node-budget check, the count,
+    the clock read and the best update, then the bound. dfs is called only for
+    a node that beats the bound, so the counts, the stops and best are those
+    of a search that calls every child. Once best_size meets a node's own
+    bound, size + min(room, side - size), the node enters each remaining move
+    as before but builds no child: taking an edge lowers room by at least one,
+    so no child can beat best. max_rainbow enters the root and catches
     SearchBudget.Spent.
     """
 
     bundles: list[Bundle]
-    row_a: dict[int, list[int]]
-    row_b: dict[int, list[int]]
-    zero: list[int]
+    row_a: dict[int, dict[int, int]]
+    row_b: dict[int, dict[int, int]]
     side: int
     max_nodes: int | None
     deadline: float | None
@@ -162,21 +157,21 @@ class _Searcher:
         per bundle t with a candidate left: mask is its edges disjoint from
         chosen, count their number, cap how many more it may take, weight
         min(cap, count); room is the sum of the weights. branch is the least
-        tuple (fewest candidates, ties to the lowest colour); the parent
-        sets it aside while it builds the node's bundles, and max_rainbow
-        does so for the root. Its moves are its set bits upward, then
-        "skip", which drops it and hands the least of rest on. Taking bit j
-        leaves it the bits above j and cap - 1, gives the edge (a, b) its
-        next colour, reads the rows ka and kb of a and b once, and keeps
-        u_mask & ~(ka[u] | kb[u]) of each other bundle u. A child's bound is
-        its size + min(room, side - size). A one-colour root bundle's edge
-        moves are pruned by their orbits once _ORBIT_NODES are spent, see
-        max_rainbow.
+        tuple (fewest candidates, ties to the lowest colour); the parent sets
+        it aside while it builds the node's bundles, and max_rainbow does so
+        for the root. Its moves are its set bits upward, then "skip", which
+        drops it and hands the least of rest on. Taking bit j leaves it the
+        bits above j and cap - 1, gives the edge (a, b) its next colour, reads
+        the rows ka and kb of a and b once, and keeps
+        u_mask & ~(ka.get(u, 0) | kb.get(u, 0)) of each other bundle u. A
+        child's bound is its size + min(room, side - size). A one-colour root
+        bundle's edge moves are pruned by their orbits once _ORBIT_NODES are
+        spent, see max_rainbow.
         """
         count, t, left, cap, weight = branch
         pairs, colours = self.bundles[t]
         colour = colours[-cap]
-        row_a, row_b, zero = self.row_a, self.row_b, self.zero
+        row_a, row_b = self.row_a, self.row_b
         size = len(chosen)
         # side - size of a child that takes an edge
         head = self.side - (size + 1)
@@ -210,24 +205,25 @@ class _Searcher:
                     self.dfs(least, [u for u in rest if u is not least], chosen, room - weight)
                 return
             a, b = pairs[low.bit_length() - 1]
-            ka = row_a.get(a, zero)
-            kb = row_b.get(b, zero)
+            ka = row_a[a]
+            kb = row_b[b]
             kept = rest + [(0, t, left, cap - 1, 0)] if cap > 1 else rest
             child = []
             child_room = 0
             least = None
             for _, u, u_mask, u_cap, _ in kept:
-                m = u_mask & ~(ka[u] | kb[u])
+                m = u_mask & ~(ka.get(u, 0) | kb.get(u, 0))
                 if m:
                     n = m.bit_count()
                     w = n if n < u_cap else u_cap
                     child_room += w
                     c = (n, u, m, u_cap, w)
+                    # c < least, by ints: bundle numbers are distinct
                     if least is None:
-                        least = c
-                    elif c < least:
+                        least, ln, lu = c, n, u
+                    elif n < ln or n == ln and u < lu:
                         child.append(least)
-                        least = c
+                        least, ln, lu = c, n, u
                     else:
                         child.append(c)
             chosen.append((colour, a, b))
@@ -290,10 +286,7 @@ def max_rainbow(
     bundles = list(groups.items())
     deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
     side = min(inst.a_size, inst.b_size)
-    zero = [0] * len(bundles)
-    s = _Searcher(
-        bundles, _rows(bundles, 0), _rows(bundles, 1), zero, side, budget.max_nodes, deadline
-    )
+    s = _Searcher(bundles, *_rows(bundles), side, budget.max_nodes, deadline)
     root = [
         (len(p), t, (1 << len(p)) - 1, len(c), min(len(p), len(c)))
         for t, (p, c) in enumerate(bundles)

@@ -126,10 +126,20 @@ class TestMaxRainbow:
         assert len(rep.best) == optimum == len(naive_max_rainbow(inst).best)
         assert rep.optimal and is_rainbow(rep.best)
 
-    def test_set_up_grows_with_the_pairs_not_bundles_times_vertices(self):
-        # 3,000 one-edge classes that share one B-vertex: a row per vertex and
-        # bundle would be 9M entries (72 MB); only the shared vertex has one
-        inst = make_instance([[(i, 0)] for i in range(3000)])
+    @pytest.mark.parametrize(
+        ("classes", "optimum"),
+        [
+            ([[(i, 0)] for i in range(3000)], 1),
+            ([[(i, 0), (i + 1, 1)] for i in range(3000)], 2),
+        ],
+        ids=["star", "ladder"],
+    )
+    def test_set_up_grows_with_the_pairs_not_bundles_times_vertices(self, classes, optimum):
+        # 3,000 classes, one bundle each: the star's share one B-vertex, and
+        # each ladder rung shares its A-vertices with its neighbours, 2,999
+        # shared vertices. A list over the bundles per shared vertex would be
+        # 3,000 entries for the star but 9M (72 MB) for the ladder
+        inst = make_instance(classes)
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -139,7 +149,7 @@ class TestMaxRainbow:
         finally:
             tracemalloc.stop()
         assert elapsed < 0.5 and peak < 6_000_000
-        assert len(rep.best) == 1 and rep.optimal
+        assert len(rep.best) == optimum and rep.optimal
 
     @pytest.mark.parametrize(
         "inst",
