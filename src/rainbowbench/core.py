@@ -477,6 +477,36 @@ def _int_rows_layout(rows: list[list], nl: str) -> str | None:
     return _template(shape, nl) % tuple(values)
 
 
+@lru_cache(maxsize=256)
+def _instance_template(lengths: tuple[int, ...], nl: str) -> str:
+    """The %d template of an Instance JSON object at nl whose classes hold `lengths` pairs."""
+    inner = nl + "  "
+    head = "".join(f'{inner}"{key}": %d,' for key in ("n_colours", "a_size", "b_size"))
+    classes = _template(tuple((2,) * n for n in lengths), inner)
+    return "{" + head + inner + '"classes": ' + classes + nl + "}"
+
+
+def _encode_instance(inst: Instance, nl: str) -> str:
+    """inst's canonical JSON object at nl: its counts, sizes and each class's pairs as [a, b] rows.
+
+    Pair lengths and value types are checked over whole arrays first ("%d"
+    would print True as 1); then one %-format fills every value into the
+    template of the class lengths. Anything else (a bool end, say) is laid out
+    value by value, so it prints, or raises TypeError, as any other value does.
+    """
+    rows = list(chain.from_iterable([cls.pairs for cls in inst.classes]))
+    values = (inst.n_colours, inst.a_size, inst.b_size, *chain.from_iterable(rows))
+    if set(map(len, rows)) <= {2} and set(map(type, values)) <= {int}:
+        return _instance_template(tuple(map(len, inst.classes)), nl) % values
+    payload = {
+        "n_colours": inst.n_colours,
+        "a_size": inst.a_size,
+        "b_size": inst.b_size,
+        "classes": [list(map(list, cls.pairs)) for cls in inst.classes],
+    }
+    return _encode(payload, nl)
+
+
 def _encode(obj: object, nl: str) -> str:
     """obj as json.dumps(indent=2) lays it out; nl is a line break plus the indent obj starts at."""
     kind = type(obj)
@@ -503,31 +533,26 @@ def _encode(obj: object, nl: str) -> str:
             return "{}"
         items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if kind is Instance:
+        return _encode_instance(obj, nl)
     raise TypeError(f"canonical JSON cannot encode {kind.__name__}")
 
 
 def canonical_json(obj: object) -> str:
     """The one indent-2 JSON writer: exactly json.dumps(obj, indent=2) + "\n".
 
-    Accepts dicts with str keys, lists, str, int, bool and None; any other
-    type (float, tuple, set, ...) raises TypeError.
+    Accepts dicts with str keys, lists, str, int, bool, None and Instance; any
+    other type (float, tuple, set, ...) raises TypeError. An Instance, at the
+    top or inside a dict or list, is written as the object
+    {"n_colours", "a_size", "b_size", "classes"} with each class a list of
+    [a, b] rows, straight from its pair tuples.
     """
     return _encode(obj, "\n") + "\n"
 
 
-def instance_payload(inst: Instance) -> dict:
-    """The canonical Instance JSON object, before encoding."""
-    return {
-        "n_colours": inst.n_colours,
-        "a_size": inst.a_size,
-        "b_size": inst.b_size,
-        "classes": [list(map(list, cls.pairs)) for cls in inst.classes],
-    }
-
-
 def instance_to_json(inst: Instance) -> str:
     """Canonical Instance JSON; round-trips bit-exactly through instance_from_json."""
-    return canonical_json(instance_payload(inst))
+    return canonical_json(inst)
 
 
 def instance_from_json(text: str) -> Instance:
@@ -536,6 +561,20 @@ def instance_from_json(text: str) -> Instance:
     except ValueError as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     return instance_from_payload(payload)
+
+
+def _pair_ends(classes: list) -> list[int] | None:
+    """Every end of classes in reading order if each class is a list of [int, int] rows, else None.
+
+    Each level (classes, rows, ends) is type-tested as a whole array at once.
+    """
+    if not set(map(type, classes)) <= {list}:
+        return None
+    rows = list(chain.from_iterable(classes))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}):
+        return None
+    ends = list(chain.from_iterable(rows))
+    return ends if set(map(type, ends)) <= {int} else None
 
 
 def instance_from_payload(payload: object) -> Instance:
@@ -552,12 +591,7 @@ def instance_from_payload(payload: object) -> Instance:
         a_size = json_int(payload["a_size"])
         b_size = json_int(payload["b_size"])
         classes = json_list(payload["classes"])
-        rows = list(chain.from_iterable(classes)) if set(map(type, classes)) <= {list} else None
-        if rows is None or not (
-            set(map(type, rows)) <= {list}
-            and set(map(len, rows)) <= {2}
-            and set(map(type, ends := list(chain.from_iterable(rows)))) <= {int}
-        ):
+        if (ends := _pair_ends(classes)) is None:
             for pairs in classes:  # raises at the first class or row at fault
                 int_rows(pairs, 2)
         classes = [list(map(tuple, pairs)) for pairs in classes]
@@ -573,6 +607,49 @@ def instance_from_payload(payload: object) -> Instance:
         return make_instance(classes, a_size=a_size, b_size=b_size)  # raises, in its words
     # the pairs of each class are distinct, so sorting them is all make_instance would do
     return Instance(tuple(ColourClass(tuple(sorted(pairs))) for pairs in classes), a_size, b_size)
+
+
+def _read_valid_instance(payload: object) -> Instance | None:
+    """The Instance of payload when whole-array tests find it well-formed and valid, else None.
+
+    Valid means what validate_instance checks: each class's pairs sorted and
+    distinct, a matching, and inside the a_size x b_size universe.
+    """
+    if type(payload) is not dict:
+        return None
+    heads = (payload.get("n_colours"), payload.get("a_size"), payload.get("b_size"))
+    classes = payload.get("classes")
+    if not (
+        set(map(type, heads)) == {int}
+        and min(heads) >= 0
+        and type(classes) is list
+        and len(classes) == heads[0]
+        and _pair_ends(classes) is not None
+    ):
+        return None
+    _, a_size, b_size = heads
+    built = [tuple(map(tuple, pairs)) for pairs in classes]
+    if not all(_valid_class(pairs, a_size, b_size) for pairs in built):
+        return None
+    return Instance(tuple(map(ColourClass, built)), a_size, b_size)
+
+
+def valid_instance_from_payload(payload: object) -> Instance:
+    """instance_from_payload(payload), and a ValueError unless validate_instance finds nothing.
+
+    A payload in the form instance_to_json writes, with valid classes, is read
+    and checked in one whole-array pass. Any other is read again by
+    instance_from_payload and validate_instance, to word the failure in their
+    terms: theirs is the exception, or "invalid instance: " and the violations
+    joined by "; ".
+    """
+    inst = _read_valid_instance(payload)
+    if inst is None:
+        inst = instance_from_payload(payload)
+        violations = validate_instance(inst)
+        if violations:
+            raise ValueError("invalid instance: " + "; ".join(map(str, violations)))
+    return inst
 
 
 def matching_to_json(r: RainbowMatching) -> str:

@@ -29,10 +29,11 @@ checks and set truncations; the exchange algebra is identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -44,8 +45,6 @@ from .core import (
     RainbowMatching,
     Vertex,
     canonical_json,
-    instance_from_payload,
-    instance_payload,
     int_rows,
     is_rainbow,
     json_int,
@@ -56,7 +55,7 @@ from .core import (
     neighbourhood_along,  # unused here, but perfbench's tracer patches proofkit.neighbourhood_along
     reject_repeats,
     va,
-    validate_instance,
+    valid_instance_from_payload,
     vb,
 )
 
@@ -192,6 +191,10 @@ class SwitchState:
     Every entry point indexes by k and pi, so building a state whose
     sequences do not have k entries each, and pi k + 1, raises ValueError.
     The integer view the engine reads (_Ints, as _ints) is built with the state.
+    A parent state that holds the same r object, as step_outcomes passes to
+    each child it extends, lends its view of r (x, y, r_at_a, r_at_b) instead;
+    without one, or with another r, the state builds its own. parent is not a
+    field: it is neither stored nor compared.
     """
 
     inst: Instance
@@ -204,8 +207,9 @@ class SwitchState:
     x_sets: tuple[frozenset[int], ...]
     y_sets: tuple[frozenset[int], ...]
     pi: tuple[int, ...]
+    parent: InitVar[SwitchState | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, parent: SwitchState | None) -> None:
         k = self.k
         lengths = tuple(map(len, (self.e_seq, self.g_seq, self.x_sets, self.y_sets, self.pi)))
         if lengths != (k, k, k, k, k + 1):
@@ -213,15 +217,21 @@ class SwitchState:
                 f"state shape does not fit k={k}: e_seq, g_seq, x_sets, y_sets and pi "
                 f"have {', '.join(map(str, lengths))} entries"
             )
-        triples = self.r.triples
-        x = frozenset(a for _, a, _ in triples)
+        if parent is not None and parent.r is self.r:
+            x, y, _, r_at_a, r_at_b, _, _ = parent._ints
+        else:
+            triples = self.r.triples
+            x = frozenset(a for _, a, _ in triples)
+            y = frozenset(b for _, _, b in triples)
+            r_at_a = {t[1]: t for t in triples}
+            r_at_b = {t[2]: t for t in triples}
         z = tuple(a for _, a, _ in self.g_seq)
         ints = _Ints(
             x=x,
-            y=frozenset(b for _, _, b in triples),
+            y=y,
             xz=x.union(z),
-            r_at_a={t[1]: t for t in triples},
-            r_at_b={t[2]: t for t in triples},
+            r_at_a=r_at_a,
+            r_at_b=r_at_b,
             z=z,
             ys=tuple(b for _, _, b in self.e_seq),
         )
@@ -858,6 +868,7 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
                 x_sets=st.x_sets + (X_next,),
                 y_sets=st.y_sets + (Y_next,),
                 pi=st.pi + (e_next[0],),
+                parent=st,
             )
         )
 
@@ -951,20 +962,35 @@ def _json_index(value: object) -> int:
 def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     """A SwitchState from a decoded state object, as _state_payload writes it.
 
-    Each vertex index is read once through _json_index, which names the first
-    value at fault. Raises ValueError, KeyError or TypeError on a malformed
-    state, which verify_trace_json reports as such.
+    Vertex indices are tested over whole arrays first; only when that test
+    fails is each read through _json_index, which names the first value at
+    fault. Raises ValueError, KeyError or TypeError on a malformed state, which
+    verify_trace_json reports as such.
     """
 
     def edges(rows) -> tuple[tuple[int, int, int], ...]:
-        return tuple((c, _json_index(a), _json_index(b)) for c, a, b in int_rows(rows, 3))
+        triples = int_rows(rows, 3)
+        flat = list(itertools.chain.from_iterable(triples))
+        if min(itertools.chain(flat[1::3], flat[2::3]), default=0) < 0:
+            for _, a, b in triples:  # raises at the first negative index
+                _json_index(a)
+                _json_index(b)
+        return tuple(triples)
 
     def index_sets(name: str) -> tuple[frozenset[int], ...]:
+        rows = json_list(payload[name])
+        checked = (
+            set(map(type, rows)) <= {list}
+            and set(map(type, flat := list(itertools.chain.from_iterable(rows)))) <= {int}
+            and min(flat, default=0) >= 0
+        )
         sets = []
-        for i, values in enumerate(json_list(payload[name])):
-            values = [_json_index(v) for v in json_list(values)]
-            reject_repeats(values, f"{name}[{i}]: repeated index")  # malformed, not a smaller set
-            sets.append(frozenset(values))
+        for i, values in enumerate(rows):
+            if not checked:  # the whole-array test failed: read value by value, in order
+                values = [_json_index(v) for v in json_list(values)]
+            if len(indices := frozenset(values)) < len(values):  # malformed, not a smaller set
+                reject_repeats(values, f"{name}[{i}]: repeated index")
+            sets.append(indices)
         return tuple(sets)
 
     return SwitchState(
@@ -986,7 +1012,11 @@ def _report_payload(report: PropertyReport) -> dict:
 
 
 def trace_to_json(trace: Trace) -> str:
-    """Serialize a trace with full state snapshots and property reports."""
+    """Serialize a trace with full state snapshots and property reports.
+
+    The instance goes into the payload as the Instance itself, which
+    canonical_json writes straight from its pair tuples.
+    """
     steps = []
     for out in trace.steps:
         if isinstance(out, Extended):
@@ -1006,7 +1036,7 @@ def trace_to_json(trace: Trace) -> str:
             )
     payload = {
         "mode": trace.mode.value,
-        "instance": instance_payload(trace.base.inst),
+        "instance": trace.base.inst,
         "base_state": _state_payload(trace.base),
         "steps": steps,
     }
@@ -1056,15 +1086,15 @@ def verify_trace_json(text: str) -> list[str]:
     and the violated property, link or matching defect; empty means the
     trace verifies. Raises ValueError on malformed JSON, including JSON
     nested too deeply, an invalid instance, structurally invalid states and
-    an extended step without a properties object.
+    an extended step without a properties object. The instance is read and
+    validated together (core.valid_instance_from_payload): in one whole-array
+    pass when it is as trace_to_json writes it, and by instance_from_payload
+    and validate_instance otherwise, so a fault is worded as they word it.
     """
     try:
         payload = json_value(text)
         mode = Mode(payload["mode"])
-        inst = instance_from_payload(payload["instance"])
-        violations = validate_instance(inst)
-        if violations:
-            raise ValueError("invalid instance: " + "; ".join(str(v) for v in violations))
+        inst = valid_instance_from_payload(payload["instance"])
         base = _state_from_payload(inst, payload["base_state"])
         base_report = verify_properties(base, mode)
         try:

@@ -420,6 +420,15 @@ JSON_VALUES = st.recursive(
     max_leaves=25,
 )
 
+# make_instance inputs: empty classes, no classes, ends above 2**63 and bool ends
+INSTANCE_END = st.integers(0, 9) | st.integers(2**63 - 2, 2**70) | st.booleans()
+INSTANCES = st.builds(
+    make_instance,
+    st.lists(st.lists(st.tuples(INSTANCE_END, INSTANCE_END), max_size=5), max_size=5),
+    st.none() | INSTANCE_END,
+    st.none() | INSTANCE_END,
+)
+
 
 class TestCanonicalJson:
     @given(JSON_VALUES)
@@ -446,6 +455,26 @@ class TestCanonicalJson:
     def test_other_types_raise_type_error(self, obj):
         with pytest.raises(TypeError):
             canonical_json(obj)
+
+    @given(INSTANCES)
+    @example(make_instance([]))
+    @example(make_instance([[], [(0, 0)], []]))
+    @example(make_instance([[(True, 0), (2**64, False)]]))
+    @example(make_instance([[(0, 1)]], a_size=True, b_size=2**63))
+    def test_instance_is_laid_out_as_its_payload_dict(self, inst):
+        # the layout the writer had when it built this dict first; make_instance does not
+        # type-check, so a bool end or size must still print as true or false
+        payload = {
+            "n_colours": inst.n_colours,
+            "a_size": inst.a_size,
+            "b_size": inst.b_size,
+            "classes": [list(map(list, cls.pairs)) for cls in inst.classes],
+        }
+        assert canonical_json(inst) == json.dumps(payload, indent=2) + "\n"
+        # nested, as a trace holds it
+        nested = {"mode": "relaxed", "instance": inst, "rest": [inst]}
+        want = {"mode": "relaxed", "instance": payload, "rest": [payload]}
+        assert canonical_json(nested) == json.dumps(want, indent=2) + "\n"
 
 
 class TestRepresentationPin:

@@ -813,6 +813,40 @@ class TestStepOutcomes:
                     seen.add(type(first).__name__)
         assert seen == {"threshold", "pigeonhole", "Augmented", "Extended"}
 
+    def test_a_child_shares_its_parents_view_of_r_and_it_never_goes_stale(self):
+        # every Extended outcome, at every depth, of greedy starts on tight draws
+        children = deepest = 0
+        for seed in range(200):
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            r = greedy_rainbow(inst, 0)
+            if len(r) == 8:
+                continue
+            frontier = [initial_state(*free_colour_zero(inst, r)[:2], EPS1)]
+            while frontier:
+                st = frontier.pop()
+                try:
+                    outcomes = list(step_outcomes(st))
+                except ThresholdInfeasible:
+                    continue
+                for child in (out.state for out in outcomes if isinstance(out, Extended)):
+                    children += 1
+                    built = SwitchState(**{f.name: getattr(child, f.name) for f in fields(child)})
+                    assert child._ints == built._ints
+                    assert child._ints.r_at_a is st._ints.r_at_a
+                    frontier.append(child)
+                    deepest = max(deepest, child.k)
+        assert children >= 50 and deepest >= 2  # grandchildren borrow a borrowed view
+
+    def test_a_hand_built_state_builds_its_own_view(self):
+        st = worked_claim1_state()
+        fresh = replace(st)
+        assert fresh._ints == st._ints and fresh._ints.r_at_a is not st._ints.r_at_a
+        # a parent with another r lends nothing
+        other = make_matching([(1, 3, 2)])
+        child = replace(st, r=other, e_seq=((1, 3, 2),), g_seq=((0, 2, 2),))
+        lent = SwitchState(**{f.name: getattr(child, f.name) for f in fields(child)}, parent=st)
+        assert lent._ints == child._ints and lent._ints.x == frozenset({3})
+
 
 def _with_entry(st: SwitchState, name: str, i: int, value) -> SwitchState:
     seq = getattr(st, name)

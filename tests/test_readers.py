@@ -226,6 +226,66 @@ class TestInstanceReader:
         assert core.validate_instance(inst) == ref.validate_instance(inst)
 
 
+def ref_valid_instance(payload: object) -> Instance:
+    """The reference reader, then the reference validation, as a trace's instance was read."""
+    inst = ref.instance_from_payload(payload)
+    violations = ref.validate_instance(inst)
+    if violations:
+        raise ValueError("invalid instance: " + "; ".join(map(str, violations)))
+    return inst
+
+
+def assert_valid_read_as_the_reference(payload) -> None:
+    got = outcome(core.valid_instance_from_payload, copy.deepcopy(payload))
+    assert got == outcome(ref_valid_instance, payload)
+
+
+def well_typed(classes: list, a_size: int = 3, b_size: int = 3) -> dict:
+    return {"n_colours": len(classes), "a_size": a_size, "b_size": b_size, "classes": classes}
+
+
+class TestValidInstanceReader:
+    @given(instance_payloads())
+    def test_payload_reads_as_the_reference(self, payload):
+        assert_valid_read_as_the_reference(payload)
+
+    @given(malformed_instance_payloads())
+    def test_malformed_payload_fails_as_the_reference(self, payload):
+        assert_valid_read_as_the_reference(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            well_typed([[[0, 1], [1, 2]], [], [[2, 0]]]),
+            well_typed([]),
+            well_typed([], a_size=0, b_size=0),
+            well_typed([[[1, 2], [0, 1]]]),
+            well_typed([[[0, 1], [0, 1]]]),
+            well_typed([[[0, 1], [1, 1], [1, 1]]]),
+            well_typed([[[0, 1], [0, 2]]]),
+            well_typed([[[0, 1], [2, 1]]]),
+            well_typed([[[0, 1], [3, 2]]]),
+            well_typed([[[0, 3]], [[0, 0]]]),
+            well_typed([[[0, 1]]], a_size=0),
+            well_typed([], a_size=-1),
+            well_typed([[[0, 0]], [[1, 1]]]) | {"n_colours": 1},
+            well_typed([[[2**64, 0]]], a_size=2**65),
+        ],
+        ids=["valid", "no-classes", "empty-universe", "unsorted", "repeated-pair",
+             "repeated-unsorted", "shared-a", "shared-b", "outside-a", "outside-b-later",
+             "outside-empty-universe", "negative-size", "count", "huge"],
+    )
+    def test_well_typed_payload_reads_as_the_reference(self, payload):
+        assert_valid_read_as_the_reference(payload)
+
+    def test_writer_output_takes_the_whole_array_path(self):
+        # instances the writer emits, valid ones, need no second read
+        for text in tight_traces(10):
+            payload = json.loads(text)["instance"]
+            inst = core._read_valid_instance(payload)
+            assert inst is not None and inst == ref_valid_instance(payload)
+
+
 # --- state payloads -------------------------------------------------------------
 
 
