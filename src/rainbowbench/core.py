@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from operator import lt
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 
 class Side(Enum):
@@ -449,12 +449,47 @@ def matching_from_rows(rows: object) -> RainbowMatching:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-@lru_cache(maxsize=256)
-def _template(shape: int | tuple, nl: str) -> str:
-    """The %d template of a list at nl; shape: a list of ints' length, or its lists' shapes."""
+def json_layout(shape: object, nl: str = "\n") -> str:
+    """The %-format template of a JSON value of `shape` at nl, as json.dumps(indent=2) lays it out.
+
+    A shape is an int n (a list of n integers, a "%d" each), a str (put in
+    as it is: a slot such as "%s", or fixed JSON text such as "true"), a tuple
+    (a list of those shapes) or a dict (an object of those keys, each holding
+    its value's shape). A template laid out at the top level, nl "\n", holds no
+    other line break, so canonical_json places it at any depth (see Filled).
+    """
+    kind = type(shape)
+    if kind is str:
+        return shape
     inner = nl + "  "
-    parts = ["%d"] * shape if type(shape) is int else [_template(s, inner) for s in shape]
+    if kind is dict:
+        parts = [
+            _encode_str(key).replace("%", "%%") + ": " + json_layout(value, inner)
+            for key, value in shape.items()
+        ]
+        return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
+    parts = ["%d"] * shape if kind is int else [json_layout(s, inner) for s in shape]
     return "[" + inner + ("," + inner).join(parts) + nl + "]" if parts else "[]"
+
+
+_template = lru_cache(maxsize=256)(json_layout)  # for shapes of ints and tuples, which hash
+
+
+class Filled(NamedTuple):
+    """A JSON value as a json_layout template laid out at the top level and its values.
+
+    canonical_json writes it as the template, indented to where it stands,
+    %-formatted with values, in one step.
+    """
+
+    layout: str
+    values: tuple
+
+
+@lru_cache(maxsize=1024)
+def _placed(layout: str, nl: str) -> str:
+    """A top-level template placed at nl: every line break takes nl's indent."""
+    return layout.replace("\n", nl)
 
 
 def _int_rows_layout(rows: list[list], nl: str) -> str | None:
@@ -480,10 +515,9 @@ def _int_rows_layout(rows: list[list], nl: str) -> str | None:
 @lru_cache(maxsize=256)
 def _instance_template(lengths: tuple[int, ...], nl: str) -> str:
     """The %d template of an Instance JSON object at nl whose classes hold `lengths` pairs."""
-    inner = nl + "  "
-    head = "".join(f'{inner}"{key}": %d,' for key in ("n_colours", "a_size", "b_size"))
-    classes = _template(tuple((2,) * n for n in lengths), inner)
-    return "{" + head + inner + '"classes": ' + classes + nl + "}"
+    classes = tuple((2,) * n for n in lengths)
+    shape = {"n_colours": "%d", "a_size": "%d", "b_size": "%d", "classes": classes}
+    return json_layout(shape, nl)
 
 
 def _encode_instance(inst: Instance, nl: str) -> str:
@@ -535,17 +569,20 @@ def _encode(obj: object, nl: str) -> str:
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if kind is Instance:
         return _encode_instance(obj, nl)
+    if kind is Filled:
+        return _placed(obj.layout, nl) % obj.values
     raise TypeError(f"canonical JSON cannot encode {kind.__name__}")
 
 
 def canonical_json(obj: object) -> str:
     """The one indent-2 JSON writer: exactly json.dumps(obj, indent=2) + "\n".
 
-    Accepts dicts with str keys, lists, str, int, bool, None and Instance; any
-    other type (float, tuple, set, ...) raises TypeError. An Instance, at the
-    top or inside a dict or list, is written as the object
+    Accepts dicts with str keys, lists, str, int, bool, None, Instance and
+    Filled; any other type (float, tuple, set, ...) raises TypeError. An
+    Instance, at the top or inside a dict or list, is written as the object
     {"n_colours", "a_size", "b_size", "classes"} with each class a list of
-    [a, b] rows, straight from its pair tuples.
+    [a, b] rows, straight from its pair tuples; a Filled value as its layout
+    filled with its values.
     """
     return _encode(obj, "\n") + "\n"
 

@@ -41,6 +41,7 @@ from typing import AbstractSet, Iterator, Mapping, NamedTuple
 
 from .core import (
     ColouredEdge,
+    Filled,
     Instance,
     RainbowMatching,
     Vertex,
@@ -48,6 +49,7 @@ from .core import (
     int_rows,
     is_rainbow,
     json_int,
+    json_layout,
     json_list,
     json_value,
     make_matching,
@@ -922,6 +924,7 @@ def run_switch_trace(
 
 
 def _state_payload(st: SwitchState) -> dict:
+    """The state as trace_to_json writes a state it cannot fill into a layout (see _state_json)."""
     return {
         "r": list(map(list, st.r.triples)),
         "eps": str(st.eps.value),
@@ -959,38 +962,80 @@ def _json_index(value: object) -> int:
     return index
 
 
-def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
+def _read_state(inst: Instance, payload: object, base: SwitchState | None) -> SwitchState | None:
+    """The state of payload when one whole-array pass finds every field well-formed, else None.
+
+    Well-formed is what _state_from_payload's field-by-field reading accepts,
+    with colours non-negative too: arrays of [colour, a, b] integer rows for
+    r, e_seq and g_seq, arrays of integer arrays for x_sets and y_sets,
+    integers for pi, t and k, no row of r and no index of a pool repeated.
+    eps is read last, once, and raises as that reading would, since every
+    field read before it has passed. An r equal to base's takes base's
+    matching, and with it base's view of r (SwitchState's parent).
+    """
+    if type(payload) is not dict:
+        return None
+    names = ("r", "e_seq", "g_seq", "x_sets", "y_sets", "pi")
+    r, e_seq, g_seq, x_sets, y_sets, pi = arrays = tuple(map(payload.get, names))
+    t, k = payload.get("t"), payload.get("k")
+    if not (set(map(type, arrays)) == {list} and type(t) is int and type(k) is int):
+        return None
+    rows, pools = r + e_seq + g_seq, x_sets + y_sets
+    if not (set(map(type, rows + pools)) <= {list} and set(map(len, rows)) <= {3}):
+        return None
+    values = list(itertools.chain.from_iterable(rows + pools)) + pi
+    if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):
+        return None
+    edges = list(map(tuple, rows))
+    sets = list(map(frozenset, pools))
+    if list(map(len, sets)) != list(map(len, pools)):
+        return None
+    n_r, n_e, n_x = len(r), len(e_seq), len(x_sets)
+    r_rows = tuple(edges[:n_r])
+    if base is not None and r_rows == base.r.triples:
+        matching = base.r
+    elif len(matching := make_matching(r_rows)) < n_r:  # a repeated row
+        return None
+    return SwitchState(
+        inst=inst,
+        r=matching,
+        eps=_eps_from_json(payload["eps"]),
+        t=t,
+        k=k,
+        e_seq=tuple(edges[n_r:n_r + n_e]),
+        g_seq=tuple(edges[n_r + n_e:]),
+        x_sets=tuple(sets[:n_x]),
+        y_sets=tuple(sets[n_x:]),
+        pi=tuple(pi),
+        parent=base,
+    )
+
+
+def _state_from_payload(
+    inst: Instance, payload: dict, base: SwitchState | None = None
+) -> SwitchState:
     """A SwitchState from a decoded state object, as _state_payload writes it.
 
-    Vertex indices are tested over whole arrays first; only when that test
-    fails is each read through _json_index, which names the first value at
-    fault. Raises ValueError, KeyError or TypeError on a malformed state, which
-    verify_trace_json reports as such.
+    All nine fields are tested in one whole-array pass first (_read_state).
+    Only when that pass fails is the state read again field by field and
+    value by value, through _json_index and reject_repeats, to name the first
+    field and value at fault. Raises ValueError, KeyError or TypeError
+    on a malformed state, which verify_trace_json reports as such. A state
+    whose r equals base's shares base's matching and its view of r.
     """
+    state = _read_state(inst, payload, base)
+    if state is not None:
+        return state
 
     def edges(rows) -> tuple[tuple[int, int, int], ...]:
-        triples = int_rows(rows, 3)
-        flat = list(itertools.chain.from_iterable(triples))
-        if min(itertools.chain(flat[1::3], flat[2::3]), default=0) < 0:
-            for _, a, b in triples:  # raises at the first negative index
-                _json_index(a)
-                _json_index(b)
-        return tuple(triples)
+        return tuple((c, _json_index(a), _json_index(b)) for c, a, b in int_rows(rows, 3))
 
     def index_sets(name: str) -> tuple[frozenset[int], ...]:
-        rows = json_list(payload[name])
-        checked = (
-            set(map(type, rows)) <= {list}
-            and set(map(type, flat := list(itertools.chain.from_iterable(rows)))) <= {int}
-            and min(flat, default=0) >= 0
-        )
         sets = []
-        for i, values in enumerate(rows):
-            if not checked:  # the whole-array test failed: read value by value, in order
-                values = [_json_index(v) for v in json_list(values)]
-            if len(indices := frozenset(values)) < len(values):  # malformed, not a smaller set
-                reject_repeats(values, f"{name}[{i}]: repeated index")
-            sets.append(indices)
+        for i, values in enumerate(json_list(payload[name])):
+            indices = [_json_index(v) for v in json_list(values)]
+            reject_repeats(indices, f"{name}[{i}]: repeated index")  # malformed, not a smaller set
+            sets.append(frozenset(indices))
         return tuple(sets)
 
     return SwitchState(
@@ -1011,11 +1056,67 @@ def _report_payload(report: PropertyReport) -> dict:
     return {c.name: {"ok": c.ok, "witness": c.witness} for c in report.checks}
 
 
+@lru_cache(maxsize=1024)
+def _state_layout(r_len: int, k: int, x_lens: tuple[int, ...], y_lens: tuple[int, ...]) -> str:
+    """The layout of a state with r_len r-rows, k steps and pools of x_lens and y_lens sizes.
+
+    Its slots take _state_payload's values in order; eps, which str(Fraction)
+    writes in digits, "-" and "/" alone, fills a JSON string as it is.
+    """
+    shape = {
+        "r": (3,) * r_len,
+        "eps": '"%s"',
+        "t": "%d",
+        "k": "%d",
+        "e_seq": (3,) * k,
+        "g_seq": (3,) * k,
+        "x_sets": x_lens,
+        "y_sets": y_lens,
+        "pi": k + 1,
+    }
+    return json_layout(shape)
+
+
+def _state_json(st: SwitchState) -> Filled | dict:
+    """The state as trace_to_json writes it: filled into the layout of its shape.
+
+    A state holding a value "%d" would misprint (a bool t, say), or one JSON
+    cannot hold, is written from _state_payload instead, which prints it, or
+    raises TypeError, as canonical_json does any other value.
+    """
+    x_sets, y_sets = list(map(sorted, st.x_sets)), list(map(sorted, st.y_sets))
+    ints = (
+        *itertools.chain.from_iterable(st.r.triples), st.t, st.k,
+        *itertools.chain.from_iterable(st.e_seq), *itertools.chain.from_iterable(st.g_seq),
+        *itertools.chain.from_iterable(x_sets), *itertools.chain.from_iterable(y_sets), *st.pi,
+    )
+    if not set(map(type, ints)) <= {int}:
+        return _state_payload(st)
+    rows = len(st.r.triples)
+    layout = _state_layout(rows, st.k, tuple(map(len, x_sets)), tuple(map(len, y_sets)))
+    return Filled(layout, (*ints[:3 * rows], st.eps.value, *ints[3 * rows:]))
+
+
+# a passing report is the same JSON in every step
+_PASSED_JSON = Filled(
+    json_layout({name: {"ok": "true", "witness": "null"} for name in PROPERTY_NAMES}), ()
+)
+
+
+def _report_json(report: PropertyReport) -> Filled | dict:
+    return _PASSED_JSON if report.checks == _PASSED else _report_payload(report)
+
+
 def trace_to_json(trace: Trace) -> str:
     """Serialize a trace with full state snapshots and property reports.
 
     The instance goes into the payload as the Instance itself, which
-    canonical_json writes straight from its pair tuples.
+    canonical_json writes straight from its pair tuples. Each state is filled
+    from its own tuples into the layout of its shape (_state_json), and a
+    report whose seven checks pass is one fixed layout; a failing report, or
+    a state holding a value "%d" would misprint, is written value by value.
+    The bytes are json.dumps(payload, indent=2) + "\n" of the payload dict
+    either way.
     """
     steps = []
     for out in trace.steps:
@@ -1023,8 +1124,8 @@ def trace_to_json(trace: Trace) -> str:
             steps.append(
                 {
                     "kind": "extended",
-                    "state": _state_payload(out.state),
-                    "properties": _report_payload(verify_properties(out.state, trace.mode)),
+                    "state": _state_json(out.state),
+                    "properties": _report_json(verify_properties(out.state, trace.mode)),
                 }
             )
         else:
@@ -1037,19 +1138,34 @@ def trace_to_json(trace: Trace) -> str:
     payload = {
         "mode": trace.mode.value,
         "instance": trace.base.inst,
-        "base_state": _state_payload(trace.base),
+        "base_state": _state_json(trace.base),
         "steps": steps,
     }
     return canonical_json(payload)
 
 
-def _step_from_payload(inst: Instance, step) -> tuple[StepOutcome, object]:
-    """The step's outcome, and for an extended step its recorded property report."""
+def _records(recorded: object, report: PropertyReport) -> bool:
+    """True iff recorded is report as trace_to_json writes it, JSON types included.
+
+    == alone takes 1 or 1.0 for true and 0 for false, so each "ok" must also be a bool.
+    """
+    return recorded == _report_payload(report) and all(
+        type(check["ok"]) is bool for check in recorded.values()
+    )
+
+
+def _step_from_payload(
+    inst: Instance, step, base: SwitchState | None = None
+) -> tuple[StepOutcome, object]:
+    """The step's outcome, and for an extended step its recorded property report.
+
+    An extended step's state is read with base (see _state_from_payload).
+    """
     if not isinstance(step, dict):
         raise TypeError(f"expected an object, got {type(step).__name__}")
     kind = step.get("kind")
     if kind == "extended":
-        out = Extended(_state_from_payload(inst, step["state"]))
+        out = Extended(_state_from_payload(inst, step["state"], base))
         if not isinstance(recorded := step["properties"], dict):
             raise TypeError(f"properties must be an object, got {type(recorded).__name__}")
         return out, recorded
@@ -1080,16 +1196,19 @@ def verify_trace_json(text: str) -> list[str]:
     extend_state derives from the previous state. Each extended step must
     also continue the previous state (k rises by one; e_seq, g_seq, x_sets,
     y_sets and pi each gain one entry; r, eps and t stay the base's), satisfy
-    P1-P7, and record the property report verify_properties gives. An
-    augmented step must end the trace with a valid rainbow matching one
-    larger than the base's r. Returns failure strings naming the step index
-    and the violated property, link or matching defect; empty means the
-    trace verifies. Raises ValueError on malformed JSON, including JSON
-    nested too deeply, an invalid instance, structurally invalid states and
-    an extended step without a properties object. The instance is read and
-    validated together (core.valid_instance_from_payload): in one whole-array
-    pass when it is as trace_to_json writes it, and by instance_from_payload
-    and validate_instance otherwise, so a fault is worded as they word it.
+    P1-P7, and record the property report verify_properties gives, JSON
+    types included (an "ok" of 1 is not true). An augmented step must end the
+    trace with a valid rainbow matching one larger than the base's r. Returns
+    failure strings naming the step index and the violated property, link or
+    matching defect; empty means the trace verifies. Raises ValueError on
+    malformed JSON, including JSON nested too deeply, an invalid instance,
+    structurally invalid states and an extended step without a properties
+    object. The instance is read and validated together
+    (core.valid_instance_from_payload): in one whole-array pass when it is as
+    trace_to_json writes it, and by instance_from_payload and
+    validate_instance otherwise, so a fault is worded as they word it. Each
+    state is read in one whole-array pass too (_state_from_payload), and a
+    step whose r equals the base's shares the base's matching and its view.
     """
     try:
         payload = json_value(text)
@@ -1116,7 +1235,7 @@ def verify_trace_json(text: str) -> list[str]:
     prev: SwitchState | Augmented = base
     for idx, step in enumerate(steps):
         try:
-            out, recorded = _step_from_payload(inst, step)
+            out, recorded = _step_from_payload(inst, step, base)
             report = verify_properties(out.state, mode) if isinstance(out, Extended) else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed trace JSON: step {idx}: {exc}") from exc
@@ -1134,7 +1253,7 @@ def verify_trace_json(text: str) -> list[str]:
             links = _chain_breaks(base, prev, out.state)
             failures += [f"step {idx}: chain broken: {link}" for link in links]
             failures += [f"step {idx}: {n} fails ({report[n].witness})" for n in report.failed()]
-            if recorded != _report_payload(report):
+            if not _records(recorded, report):
                 failures.append(
                     f"step {idx}: recorded property report differs from the checked one"
                 )

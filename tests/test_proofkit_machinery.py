@@ -5,6 +5,7 @@ import time
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, strategies as hs
 
 from stateforge import StateForge, random_forge
 from rainbowbench.core import (
@@ -1096,6 +1097,79 @@ class TestTracePin:
         )
 
 
+def payload_dict(trace: Trace) -> dict:
+    """The payload dict trace_to_json laid out value by value before states had layouts."""
+
+    def state(st: SwitchState) -> dict:
+        return {
+            "r": list(map(list, st.r.triples)),
+            "eps": str(st.eps.value),
+            "t": st.t,
+            "k": st.k,
+            "e_seq": list(map(list, st.e_seq)),
+            "g_seq": list(map(list, st.g_seq)),
+            "x_sets": list(map(sorted, st.x_sets)),
+            "y_sets": list(map(sorted, st.y_sets)),
+            "pi": list(st.pi),
+        }
+
+    def step(out) -> dict:
+        if isinstance(out, Augmented):
+            return {"kind": "augmented", "matching": list(map(list, out.matching.triples))}
+        checks = verify_properties(out.state, trace.mode).checks
+        report = {c.name: {"ok": c.ok, "witness": c.witness} for c in checks}
+        return {"kind": "extended", "state": state(out.state), "properties": report}
+
+    inst = trace.base.inst
+    return {
+        "mode": trace.mode.value,
+        "instance": {
+            "n_colours": inst.n_colours,
+            "a_size": inst.a_size,
+            "b_size": inst.b_size,
+            "classes": [list(map(list, cls.pairs)) for cls in inst.classes],
+        },
+        "base_state": state(trace.base),
+        "steps": list(map(step, trace.steps)),
+    }
+
+
+@hs.composite
+def forged_traces(draw) -> Trace:
+    """Hand-built traces: a StateForge state at k = 0..3 with eps 1, 1/3 or 2/5 and its
+    prefixes as the base and extended steps, in relaxed or strict mode (where P4 fails
+    with a witness), sometimes with g_1 moved into class pi(1) (P2 fails too), a bool t
+    in one state or an augmented last step."""
+    rng = random.Random(draw(hs.integers(0, 2**32 - 1)))
+    k = draw(hs.integers(0, 3))
+    pools = [rng.randint(0, 2) for _ in range(k)]
+    eps = draw(hs.sampled_from(["1", "1/3", "2/5"]))
+    full = StateForge(rng, k + sum(pools) + rng.randint(4, 6), k, pools, eps=eps).freeze()
+    if k and draw(hs.booleans()):
+        _, a, b = full.g_seq[0]
+        full = replace(full, g_seq=((full.pi[1], a, b), *full.g_seq[1:]))
+    states = [
+        replace(full, k=i, e_seq=full.e_seq[:i], g_seq=full.g_seq[:i],
+                x_sets=full.x_sets[:i], y_sets=full.y_sets[:i], pi=full.pi[:i + 1])
+        for i in range(k + 1)
+    ]
+    if draw(hs.booleans()):
+        i = draw(hs.integers(0, k))
+        states[i] = replace(states[i], t=draw(hs.booleans()))
+    steps = [Extended(state) for state in states[1:]]
+    if draw(hs.booleans()):
+        steps.append(Augmented(full.r))
+    return Trace(draw(hs.sampled_from(list(Mode))), states[0], tuple(steps))
+
+
+class TestTraceLayout:
+    @given(forged_traces())
+    def test_trace_is_laid_out_as_its_payload_dict(self, trace):
+        # states fill a layout of their shape and passing reports are one layout; a
+        # failing report or a bool t must still print as the dict did
+        assert trace_to_json(trace) == json.dumps(payload_dict(trace), indent=2) + "\n"
+
+
 def two_step_trace() -> dict:
     """A serialized engine run with two extended steps (k = 1, 2) and no augmentation."""
     inst = gen_random_instance(5, 6, a_size=6, b_size=6, seed=6)
@@ -1446,6 +1520,31 @@ class TestRecordedReports:
         forge(payload["steps"][1]["properties"])
         assert verify(payload) == [
             "step 1: recorded property report differs from the checked one"
+        ]
+
+    @pytest.mark.parametrize("value", [1, 1.0], ids=["int", "float"])
+    def test_a_recorded_true_must_be_json_true(self, value):
+        # 1 == 1.0 == True in Python, but not in JSON
+        payload = two_step_trace()
+        payload["steps"][0]["properties"]["P1"]["ok"] = value
+        assert verify(payload) == [
+            "step 0: recorded property report differs from the checked one"
+        ]
+
+    @pytest.mark.parametrize("value", [0, 0.0], ids=["int", "float"])
+    def test_a_recorded_false_must_be_json_false(self, value):
+        forge = StateForge(random.Random(52), 7, 2, [1, 1])
+        st = forge.freeze()
+        _, a, b = st.g_seq[0]
+        bad = replace(st, g_seq=((st.pi[1], a, b), *st.g_seq[1:]))
+        base = initial_state(st.inst, st.r, st.eps)
+        payload = json.loads(trace_to_json(Trace(Mode.RELAXED, base, (Extended(bad),))))
+        report = payload["steps"][0]["properties"]
+        failed = next(name for name, check in report.items() if check["ok"] is False)
+        before = verify(payload)
+        report[failed]["ok"] = value
+        assert verify(payload) == before + [
+            "step 0: recorded property report differs from the checked one"
         ]
 
     def test_missing_properties_object_is_malformed(self):

@@ -385,6 +385,39 @@ class TestStateReader:
             got = proofkit._state_from_payload(inst, json.loads(state))
             assert got == ref.state_from_payload(inst, json.loads(state))
 
+    def test_a_step_with_the_bases_r_shares_its_matching_and_view(self):
+        shared = 0
+        for text in tight_traces(40):
+            payload = json.loads(text)
+            inst = core.instance_from_payload(payload["instance"])
+            base = proofkit._state_from_payload(inst, payload["base_state"])
+            for step in payload["steps"]:
+                if step["kind"] == "extended":
+                    state = proofkit._state_from_payload(inst, copy.deepcopy(step["state"]), base)
+                    assert state == ref.state_from_payload(inst, step["state"])
+                    assert state.r is base.r and state._ints.r_at_a is base._ints.r_at_a
+                    shared += 1
+        assert shared >= 10
+
+    def test_a_step_r_with_one_row_changed_breaks_the_chain(self):
+        payload, state = first_extended_step()
+        # a row outside e_seq takes another row's colour: r stays structurally sound
+        i = next(i for i, row in enumerate(state["r"]) if row not in state["e_seq"])
+        state["r"][i][0] = state["r"][i - 1][0]
+        failures = proofkit.verify_trace_json(json.dumps(payload))
+        assert "step 0: chain broken: r differs from the base state's" in failures
+
+    @pytest.mark.parametrize("convert", [float, bool])
+    def test_a_step_r_equal_to_the_bases_but_for_json_types_is_malformed(self, convert):
+        # [1.0] == [1] and [True] == [1]: the integer test must come before the comparison
+        payload, state = first_extended_step()
+        row = next(row for row in state["r"] if {0, 1} & set(row))
+        j = next(j for j, v in enumerate(row) if v in (0, 1))
+        row[j] = convert(row[j])
+        with pytest.raises(ValueError, match=r"malformed trace JSON: step 0: expected an array "
+                                             r"of 3 integers, got \["):
+            proofkit.verify_trace_json(json.dumps(payload))
+
     @given(
         st.lists(
             st.one_of(
@@ -402,6 +435,16 @@ class TestStateReader:
             assert got == ("ok", (Augmented(want[1]), None))
         else:
             assert got == want
+
+
+def first_extended_step() -> tuple[dict, dict]:
+    """The first tight trace whose step 0 is extended, and that step's state, decoded."""
+    for text in tight_traces(40):
+        payload = json.loads(text)
+        if payload["steps"] and payload["steps"][0]["kind"] == "extended":
+            assert payload["steps"][0]["state"]["r"] == payload["base_state"]["r"]
+            return payload, payload["steps"][0]["state"]
+    raise AssertionError("no tight trace extends its base")
 
 
 # --- outcome pin ----------------------------------------------------------------
@@ -455,8 +498,10 @@ class TestCheckerOutcomePin:
     def test_outcomes_of_mutated_traces_are_pinned(self):
         # sha256 over verify_trace_json's outcome (its failure list, or the
         # ValueError text) for 2,000 seeded one-node mutations of tight traces;
-        # recorded before the readers tested whole arrays first. Nothing but
-        # ValueError may escape the checker.
+        # recorded before the readers tested whole arrays first, and again when
+        # the report check took JSON types into account, which changed mutation
+        # 537 alone (P2's "ok": true replaced by 1, from [] to a report failure).
+        # Nothing but ValueError may escape the checker.
         rng = random.Random(2014)
         traces = tight_traces(40)
         digest = hashlib.sha256()
@@ -474,5 +519,5 @@ class TestCheckerOutcomePin:
             digest.update(f"{op} {line}\n".encode())
         assert min(kinds.values()) >= 100, kinds
         assert digest.hexdigest() == (
-            "c9cd4b671f501709d44f197d2d4a73a7f83acfebd92f9e661b2aaa8bd8e42674"
+            "95f2d5d162e2abad5c2cf498c946eac1a433c3ab19bb69f72d2d358b2982d20f"
         )
