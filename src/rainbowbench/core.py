@@ -232,12 +232,9 @@ def _valid_class(pairs: tuple[tuple[int, int], ...], a_size: int, b_size: int) -
 def validate_instance(inst: Instance) -> list[Violation]:
     """Check all Instance invariants; empty list iff the instance is valid.
 
-    Each class is tested whole first (_valid_class). Only when some class
-    fails are the pairs of every class walked one by one, to word each
-    violation in order.
+    The pairs of every class are walked one by one, and each violation is
+    worded in order.
     """
-    if all(_valid_class(cls.pairs, inst.a_size, inst.b_size) for cls in inst.classes):
-        return []
     violations: list[Violation] = []
     for idx, cls in enumerate(inst.classes):
         if any(p >= q for p, q in zip(cls.pairs, cls.pairs[1:])):
@@ -456,7 +453,7 @@ def json_layout(shape: object, nl: str = "\n") -> str:
     as it is: a slot such as "%s", or fixed JSON text such as "true"), a tuple
     (a list of those shapes) or a dict (an object of those keys, each holding
     its value's shape). A template laid out at the top level, nl "\n", holds no
-    other line break, so canonical_json places it at any depth (see Filled).
+    other line break, so _placed places it at any depth (see Filled).
     """
     kind = type(shape)
     if kind is str:
@@ -472,7 +469,10 @@ def json_layout(shape: object, nl: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(parts) + nl + "]" if parts else "[]"
 
 
-_template = lru_cache(maxsize=256)(json_layout)  # for shapes of ints and tuples, which hash
+@lru_cache(maxsize=256)
+def _template(lengths: tuple[int, ...]) -> str:
+    """The top-level layout of a list of int rows of these lengths."""
+    return json_layout(lengths)
 
 
 class Filled(NamedTuple):
@@ -493,52 +493,37 @@ def _placed(layout: str, nl: str) -> str:
 
 
 def _int_rows_layout(rows: list[list], nl: str) -> str | None:
-    """_encode(rows, nl) when rows are int rows, or lists of int rows; None otherwise.
+    """_encode(rows, nl) when rows are int rows, None otherwise.
 
-    Types are checked over whole arrays first ("%d" would print True as 1);
-    then one %-format fills every value into the template of rows' shape.
+    Types are checked over the whole array first ("%d" would print True as 1);
+    then one %-format fills every value into the layout of the row lengths.
     """
     cells = list(chain.from_iterable(rows))
-    kinds = set(map(type, cells))
-    if kinds <= {int}:
-        shape, values = tuple(map(len, rows)), cells
-    elif kinds == {list}:
-        values = list(chain.from_iterable(cells))
-        if not set(map(type, values)) <= {int}:
-            return None
-        shape = tuple(tuple(map(len, block)) for block in rows)
-    else:
+    if not set(map(type, cells)) <= {int}:
         return None
-    return _template(shape, nl) % tuple(values)
+    return _placed(_template(tuple(map(len, rows))), nl) % tuple(cells)
 
 
 @lru_cache(maxsize=256)
-def _instance_template(lengths: tuple[int, ...], nl: str) -> str:
-    """The %d template of an Instance JSON object at nl whose classes hold `lengths` pairs."""
+def _instance_template(lengths: tuple[int, ...]) -> str:
+    """The top-level layout of an Instance JSON object whose classes hold `lengths` pairs."""
     classes = tuple((2,) * n for n in lengths)
-    shape = {"n_colours": "%d", "a_size": "%d", "b_size": "%d", "classes": classes}
-    return json_layout(shape, nl)
+    return json_layout({"n_colours": "%d", "a_size": "%d", "b_size": "%d", "classes": classes})
 
 
 def _encode_instance(inst: Instance, nl: str) -> str:
     """inst's canonical JSON object at nl: its counts, sizes and each class's pairs as [a, b] rows.
 
-    Pair lengths and value types are checked over whole arrays first ("%d"
-    would print True as 1); then one %-format fills every value into the
-    template of the class lengths. Anything else (a bool end, say) is laid out
-    value by value, so it prints, or raises TypeError, as any other value does.
+    Pair widths and value types are checked over whole arrays first ("%d"
+    would print True as 1): anything but integer pairs, such as a bool end,
+    raises TypeError. Then one %-format fills every value into the layout of
+    the class lengths.
     """
     rows = list(chain.from_iterable([cls.pairs for cls in inst.classes]))
     values = (inst.n_colours, inst.a_size, inst.b_size, *chain.from_iterable(rows))
-    if set(map(len, rows)) <= {2} and set(map(type, values)) <= {int}:
-        return _instance_template(tuple(map(len, inst.classes)), nl) % values
-    payload = {
-        "n_colours": inst.n_colours,
-        "a_size": inst.a_size,
-        "b_size": inst.b_size,
-        "classes": [list(map(list, cls.pairs)) for cls in inst.classes],
-    }
-    return _encode(payload, nl)
+    if not (set(map(len, rows)) <= {2} and set(map(type, values)) <= {int}):
+        raise TypeError("canonical JSON writes an Instance of integer pairs only")
+    return _placed(_instance_template(tuple(map(len, inst.classes))), nl) % values
 
 
 def _encode(obj: object, nl: str) -> str:
@@ -556,10 +541,7 @@ def _encode(obj: object, nl: str) -> str:
     if kind is list:
         if not obj:
             return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            return "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
-        if kinds == {list} and (rows := _int_rows_layout(obj, nl)) is not None:
+        if set(map(type, obj)) == {list} and (rows := _int_rows_layout(obj, nl)) is not None:
             return rows
         return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + nl + "]"
     if kind is dict:
@@ -581,8 +563,9 @@ def canonical_json(obj: object) -> str:
     Filled; any other type (float, tuple, set, ...) raises TypeError. An
     Instance, at the top or inside a dict or list, is written as the object
     {"n_colours", "a_size", "b_size", "classes"} with each class a list of
-    [a, b] rows, straight from its pair tuples; a Filled value as its layout
-    filled with its values.
+    [a, b] rows, straight from its pair tuples, and an Instance holding
+    anything but integer pairs (a bool end, say) raises TypeError; a Filled
+    value is written as its layout filled with its values.
     """
     return _encode(obj, "\n") + "\n"
 
@@ -600,38 +583,19 @@ def instance_from_json(text: str) -> Instance:
     return instance_from_payload(payload)
 
 
-def _pair_ends(classes: list) -> list[int] | None:
-    """Every end of classes in reading order if each class is a list of [int, int] rows, else None.
-
-    Each level (classes, rows, ends) is type-tested as a whole array at once.
-    """
-    if not set(map(type, classes)) <= {list}:
-        return None
-    rows = list(chain.from_iterable(classes))
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}):
-        return None
-    ends = list(chain.from_iterable(rows))
-    return ends if set(map(type, ends)) <= {int} else None
-
-
 def instance_from_payload(payload: object) -> Instance:
-    """An Instance from a decoded Instance JSON object.
+    """An Instance from a decoded Instance JSON object, read class by class.
 
     Raises ValueError on a missing field, a non-integer value, a class count
     that differs from n_colours, a pair repeated inside a class (malformed,
-    not a smaller class), a negative vertex index or a negative universe size.
-    Types are tested over every class at once; only when that test fails are
-    the classes read one by one, to name the first class or row at fault.
+    not a smaller class), a negative vertex index or a negative universe size;
+    each names the first class or row at fault.
     """
     try:
         n_colours = json_int(payload["n_colours"])
         a_size = json_int(payload["a_size"])
         b_size = json_int(payload["b_size"])
-        classes = json_list(payload["classes"])
-        if (ends := _pair_ends(classes)) is None:
-            for pairs in classes:  # raises at the first class or row at fault
-                int_rows(pairs, 2)
-        classes = [list(map(tuple, pairs)) for pairs in classes]
+        classes = [int_rows(pairs, 2) for pairs in json_list(payload["classes"])]
         for colour, pairs in enumerate(classes):
             reject_repeats(pairs, f"colour {colour}: repeated pair")
     except (KeyError, TypeError, ValueError) as exc:
@@ -640,6 +604,7 @@ def instance_from_payload(payload: object) -> Instance:
         raise ValueError(
             f"instance JSON declares {n_colours} colours but lists {len(classes)} classes"
         )
+    ends = chain.from_iterable(chain.from_iterable(classes))
     if min(ends, default=0) < 0 or min(a_size, b_size) < 0:
         return make_instance(classes, a_size=a_size, b_size=b_size)  # raises, in its words
     # the pairs of each class are distinct, so sorting them is all make_instance would do
@@ -661,7 +626,14 @@ def _read_valid_instance(payload: object) -> Instance | None:
         and min(heads) >= 0
         and type(classes) is list
         and len(classes) == heads[0]
-        and _pair_ends(classes) is not None
+        and set(map(type, classes)) <= {list}
+    ):
+        return None
+    rows = list(chain.from_iterable(classes))
+    if not (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {2}
+        and set(map(type, chain.from_iterable(rows))) <= {int}
     ):
         return None
     _, a_size, b_size = heads

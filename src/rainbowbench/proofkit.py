@@ -923,21 +923,6 @@ def run_switch_trace(
     return Trace(mode, base, tuple(steps))
 
 
-def _state_payload(st: SwitchState) -> dict:
-    """The state as trace_to_json writes a state it cannot fill into a layout (see _state_json)."""
-    return {
-        "r": list(map(list, st.r.triples)),
-        "eps": str(st.eps.value),
-        "t": st.t,
-        "k": st.k,
-        "e_seq": list(map(list, st.e_seq)),
-        "g_seq": list(map(list, st.g_seq)),
-        "x_sets": list(map(sorted, st.x_sets)),
-        "y_sets": list(map(sorted, st.y_sets)),
-        "pi": list(st.pi),
-    }
-
-
 @lru_cache(maxsize=16)
 def _canonical_eps(text: str) -> Epsilon | None:
     """Epsilon.parse(text) if text is str(eps.value), else None; cached, as traces repeat eps."""
@@ -948,7 +933,7 @@ def _canonical_eps(text: str) -> Epsilon | None:
 
 
 def _eps_from_json(value: object) -> Epsilon:
-    """eps as _state_payload writes it, str(eps.value); ValueError on anything else."""
+    """eps as trace_to_json writes it, str(eps.value); ValueError on anything else."""
     if type(value) is str and (eps := _canonical_eps(value)) is not None:
         return eps
     raise ValueError(f"eps must be a canonical fraction string, got {value!r}")
@@ -1014,7 +999,7 @@ def _read_state(inst: Instance, payload: object, base: SwitchState | None) -> Sw
 def _state_from_payload(
     inst: Instance, payload: dict, base: SwitchState | None = None
 ) -> SwitchState:
-    """A SwitchState from a decoded state object, as _state_payload writes it.
+    """A SwitchState from a decoded state object, as _state_json writes it.
 
     All nine fields are tested in one whole-array pass first (_read_state).
     Only when that pass fails is the state read again field by field and
@@ -1060,8 +1045,9 @@ def _report_payload(report: PropertyReport) -> dict:
 def _state_layout(r_len: int, k: int, x_lens: tuple[int, ...], y_lens: tuple[int, ...]) -> str:
     """The layout of a state with r_len r-rows, k steps and pools of x_lens and y_lens sizes.
 
-    Its slots take _state_payload's values in order; eps, which str(Fraction)
-    writes in digits, "-" and "/" alone, fills a JSON string as it is.
+    Its slots take the state's fields in order (rows as [colour, a, b], pools
+    sorted); eps, which str(Fraction) writes in digits, "-" and "/" alone,
+    fills a JSON string as it is.
     """
     shape = {
         "r": (3,) * r_len,
@@ -1077,12 +1063,11 @@ def _state_layout(r_len: int, k: int, x_lens: tuple[int, ...], y_lens: tuple[int
     return json_layout(shape)
 
 
-def _state_json(st: SwitchState) -> Filled | dict:
+def _state_json(st: SwitchState) -> Filled:
     """The state as trace_to_json writes it: filled into the layout of its shape.
 
-    A state holding a value "%d" would misprint (a bool t, say), or one JSON
-    cannot hold, is written from _state_payload instead, which prints it, or
-    raises TypeError, as canonical_json does any other value.
+    Every value but eps must be an int, tested over the whole state at once
+    ("%d" would print True as 1): anything else, a bool t say, raises TypeError.
     """
     x_sets, y_sets = list(map(sorted, st.x_sets)), list(map(sorted, st.y_sets))
     ints = (
@@ -1091,7 +1076,7 @@ def _state_json(st: SwitchState) -> Filled | dict:
         *itertools.chain.from_iterable(x_sets), *itertools.chain.from_iterable(y_sets), *st.pi,
     )
     if not set(map(type, ints)) <= {int}:
-        return _state_payload(st)
+        raise TypeError("canonical JSON writes a state of integers only")
     rows = len(st.r.triples)
     layout = _state_layout(rows, st.k, tuple(map(len, x_sets)), tuple(map(len, y_sets)))
     return Filled(layout, (*ints[:3 * rows], st.eps.value, *ints[3 * rows:]))
@@ -1113,10 +1098,10 @@ def trace_to_json(trace: Trace) -> str:
     The instance goes into the payload as the Instance itself, which
     canonical_json writes straight from its pair tuples. Each state is filled
     from its own tuples into the layout of its shape (_state_json), and a
-    report whose seven checks pass is one fixed layout; a failing report, or
-    a state holding a value "%d" would misprint, is written value by value.
-    The bytes are json.dumps(payload, indent=2) + "\n" of the payload dict
-    either way.
+    report whose seven checks pass is one fixed layout; a failing report is
+    written value by value. The bytes are json.dumps(payload, indent=2) + "\n"
+    of the payload dict either way. An instance or state holding a value that
+    is not an int (a bool, say) raises TypeError.
     """
     steps = []
     for out in trace.steps:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -33,10 +34,17 @@ from rainbowbench.core import (
     vb,
 )
 from rainbowbench.gen import gen_random_instance
+from rainbowbench.proofkit import Epsilon, Mode, Trace, initial_state, trace_to_json
 
 
 def ce(colour, a, b):
     return ColouredEdge.of(colour, a, b)
+
+
+def one_class_json(pairs) -> str:
+    """Instance JSON with the single class `pairs` in a universe of len(pairs) on each side."""
+    size = len(pairs)
+    return json.dumps({"n_colours": 1, "a_size": size, "b_size": size, "classes": [pairs]})
 
 
 class TestTypes:
@@ -338,6 +346,20 @@ class TestJsonFormats:
             matching_rows(rows)
         assert time.perf_counter() - start < 1
 
+    def test_many_pairs_load_and_validate_in_linear_time(self):
+        # the CLI reads an instance with instance_from_json, then validate_instance
+        text = one_class_json([[i, i] for i in range(200_000)])
+        start = time.perf_counter()
+        assert validate_instance(instance_from_json(text)) == []
+        assert time.perf_counter() - start < 1
+
+    def test_late_repeat_among_many_pairs_is_rejected_in_linear_time(self):
+        text = one_class_json([[i, i] for i in range(199_999)] + [[7, 7]])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"colour 0: repeated pair \[7, 7\]$"):
+            validate_instance(instance_from_json(text))
+        assert time.perf_counter() - start < 1
+
     def test_first_repeat_is_named(self):
         with pytest.raises(ValueError, match=r"^repeated row \[2, 2, 2\]$"):
             matching_rows([[1, 1, 1], [2, 2, 2], [3, 3, 3], [2, 2, 2], [1, 1, 1]])
@@ -420,14 +442,27 @@ JSON_VALUES = st.recursive(
     max_leaves=25,
 )
 
-# make_instance inputs: empty classes, no classes, ends above 2**63 and bool ends
-INSTANCE_END = st.integers(0, 9) | st.integers(2**63 - 2, 2**70) | st.booleans()
-INSTANCES = st.builds(
-    make_instance,
-    st.lists(st.lists(st.tuples(INSTANCE_END, INSTANCE_END), max_size=5), max_size=5),
-    st.none() | INSTANCE_END,
-    st.none() | INSTANCE_END,
-)
+
+def instances(end):
+    """make_instance inputs: empty classes, no classes and ends drawn from `end`."""
+    return st.builds(
+        make_instance,
+        st.lists(st.lists(st.tuples(end, end), max_size=5), max_size=5),
+        st.none() | end,
+        st.none() | end,
+    )
+
+
+# ends above 2**63; INSTANCES also draws bool ends, which make_instance does not type-check
+INSTANCE_END = st.integers(0, 9) | st.integers(2**63 - 2, 2**70)
+INSTANCES = instances(INSTANCE_END | st.booleans())
+
+
+def bool_t_trace() -> Trace:
+    """A trace whose base state holds t = True."""
+    inst, r = make_instance([[], [(0, 0)]]), make_matching([(1, 0, 0)])
+    base = initial_state(inst, r, Epsilon.parse("1"))
+    return Trace(Mode.RELAXED, replace(base, t=True), ())
 
 
 class TestCanonicalJson:
@@ -456,14 +491,34 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             canonical_json(obj)
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda: canonical_json(make_instance([[(True, 0), (2**64, False)]])),
+            lambda: canonical_json(make_instance([[(0, 1)]], a_size=True, b_size=2**63)),
+            lambda: canonical_json(Instance((ColourClass(((0, 1, 2),)),), 3, 3)),
+            lambda: trace_to_json(bool_t_trace()),
+        ],
+        ids=["bool-end", "bool-size", "three-ends", "bool-t"],
+    )
+    def test_values_no_reader_takes_raise_type_error(self, write):
+        # "%d" would print True as 1 and the readers reject true, so neither is written
+        with pytest.raises(TypeError):
+            write()
+
     @given(INSTANCES)
+    def test_instance_reads_back_or_raises_type_error(self, inst):
+        try:
+            text = canonical_json(inst)
+        except TypeError:
+            return
+        assert instance_from_json(text) == inst
+
+    @given(instances(INSTANCE_END))
     @example(make_instance([]))
     @example(make_instance([[], [(0, 0)], []]))
-    @example(make_instance([[(True, 0), (2**64, False)]]))
-    @example(make_instance([[(0, 1)]], a_size=True, b_size=2**63))
     def test_instance_is_laid_out_as_its_payload_dict(self, inst):
-        # the layout the writer had when it built this dict first; make_instance does not
-        # type-check, so a bool end or size must still print as true or false
+        # the layout the writer had when it built this dict first
         payload = {
             "n_colours": inst.n_colours,
             "a_size": inst.a_size,

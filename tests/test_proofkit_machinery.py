@@ -1138,8 +1138,8 @@ def payload_dict(trace: Trace) -> dict:
 def forged_traces(draw) -> Trace:
     """Hand-built traces: a StateForge state at k = 0..3 with eps 1, 1/3 or 2/5 and its
     prefixes as the base and extended steps, in relaxed or strict mode (where P4 fails
-    with a witness), sometimes with g_1 moved into class pi(1) (P2 fails too), a bool t
-    in one state or an augmented last step."""
+    with a witness), sometimes with g_1 moved into class pi(1) (P2 fails too) or an
+    augmented last step."""
     rng = random.Random(draw(hs.integers(0, 2**32 - 1)))
     k = draw(hs.integers(0, 3))
     pools = [rng.randint(0, 2) for _ in range(k)]
@@ -1153,9 +1153,6 @@ def forged_traces(draw) -> Trace:
                 x_sets=full.x_sets[:i], y_sets=full.y_sets[:i], pi=full.pi[:i + 1])
         for i in range(k + 1)
     ]
-    if draw(hs.booleans()):
-        i = draw(hs.integers(0, k))
-        states[i] = replace(states[i], t=draw(hs.booleans()))
     steps = [Extended(state) for state in states[1:]]
     if draw(hs.booleans()):
         steps.append(Augmented(full.r))
@@ -1166,8 +1163,24 @@ class TestTraceLayout:
     @given(forged_traces())
     def test_trace_is_laid_out_as_its_payload_dict(self, trace):
         # states fill a layout of their shape and passing reports are one layout; a
-        # failing report or a bool t must still print as the dict did
+        # failing report must still print as the dict did
         assert trace_to_json(trace) == json.dumps(payload_dict(trace), indent=2) + "\n"
+
+    @given(forged_traces(), hs.data())
+    def test_trace_reads_back_or_raises_type_error(self, trace, data):
+        states = [trace.base] + [out.state for out in trace.steps if isinstance(out, Extended)]
+        if data.draw(hs.booleans()):  # a bool t, which "%d" would print as 1
+            i = data.draw(hs.integers(0, len(states) - 1))
+            states[i] = replace(states[i], t=data.draw(hs.booleans()))
+        steps = [Extended(st) for st in states[1:]] + [
+            out for out in trace.steps if isinstance(out, Augmented)
+        ]
+        trace = Trace(trace.mode, states[0], tuple(steps))
+        try:
+            text = trace_to_json(trace)
+        except TypeError:
+            return
+        verify_trace_json(text)  # a state it cannot read raises "malformed trace JSON"
 
 
 def two_step_trace() -> dict:
