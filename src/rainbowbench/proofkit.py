@@ -33,7 +33,7 @@ import itertools
 import math
 import re
 from contextlib import suppress
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -169,11 +169,12 @@ def _show(t: tuple[int, int, int]) -> str:
 
 
 class _Ints(NamedTuple):
-    """What the engine reads of a state beyond its fields, built with the state."""
+    """What the engine reads of a state beyond its fields, built with the state.
 
-    x: frozenset[int]  # saturated A-indices
-    y: frozenset[int]  # saturated B-indices
-    xz: frozenset[int]  # x with z_1 .. z_k
+    The keys of r_at_a and r_at_b are the saturated A- and B-indices.
+    """
+
+    xz: frozenset[int]  # the saturated A-indices with z_1 .. z_k
     r_at_a: dict[int, tuple[int, int, int]]  # the r-triple at each saturated A-index
     r_at_b: dict[int, tuple[int, int, int]]  # the r-triple at each saturated B-index
     z: tuple[int, ...]  # z_1 .. z_k
@@ -192,11 +193,8 @@ class SwitchState:
 
     Every entry point indexes by k and pi, so building a state whose
     sequences do not have k entries each, and pi k + 1, raises ValueError.
-    The integer view the engine reads (_Ints, as _ints) is built with the state.
-    A parent state that holds the same r object, as step_outcomes passes to
-    each child it extends, lends its view of r (x, y, r_at_a, r_at_b) instead;
-    without one, or with another r, the state builds its own. parent is not a
-    field: it is neither stored nor compared.
+    The integer view the engine reads (_Ints, as _ints) is built with the
+    state, by every state from its own fields.
     """
 
     inst: Instance
@@ -209,9 +207,8 @@ class SwitchState:
     x_sets: tuple[frozenset[int], ...]
     y_sets: tuple[frozenset[int], ...]
     pi: tuple[int, ...]
-    parent: InitVar[SwitchState | None] = None
 
-    def __post_init__(self, parent: SwitchState | None) -> None:
+    def __post_init__(self) -> None:
         k = self.k
         lengths = tuple(map(len, (self.e_seq, self.g_seq, self.x_sets, self.y_sets, self.pi)))
         if lengths != (k, k, k, k, k + 1):
@@ -219,21 +216,12 @@ class SwitchState:
                 f"state shape does not fit k={k}: e_seq, g_seq, x_sets, y_sets and pi "
                 f"have {', '.join(map(str, lengths))} entries"
             )
-        if parent is not None and parent.r is self.r:
-            x, y, _, r_at_a, r_at_b, _, _ = parent._ints
-        else:
-            triples = self.r.triples
-            x = frozenset(a for _, a, _ in triples)
-            y = frozenset(b for _, _, b in triples)
-            r_at_a = {t[1]: t for t in triples}
-            r_at_b = {t[2]: t for t in triples}
+        r_at_a = {t[1]: t for t in self.r.triples}
         z = tuple(a for _, a, _ in self.g_seq)
         ints = _Ints(
-            x=x,
-            y=y,
-            xz=x.union(z),
+            xz=frozenset(z).union(r_at_a),
             r_at_a=r_at_a,
-            r_at_b=r_at_b,
+            r_at_b={t[2]: t for t in self.r.triples},
             z=z,
             ys=tuple(b for _, _, b in self.e_seq),
         )
@@ -325,11 +313,11 @@ def state_violations(st: SwitchState) -> list[str]:
             out.append(f"e_{i}={_show(e)} is not an edge of r")
         if g[2] != e[2]:
             out.append(f"g_{i}={_show(g)} does not share its B-endpoint with e_{i}={_show(e)}")
-        if g[1] in ix.x:
+        if g[1] in ix.r_at_a:
             out.append(f"z_{i}={va(g[1])!r} is saturated by r")
-        if not st.x_sets[i - 1] <= ix.x:
+        if not st.x_sets[i - 1] <= ix.r_at_a.keys():
             out.append(f"X_{i} is not a subset of the saturated A-side")
-        if not st.y_sets[i - 1] <= ix.y:
+        if not st.y_sets[i - 1] <= ix.r_at_b.keys():
             out.append(f"Y_{i} is not a subset of the saturated B-side")
     return out
 
@@ -401,7 +389,7 @@ def _p4(st: SwitchState, mode: Mode) -> str | None:
 
 def _p5(st: SwitchState, mode: Mode) -> str | None:
     """P5: an r-edge of class j inside X_i x Y_i forces a class-j edge from x_i to B minus Y."""
-    y = st._ints.y
+    y = st._ints.r_at_b.keys()
     for i, (x_set, y_set, (_, xi, _)) in enumerate(zip(st.x_sets, st.y_sets, st.e_seq), 1):
         for c, a, b in st.r.triples:
             if a in x_set and b in y_set and _class_edge_at(st, c, xi, True, y) is None:
@@ -417,7 +405,7 @@ def _p6(st: SwitchState, mode: Mode) -> str | None:
     ix = st._ints
     prev: frozenset[int] = frozenset()
     for i, y_set in enumerate(st.y_sets, 1):
-        banned = ix.x.union(ix.z[: i - 1])
+        banned = ix.r_at_a.keys() | ix.z[: i - 1]
         for w in sorted(y_set - prev):
             if _class_edge_at(st, st.pi[i - 1], w, False, banned) is None:
                 return f"w={vb(w)!r} in Y_{i} minus Y_{i - 1} has no partner in class pi({i - 1})"
@@ -534,7 +522,7 @@ def claim1_switch(st: SwitchState, g: ColouredEdge) -> RainbowMatching:
     """
     g = g.triple
     _require_g(st, g, "claim1_switch")
-    if g[2] in st._ints.y:
+    if g[2] in st._ints.r_at_b:
         raise ValueError(f"g={_show(g)} must end outside Y")
     return _exchange(st, _chain_from(st, st.k), [], [g])
 
@@ -563,7 +551,7 @@ def claim2_switch(
     if e_bar[0] != e[0]:
         raise ValueError(f"e_bar colour {e_bar[0]} does not match e's colour {e[0]}")
     _require_in_class(st.inst, "e_bar", e_bar)
-    if e_bar[1] != st.e_seq[k - 1][1] or e_bar[2] in st._ints.y:
+    if e_bar[1] != st.e_seq[k - 1][1] or e_bar[2] in st._ints.r_at_b:
         raise ValueError(f"e_bar={_show(e_bar)} must join x_{k} to B minus Y")
     return _exchange(st, _chain_from(st, k), [e], [e_bar, g])
 
@@ -606,7 +594,7 @@ def claim3_switch(
         if w in st.y_sets[p - 1]:
             raise ValueError(f"w={vb(w)!r} already in Y_{p}; zw names the wrong increment")
     # every subcase, the degenerate p = 0 included: zw starts outside X and z_1..z_p
-    if zw[1] in ix.x or zw[1] in ix.z[:p]:
+    if zw[1] in ix.r_at_a or zw[1] in ix.z[:p]:
         raise ValueError(f"zw={_show(zw)} must start outside X and z_1..z_{p}")
     chain = _chain_from(st, p)  # a broken chain is reported before f_bar is read
     if f_bar[0] != f[0]:
@@ -614,7 +602,7 @@ def claim3_switch(
     _require_in_class(st.inst, "f_bar", f_bar)
     if f_bar[1] in ix.xz or f_bar[1] == zw[1]:
         raise ValueError(f"f_bar={_show(f_bar)} must start outside X, z_1..z_k and zw's endpoint")
-    if f_bar[2] in ix.y:
+    if f_bar[2] in ix.r_at_b:
         raise ValueError(f"f_bar={_show(f_bar)} must end outside Y")
     return _exchange(st, chain, [f], [f_bar, zw])
 
@@ -641,7 +629,7 @@ def _fresh_pool(st: SwitchState, mode: Mode) -> dict[int, int]:
     banned_b = st.y_sets[k - 1].union(ix.ys) if k >= 1 else frozenset()
     pool: dict[int, int] = {}
     for a, b in st.inst.classes[st.pi[k]].pairs:  # sorted, so the first a is the smallest
-        if a not in ix.xz and b in ix.y and b not in banned_b:
+        if a not in ix.xz and b in ix.r_at_b and b not in banned_b:
             pool.setdefault(b, a)
     if mode is Mode.STRICT:
         pool = dict(sorted(pool.items())[: _n_required(st, mode)])
@@ -680,7 +668,7 @@ def _pigeonhole_ranking(
     the threshold-many smallest A-indices), so Y_next is the
     r-neighbourhood of X_next.
     """
-    y = st._ints.y
+    y = st._ints.r_at_b
     box = [t for t in st.r.triples if t[1] in x_prime and t[2] in y_prime]
     # A-endpoints of class-j edges escaping into B \ Y, per relevant colour
     escape: dict[int, set[int]] = {}
@@ -769,7 +757,7 @@ def _zw_for(st: SwitchState, w: int, n_pool: Mapping[int, int]) -> tuple[int, in
         return None
     i = next(i for i in range(1, k + 1) if w in st.y_sets[i - 1])
     colour = st.pi[i - 1]
-    pair = _class_edge_at(st, colour, w, False, ix.x.union(ix.z[: i - 1]))
+    pair = _class_edge_at(st, colour, w, False, ix.r_at_a.keys() | ix.z[: i - 1])
     return None if pair is None else (colour, *pair)
 
 
@@ -778,13 +766,13 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
     inst, k, ix = st.inst, st.k, st._ints
     if k == 0:
         for a, b in inst.classes[0].pairs:
-            if a not in ix.x and b not in ix.y:
+            if a not in ix.r_at_a and b not in ix.r_at_b:
                 return make_matching(st.r.triples + ((0, a, b),))
         return None
     colour_k = st.pi[k]
     pairs = inst.classes[colour_k].pairs
     for a, b in pairs:
-        if a not in ix.xz and b not in ix.y:
+        if a not in ix.xz and b not in ix.r_at_b:
             return _exchange(st, _chain_from(st, k), [], [(colour_k, a, b)])
     x_k = st.e_seq[k - 1][1]
     for a, b in pairs:
@@ -793,7 +781,7 @@ def _claim12_augment(st: SwitchState) -> RainbowMatching | None:
         e = ix.r_at_b.get(b)
         if e is None or e[1] not in st.x_sets[k - 1] or e[0] in st.pi:
             continue  # hand-built states may lack the paired structure; not a witness
-        e_bar = _class_edge_at(st, e[0], x_k, True, ix.y)
+        e_bar = _class_edge_at(st, e[0], x_k, True, ix.r_at_b.keys())
         if e_bar is None:
             continue
         return _exchange(st, _chain_from(st, k), [e], [(e[0], *e_bar), (colour_k, a, b)])
@@ -817,7 +805,7 @@ def _claim3_augment(
         if zw is None:
             continue
         for a, b in st.inst.classes[c].pairs:
-            if a not in ix.xz and a != zw[1] and b not in ix.y:
+            if a not in ix.xz and a != zw[1] and b not in ix.r_at_b:
                 chain = _chain_from(st, st.pi_index(zw[0]))
                 return _exchange(st, chain, [(c, x, w)], [(c, a, b), zw])
     return None
@@ -870,7 +858,6 @@ def step_outcomes(st: SwitchState, mode: Mode = Mode.RELAXED) -> Iterator[StepOu
                 x_sets=st.x_sets + (X_next,),
                 y_sets=st.y_sets + (Y_next,),
                 pi=st.pi + (e_next[0],),
-                parent=st,
             )
         )
 
@@ -947,7 +934,7 @@ def _json_index(value: object) -> int:
     return index
 
 
-def _read_state(inst: Instance, payload: object, base: SwitchState | None) -> SwitchState | None:
+def _read_state(inst: Instance, payload: object) -> SwitchState | None:
     """The state of payload when one whole-array pass finds every field well-formed, else None.
 
     Well-formed is what _state_from_payload's field-by-field reading accepts,
@@ -955,8 +942,7 @@ def _read_state(inst: Instance, payload: object, base: SwitchState | None) -> Sw
     r, e_seq and g_seq, arrays of integer arrays for x_sets and y_sets,
     integers for pi, t and k, no row of r and no index of a pool repeated.
     eps is read last, once, and raises as that reading would, since every
-    field read before it has passed. An r equal to base's takes base's
-    matching, and with it base's view of r (SwitchState's parent).
+    field read before it has passed.
     """
     if type(payload) is not dict:
         return None
@@ -976,10 +962,7 @@ def _read_state(inst: Instance, payload: object, base: SwitchState | None) -> Sw
     if list(map(len, sets)) != list(map(len, pools)):
         return None
     n_r, n_e, n_x = len(r), len(e_seq), len(x_sets)
-    r_rows = tuple(edges[:n_r])
-    if base is not None and r_rows == base.r.triples:
-        matching = base.r
-    elif len(matching := make_matching(r_rows)) < n_r:  # a repeated row
+    if len(matching := make_matching(edges[:n_r])) < n_r:  # a repeated row
         return None
     return SwitchState(
         inst=inst,
@@ -992,23 +975,19 @@ def _read_state(inst: Instance, payload: object, base: SwitchState | None) -> Sw
         x_sets=tuple(sets[:n_x]),
         y_sets=tuple(sets[n_x:]),
         pi=tuple(pi),
-        parent=base,
     )
 
 
-def _state_from_payload(
-    inst: Instance, payload: dict, base: SwitchState | None = None
-) -> SwitchState:
+def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     """A SwitchState from a decoded state object, as _state_json writes it.
 
     All nine fields are tested in one whole-array pass first (_read_state).
     Only when that pass fails is the state read again field by field and
     value by value, through _json_index and reject_repeats, to name the first
     field and value at fault. Raises ValueError, KeyError or TypeError
-    on a malformed state, which verify_trace_json reports as such. A state
-    whose r equals base's shares base's matching and its view of r.
+    on a malformed state, which verify_trace_json reports as such.
     """
-    state = _read_state(inst, payload, base)
+    state = _read_state(inst, payload)
     if state is not None:
         return state
 
@@ -1139,18 +1118,13 @@ def _records(recorded: object, report: PropertyReport) -> bool:
     )
 
 
-def _step_from_payload(
-    inst: Instance, step, base: SwitchState | None = None
-) -> tuple[StepOutcome, object]:
-    """The step's outcome, and for an extended step its recorded property report.
-
-    An extended step's state is read with base (see _state_from_payload).
-    """
+def _step_from_payload(inst: Instance, step) -> tuple[StepOutcome, object]:
+    """The step's outcome, and for an extended step its recorded property report."""
     if not isinstance(step, dict):
         raise TypeError(f"expected an object, got {type(step).__name__}")
     kind = step.get("kind")
     if kind == "extended":
-        out = Extended(_state_from_payload(inst, step["state"], base))
+        out = Extended(_state_from_payload(inst, step["state"]))
         if not isinstance(recorded := step["properties"], dict):
             raise TypeError(f"properties must be an object, got {type(recorded).__name__}")
         return out, recorded
@@ -1192,8 +1166,7 @@ def verify_trace_json(text: str) -> list[str]:
     (core.valid_instance_from_payload): in one whole-array pass when it is as
     trace_to_json writes it, and by instance_from_payload and
     validate_instance otherwise, so a fault is worded as they word it. Each
-    state is read in one whole-array pass too (_state_from_payload), and a
-    step whose r equals the base's shares the base's matching and its view.
+    state is read in one whole-array pass too (_state_from_payload).
     """
     try:
         payload = json_value(text)
@@ -1220,7 +1193,7 @@ def verify_trace_json(text: str) -> list[str]:
     prev: SwitchState | Augmented = base
     for idx, step in enumerate(steps):
         try:
-            out, recorded = _step_from_payload(inst, step, base)
+            out, recorded = _step_from_payload(inst, step)
             report = verify_properties(out.state, mode) if isinstance(out, Extended) else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed trace JSON: step {idx}: {exc}") from exc

@@ -814,7 +814,7 @@ class TestStepOutcomes:
                     seen.add(type(first).__name__)
         assert seen == {"threshold", "pigeonhole", "Augmented", "Extended"}
 
-    def test_a_child_shares_its_parents_view_of_r_and_it_never_goes_stale(self):
+    def test_a_childs_view_is_the_one_a_direct_build_gives(self):
         # every Extended outcome, at every depth, of greedy starts on tight draws
         children = deepest = 0
         for seed in range(200):
@@ -833,20 +833,47 @@ class TestStepOutcomes:
                     children += 1
                     built = SwitchState(**{f.name: getattr(child, f.name) for f in fields(child)})
                     assert child._ints == built._ints
-                    assert child._ints.r_at_a is st._ints.r_at_a
                     frontier.append(child)
                     deepest = max(deepest, child.k)
-        assert children >= 50 and deepest >= 2  # grandchildren borrow a borrowed view
+        assert children >= 50 and deepest >= 2
 
     def test_a_hand_built_state_builds_its_own_view(self):
         st = worked_claim1_state()
         fresh = replace(st)
         assert fresh._ints == st._ints and fresh._ints.r_at_a is not st._ints.r_at_a
-        # a parent with another r lends nothing
-        other = make_matching([(1, 3, 2)])
-        child = replace(st, r=other, e_seq=((1, 3, 2),), g_seq=((0, 2, 2),))
-        lent = SwitchState(**{f.name: getattr(child, f.name) for f in fields(child)}, parent=st)
-        assert lent._ints == child._ints and lent._ints.x == frozenset({3})
+
+    def test_the_view_holds_each_side_of_r_once_keyed_by_its_end(self):
+        def assert_view(st: SwitchState) -> None:
+            trace = json.loads(trace_to_json(Trace(Mode.RELAXED, st, ())))
+            for state in (st, proofkit._state_from_payload(st.inst, trace["base_state"])):
+                ix = state._ints
+                assert ix._fields == ("xz", "r_at_a", "r_at_b", "z", "ys")  # no frozenset of a side
+                for t in state.r.triples:
+                    assert ix.r_at_a[t[1]] == t and ix.r_at_b[t[2]] == t
+                assert ix.r_at_a.keys() == {a for _, a, _ in state.r.triples}
+                assert ix.r_at_b.keys() == {b for _, _, b in state.r.triples}
+                assert ix.z == tuple(a for _, a, _ in state.g_seq)
+                assert ix.xz == set(ix.r_at_a) | set(ix.z)
+
+        # forged states, then engine states at every depth, each also read back from JSON
+        for seed in range(40):
+            assert_view(random_forge(random.Random(seed)).freeze())
+        deepest = 0
+        for seed in range(60):
+            inst = gen_random_instance(8, 9, a_size=9, b_size=9, seed=seed)
+            r = greedy_rainbow(inst, 0)
+            if len(r) == 8:
+                continue
+            frontier = [initial_state(*free_colour_zero(inst, r)[:2], EPS1)]
+            while frontier:
+                st = frontier.pop()
+                assert_view(st)
+                deepest = max(deepest, st.k)
+                try:
+                    frontier += [o.state for o in step_outcomes(st) if isinstance(o, Extended)]
+                except ThresholdInfeasible:
+                    pass
+        assert deepest >= 2
 
 
 def _with_entry(st: SwitchState, name: str, i: int, value) -> SwitchState:
