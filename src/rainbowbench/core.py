@@ -101,9 +101,8 @@ class ColourClass:
     """One colour class: a matching (no two edges share a vertex).
 
     pairs holds the distinct (a_index, b_index) endpoint pairs in sorted
-    order, as its three builders (make_instance, gen_random_instance and
-    instance_from_payload) build them; the colour is the class's position in
-    Instance.classes.
+    order, as its two builders (make_instance and gen_random_instance) build
+    them; the colour is the class's position in Instance.classes.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -162,12 +161,15 @@ def make_instance(
 ) -> Instance:
     """Build an Instance from per-colour endpoint pairs.
 
-    Each class keeps its distinct pairs, sorted. Universe bounds default to
-    the smallest bounds containing every endpoint. Raises ValueError on a
-    negative index or universe size; the result is not validated otherwise,
-    run validate_instance for that.
+    Each class keeps its distinct pairs, sorted: the list is sorted (one pass
+    when it is sorted already) and repeats dropped, the first copy kept.
+    Universe bounds default to the smallest bounds containing every endpoint.
+    Raises ValueError on a negative index or universe size; the result is not
+    validated otherwise, run validate_instance for that.
     """
-    built = tuple(ColourClass(tuple(sorted({(a, b) for a, b in pairs}))) for pairs in classes)
+    built = tuple(
+        ColourClass(tuple(dict.fromkeys(sorted([(a, b) for a, b in pairs])))) for pairs in classes
+    )
     a_ends = [a for cls in built for a, _ in cls.pairs]
     b_ends = [b for cls in built for _, b in cls.pairs]
     lowest = min(a_ends + b_ends, default=0)
@@ -589,7 +591,8 @@ def instance_from_payload(payload: object) -> Instance:
     Raises ValueError on a missing field, a non-integer value, a class count
     that differs from n_colours, a pair repeated inside a class (malformed,
     not a smaller class), a negative vertex index or a negative universe size;
-    each names the first class or row at fault.
+    each names the first class or row at fault. The Instance is built by
+    make_instance, whose words name a negative index or size.
     """
     try:
         n_colours = json_int(payload["n_colours"])
@@ -604,11 +607,7 @@ def instance_from_payload(payload: object) -> Instance:
         raise ValueError(
             f"instance JSON declares {n_colours} colours but lists {len(classes)} classes"
         )
-    ends = chain.from_iterable(chain.from_iterable(classes))
-    if min(ends, default=0) < 0 or min(a_size, b_size) < 0:
-        return make_instance(classes, a_size=a_size, b_size=b_size)  # raises, in its words
-    # the pairs of each class are distinct, so sorting them is all make_instance would do
-    return Instance(tuple(ColourClass(tuple(sorted(pairs))) for pairs in classes), a_size, b_size)
+    return make_instance(classes, a_size=a_size, b_size=b_size)
 
 
 def _read_valid_instance(payload: object) -> Instance | None:

@@ -934,84 +934,51 @@ def _json_index(value: object) -> int:
     return index
 
 
-def _read_state(inst: Instance, payload: object) -> SwitchState | None:
-    """The state of payload when one whole-array pass finds every field well-formed, else None.
+def _edges(rows: object) -> tuple[_Triple, ...]:
+    """e_seq or g_seq: int_rows(rows, 3), the ends walked only when a value is negative."""
+    triples = int_rows(rows, 3)
+    if min(map(min, triples), default=0) < 0:
+        for _, a, b in triples:  # raises at the first negative end; a colour may be negative
+            _json_index(a)
+            _json_index(b)
+    return tuple(triples)
 
-    Well-formed is what _state_from_payload's field-by-field reading accepts,
-    with colours non-negative too: arrays of [colour, a, b] integer rows for
-    r, e_seq and g_seq, arrays of integer arrays for x_sets and y_sets,
-    integers for pi, t and k, no row of r and no index of a pool repeated.
-    eps is read last, once, and raises as that reading would, since every
-    field read before it has passed.
+
+def _index_sets(pools: object, name: str) -> tuple[frozenset[int], ...]:
+    """x_sets or y_sets as frozensets, the pools walked value by value only when a test fails.
+
+    The tests are whole-array: the types of the pools and cells, the least cell, the set sizes.
     """
-    if type(payload) is not dict:
-        return None
-    names = ("r", "e_seq", "g_seq", "x_sets", "y_sets", "pi")
-    r, e_seq, g_seq, x_sets, y_sets, pi = arrays = tuple(map(payload.get, names))
-    t, k = payload.get("t"), payload.get("k")
-    if not (set(map(type, arrays)) == {list} and type(t) is int and type(k) is int):
-        return None
-    rows, pools = r + e_seq + g_seq, x_sets + y_sets
-    if not (set(map(type, rows + pools)) <= {list} and set(map(len, rows)) <= {3}):
-        return None
-    values = list(itertools.chain.from_iterable(rows + pools)) + pi
-    if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):
-        return None
-    edges = list(map(tuple, rows))
-    sets = list(map(frozenset, pools))
-    if list(map(len, sets)) != list(map(len, pools)):
-        return None
-    n_r, n_e, n_x = len(r), len(e_seq), len(x_sets)
-    if len(matching := make_matching(edges[:n_r])) < n_r:  # a repeated row
-        return None
-    return SwitchState(
-        inst=inst,
-        r=matching,
-        eps=_eps_from_json(payload["eps"]),
-        t=t,
-        k=k,
-        e_seq=tuple(edges[n_r:n_r + n_e]),
-        g_seq=tuple(edges[n_r + n_e:]),
-        x_sets=tuple(sets[:n_x]),
-        y_sets=tuple(sets[n_x:]),
-        pi=tuple(pi),
-    )
+    if not (
+        set(map(type, json_list(pools))) <= {list}
+        and set(map(type, cells := list(itertools.chain.from_iterable(pools)))) <= {int}
+        and min(cells, default=0) >= 0
+        and sum(map(len, sets := tuple(map(frozenset, pools)))) == len(cells)
+    ):
+        for i, values in enumerate(pools):  # a test failed: name the first value at fault
+            indices = [_json_index(v) for v in json_list(values)]
+            reject_repeats(indices, f"{name}[{i}]: repeated index")  # malformed, not a smaller set
+    return sets
 
 
 def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     """A SwitchState from a decoded state object, as _state_json writes it.
 
-    All nine fields are tested in one whole-array pass first (_read_state).
-    Only when that pass fails is the state read again field by field and
-    value by value, through _json_index and reject_repeats, to name the first
-    field and value at fault. Raises ValueError, KeyError or TypeError
+    Each field is read once, in order; each array is tested whole and walked
+    only when a test fails, so that the error names the first value at fault
+    (_edges, _index_sets, int_rows). Raises ValueError, KeyError or TypeError
     on a malformed state, which verify_trace_json reports as such.
     """
-    state = _read_state(inst, payload)
-    if state is not None:
-        return state
-
-    def edges(rows) -> tuple[tuple[int, int, int], ...]:
-        return tuple((c, _json_index(a), _json_index(b)) for c, a, b in int_rows(rows, 3))
-
-    def index_sets(name: str) -> tuple[frozenset[int], ...]:
-        sets = []
-        for i, values in enumerate(json_list(payload[name])):
-            indices = [_json_index(v) for v in json_list(values)]
-            reject_repeats(indices, f"{name}[{i}]: repeated index")  # malformed, not a smaller set
-            sets.append(frozenset(indices))
-        return tuple(sets)
-
     return SwitchState(
         inst=inst,
         r=matching_from_rows(payload["r"]),
         eps=_eps_from_json(payload["eps"]),
         t=json_int(payload["t"]),
         k=json_int(payload["k"]),
-        e_seq=edges(payload["e_seq"]),
-        g_seq=edges(payload["g_seq"]),
-        x_sets=index_sets("x_sets"),
-        y_sets=index_sets("y_sets"),
+        e_seq=_edges(payload["e_seq"]),
+        g_seq=_edges(payload["g_seq"]),
+        x_sets=_index_sets(payload["x_sets"], "x_sets"),
+        y_sets=_index_sets(payload["y_sets"], "y_sets"),
         pi=tuple(map(json_int, json_list(payload["pi"]))),
     )
 
@@ -1166,7 +1133,8 @@ def verify_trace_json(text: str) -> list[str]:
     (core.valid_instance_from_payload): in one whole-array pass when it is as
     trace_to_json writes it, and by instance_from_payload and
     validate_instance otherwise, so a fault is worded as they word it. Each
-    state is read in one whole-array pass too (_state_from_payload).
+    state is read once, field by field, each array tested whole
+    (_state_from_payload).
     """
     try:
         payload = json_value(text)

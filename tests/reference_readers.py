@@ -4,6 +4,7 @@ instance_from_payload, validate_instance and state_from_payload here walk
 their input one row and one value at a time. The library's readers must give
 the same values, the same exceptions with the same messages, and the same
 Violation lists in the same order; tests/test_readers.py compares them.
+class_pairs is a class's pairs as make_instance built them, through a set.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ def instance_from_payload(payload: object) -> Instance:
             f"instance JSON declares {n_colours} colours but lists {len(classes)} classes"
         )
     return make_instance(classes, a_size=a_size, b_size=b_size)
+
+
+def class_pairs(pairs) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted({(a, b) for a, b in pairs}))
 
 
 def validate_instance(inst: Instance) -> list[Violation]:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, strategies as st
 
+import reference_readers as ref
 from bruteforce import max_matching_size
 from rainbowbench.core import (
     ColourClass,
@@ -456,6 +457,26 @@ def instances(end):
 # ends above 2**63; INSTANCES also draws bool ends, which make_instance does not type-check
 INSTANCE_END = st.integers(0, 9) | st.integers(2**63 - 2, 2**70)
 INSTANCES = instances(INSTANCE_END | st.booleans())
+
+
+# few ends, so that pairs repeat; a bool end equals the int end 0 or 1
+PAIR_END = st.integers(0, 3) | st.booleans()
+PAIR_CLASSES = st.lists(
+    st.lists(
+        st.tuples(PAIR_END, PAIR_END) | st.lists(PAIR_END, min_size=2, max_size=2), max_size=8
+    ),
+    max_size=4,
+)
+
+
+class TestMakeInstance:
+    @given(classes=PAIR_CLASSES)
+    @example(classes=[])
+    @example(classes=[[], [(True, 0), (1, 0), [0, 1], (0, True), (0, 1)], [[2, 2], (2, 2)]])
+    def test_classes_are_the_set_based_reference(self, classes):
+        got = tuple(cls.pairs for cls in make_instance(classes).classes)
+        # repr tells a kept (True, 0) from a kept (1, 0): the first copy stays, as in a set
+        assert repr(got) == repr(tuple(map(ref.class_pairs, classes)))
 
 
 def bool_t_trace() -> Trace:

@@ -337,11 +337,10 @@ def corrupt_state(draw, state: dict, name: str, how: str) -> None:
             value = draw(st.sampled_from(BAD_CELLS))
         else:  # a value that keeps the types: the engine checks judge it
             value = draw(st.integers(0, 9))
-        low = 1 if how == "negative" and not pools else 0  # a negative colour is no reader's fault
-        if len(row) <= low:
+        if not row:
             row.append(value)
         else:
-            row[draw(st.integers(low, len(row) - 1))] = value
+            row[draw(st.integers(0, len(row) - 1))] = value
 
 
 @st.composite
@@ -398,6 +397,20 @@ class TestStateReader:
                     assert state.r == base.r
                     shared += 1
         assert shared >= 10
+
+    def test_a_negative_colour_in_pi_is_read(self):
+        # no reader tests a colour's sign: the engine's checks judge it (corrupt_state
+        # draws negative colours in r, e_seq and g_seq, but never touches pi)
+        read = 0
+        for instance, text in state_payloads():
+            state = json.loads(text)
+            if state["k"]:
+                inst = core.instance_from_payload(json.loads(instance))
+                state["pi"][-1] = -1
+                got = proofkit._state_from_payload(inst, copy.deepcopy(state))
+                assert got == ref.state_from_payload(inst, state)
+                read += 1
+        assert read >= 10
 
     def test_a_step_r_with_one_row_changed_breaks_the_chain(self):
         payload, state = first_extended_step()
