@@ -935,39 +935,28 @@ def _json_index(value: object) -> int:
 
 
 def _edges(rows: object) -> tuple[_Triple, ...]:
-    """e_seq or g_seq: int_rows(rows, 3), the ends walked only when a value is negative."""
-    triples = int_rows(rows, 3)
-    if min(map(min, triples), default=0) < 0:
-        for _, a, b in triples:  # raises at the first negative end; a colour may be negative
-            _json_index(a)
-            _json_index(b)
-    return tuple(triples)
+    """e_seq or g_seq: int_rows(rows, 3), each end a non-negative index (_json_index)."""
+    return tuple((c, _json_index(a), _json_index(b)) for c, a, b in int_rows(rows, 3))
 
 
 def _index_sets(pools: object, name: str) -> tuple[frozenset[int], ...]:
-    """x_sets or y_sets as frozensets, the pools walked value by value only when a test fails.
-
-    The tests are whole-array: the types of the pools and cells, the least cell, the set sizes.
-    """
-    if not (
-        set(map(type, json_list(pools))) <= {list}
-        and set(map(type, cells := list(itertools.chain.from_iterable(pools)))) <= {int}
-        and min(cells, default=0) >= 0
-        and sum(map(len, sets := tuple(map(frozenset, pools)))) == len(cells)
-    ):
-        for i, values in enumerate(pools):  # a test failed: name the first value at fault
-            indices = [_json_index(v) for v in json_list(values)]
-            reject_repeats(indices, f"{name}[{i}]: repeated index")  # malformed, not a smaller set
-    return sets
+    """x_sets or y_sets as frozensets of _json_index values; a repeat in a pool is malformed."""
+    sets = []
+    for i, values in enumerate(json_list(pools)):
+        indices = [_json_index(v) for v in json_list(values)]
+        reject_repeats(indices, f"{name}[{i}]: repeated index")  # not a smaller set
+        sets.append(frozenset(indices))
+    return tuple(sets)
 
 
 def _state_from_payload(inst: Instance, payload: dict) -> SwitchState:
     """A SwitchState from a decoded state object, as _state_json writes it.
 
-    Each field is read once, in order; each array is tested whole and walked
-    only when a test fails, so that the error names the first value at fault
-    (_edges, _index_sets, int_rows). Raises ValueError, KeyError or TypeError
-    on a malformed state, which verify_trace_json reports as such.
+    Each field is read once, in order, by one path: r, e_seq and g_seq are
+    tested whole by int_rows, and their ends and the pools' indices are read
+    value by value (_edges, _index_sets), so that the error names the first
+    value at fault. Raises ValueError, KeyError or TypeError on a malformed
+    state, which verify_trace_json reports as such.
     """
     return SwitchState(
         inst=inst,
@@ -1133,8 +1122,7 @@ def verify_trace_json(text: str) -> list[str]:
     (core.valid_instance_from_payload): in one whole-array pass when it is as
     trace_to_json writes it, and by instance_from_payload and
     validate_instance otherwise, so a fault is worded as they word it. Each
-    state is read once, field by field, each array tested whole
-    (_state_from_payload).
+    state is read once, field by field, by one path (_state_from_payload).
     """
     try:
         payload = json_value(text)
